@@ -58,9 +58,6 @@ from .ode import (
     VectorFieldSet,
     initial_state,
     ito_to_stratonovich,
-    solve_controlled_ode,
-    solve_sde_mc,
-    stratonovich_fields,
 )
 from .partition import (
     CubaturePath,

@@ -3,13 +3,13 @@
 Three two-layer networks share one flat parameter vector: the generative
 drift, the variational drift, and a diagonal diffusion head (softplus plus a
 floor keeps it invertible).  A learned initial state completes the parameter
-set.  Every evaluator exists twice: on the tape for gradients and as a plain
-numpy function for reporting.
+set.  The evaluators exist once, on the tape: training differentiates
+through them, and reporting wraps plain arrays with ``tape.const``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,19 +72,23 @@ class NetworkFields:
         self.z0_slice = slice(offset, offset + d_x)
         self.n_params = offset + d_x
 
+    def _tensors(self):
+        """(leaf name, slice of the flat vector, shape) of every parameter tensor."""
+        for name in ("prior", "posterior", "diffusion"):
+            net = getattr(self, name)
+            for part, layer in (("hidden", net.hidden), ("out", net.out)):
+                yield f"{name}.{part}.w", layer.w_slice, layer.shape
+                yield f"{name}.{part}.b", layer.b_slice, layer.shape[1:]
+        yield "z0", self.z0_slice, (self.d_x,)
+
     def init_params(self, seed: int) -> np.ndarray:
+        """Scaled normal weights; biases and the initial state start at zero."""
         rng = np.random.default_rng(seed)
         theta = np.zeros(self.n_params)
-        for net in (self.prior, self.posterior, self.diffusion):
-            for layer in (net.hidden, net.out):
-                fan_in = layer.shape[0]
-                theta[layer.w_slice] = rng.normal(
-                    0.0, 0.5 / np.sqrt(fan_in), layer.w_slice.stop - layer.w_slice.start
-                )
-        theta[self.z0_slice] = 0.0
+        for name, sl, shape in self._tensors():
+            if name.endswith(".w"):
+                theta[sl] = rng.normal(0.0, 0.5 / np.sqrt(shape[0]), sl.stop - sl.start)
         return theta
-
-    # tape-side evaluation -------------------------------------------------
 
     def wrap(self, theta: np.ndarray) -> dict[str, Var]:
         """Wrap a flat parameter vector into tape leaves (one per tensor)."""
@@ -92,37 +96,14 @@ class NetworkFields:
             raise InvalidParameter(
                 f"parameter vector has shape {theta.shape}, expected ({self.n_params},)"
             )
-        leaves: dict[str, Var] = {}
-        for name, net in (
-            ("prior", self.prior),
-            ("posterior", self.posterior),
-            ("diffusion", self.diffusion),
-        ):
-            for part, layer in (("hidden", net.hidden), ("out", net.out)):
-                leaves[f"{name}.{part}.w"] = tape.const(
-                    theta[layer.w_slice].reshape(layer.shape)
-                )
-                leaves[f"{name}.{part}.b"] = tape.const(theta[layer.b_slice])
-        leaves["z0"] = tape.const(theta[self.z0_slice])
-        return leaves
+        return {name: tape.const(theta[sl].reshape(shape)) for name, sl, shape in self._tensors()}
 
     def collect_grad(self, leaves: dict[str, Var]) -> np.ndarray:
         grad = np.zeros(self.n_params)
-        for name, net in (
-            ("prior", self.prior),
-            ("posterior", self.posterior),
-            ("diffusion", self.diffusion),
-        ):
-            for part, layer in (("hidden", net.hidden), ("out", net.out)):
-                gw = leaves[f"{name}.{part}.w"].grad
-                gb = leaves[f"{name}.{part}.b"].grad
-                if gw is not None:
-                    grad[layer.w_slice] = np.asarray(gw).ravel()
-                if gb is not None:
-                    grad[layer.b_slice] = np.asarray(gb)
-        gz = leaves["z0"].grad
-        if gz is not None:
-            grad[self.z0_slice] = np.asarray(gz)
+        for name, sl, _ in self._tensors():
+            g = leaves[name].grad
+            if g is not None:
+                grad[sl] = np.asarray(g).ravel()
         return grad
 
     def _mlp(self, leaves: dict[str, Var], name: str, x: Var, t: float) -> Var:
@@ -152,28 +133,3 @@ class NetworkFields:
             (z0,),
             lambda g: (g.sum(axis=0),),
         )
-
-    # numpy-side evaluation ------------------------------------------------
-
-    def _mlp_np(self, theta: np.ndarray, net: _Net, x: np.ndarray, t) -> np.ndarray:
-        t_col = np.broadcast_to(np.asarray(t, dtype=float).reshape(-1, 1), (x.shape[0], 1))
-        inp = np.concatenate([t_col, x], axis=1)
-        w1 = theta[net.hidden.w_slice].reshape(net.hidden.shape)
-        h = np.tanh(inp @ w1 + theta[net.hidden.b_slice])
-        w2 = theta[net.out.w_slice].reshape(net.out.shape)
-        return h @ w2 + theta[net.out.b_slice]
-
-    def drift_prior_np(self, theta, x, t) -> np.ndarray:
-        return self._mlp_np(theta, self.prior, x, t)
-
-    def drift_posterior_np(self, theta, x, t) -> np.ndarray:
-        return self._mlp_np(theta, self.posterior, x, t)
-
-    def diffusion_diag_np(self, theta, x, t) -> np.ndarray:
-        if self.zero_diffusion:
-            return np.zeros((x.shape[0], self.d_x))
-        head = self._mlp_np(theta, self.diffusion, x, t)
-        return np.logaddexp(0.0, head) + self.diffusion_floor
-
-    def z0_np(self, theta) -> np.ndarray:
-        return theta[self.z0_slice].copy()

@@ -3,8 +3,10 @@
 States are time-augmented: component 0 is physical time, so drift fields have
 a constant 1 there and diffusion fields a constant 0.  Controlled equations
 ``dphi = sum_i V_i(phi) domega^i`` driven by piecewise-linear paths reduce to
-classical ODEs with piecewise-constant path derivatives and are integrated
-with the classical fourth-order one-step method, batched across paths.
+classical ODEs with piecewise-constant path derivatives.  :func:`rk4_steps`
+is the package's one fourth-order integrator: it steps numpy arrays for the
+batched estimator here and tape nodes for the training arm in
+:mod:`sdecub.training`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonFiniteState
-from .formulas import PiecewisePath
 
 
 @dataclass(frozen=True)
@@ -118,16 +119,6 @@ def ito_to_stratonovich(
     )
 
 
-def stratonovich_fields(v0, v, d_x: int, d_b: int) -> VectorFieldSet:
-    """Wrap spatial Stratonovich coefficients directly (no correction)."""
-    return VectorFieldSet(
-        state_dim=d_x,
-        driving_dim=d_b,
-        drift=_augment_drift(v0),
-        diffusion=_augment_diffusion(v, d_b),
-    )
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Grid times and augmented states; dense output by linear interpolation."""
@@ -171,70 +162,38 @@ def initial_state(zeta=None, v: np.ndarray | None = None, d_x: int = 1, d_v: int
     return out
 
 
-def _rk4_segments(fields, times, derivs, x0, steps_per_segment):
-    """Batched classical RK4 over shared segments with constant path slopes.
+def rk4_steps(rhs, seg_times, derivs, x0, steps_per_segment: int):
+    """Classical RK4 over shared segments with constant path slopes.
 
-    ``times`` is the shared segment grid (S+1,), ``derivs`` holds Brownian
-    slopes per path and segment, shape (B, S, d_b).  Returns the full step
-    grid and states (B, n_steps+1, d_x+1).
+    ``seg_times`` is the segment grid (S+1,), ``derivs`` the path slopes per
+    path and segment, shape (B, S, d_b); ``rhs(t, x, g)`` is the vector
+    field at stage time ``t`` for slopes ``g`` (B, d_b).  Yields ``(t, x)``
+    after every step, each segment's last step snapped onto its knot.  The
+    state may be an ndarray or a ``tape.Var``: the step uses only ``+`` and
+    ``*``, so the same loop serves estimation and tape training.
     """
-    batch = derivs.shape[0]
-    n_seg = times.shape[0] - 1
-    d_aug = x0.shape[-1]
-    n_total = n_seg * steps_per_segment
-    out_times = np.empty(n_total + 1)
-    out = np.empty((batch, n_total + 1, d_aug))
-    state = np.broadcast_to(x0, (batch, d_aug)).copy()
-    out_times[0] = times[0]
-    out[:, 0] = state
-    pos = 0
-
-    def rhs(x, g):
-        v = fields.drift(x).copy()
-        v += np.einsum("bdi,bi->bd", fields.diffusion(x), g)
-        return v
-
-    for seg in range(n_seg):
-        h = (times[seg + 1] - times[seg]) / steps_per_segment
-        g = derivs[:, seg, :]
-        for step in range(steps_per_segment):
-            k1 = rhs(state, g)
-            k2 = rhs(state + 0.5 * h * k1, g)
-            k3 = rhs(state + 0.5 * h * k2, g)
-            k4 = rhs(state + h * k3, g)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            pos += 1
-            out_times[pos] = times[seg] + (step + 1) * h
-            out[:, pos] = state
-        if not np.all(np.isfinite(state)):
-            raise NonFiniteState(f"state left the finite range in segment {seg}")
-        out_times[pos] = times[seg + 1]
-    return out_times, out
-
-
-def solve_controlled_ode(
-    fields: VectorFieldSet,
-    path: PiecewisePath,
-    x0: np.ndarray,
-    steps_per_segment: int = 32,
-) -> Trajectory:
-    """Integrate ``dphi = sum_i V_i(phi) domega^i`` along one path.
-
-    The piecewise-linear path has a piecewise-constant derivative, so each
-    segment is a classical autonomous ODE integrated with fixed-step RK4;
-    step boundaries align with path breakpoints.
-    """
-    if path.dim != fields.driving_dim:
-        raise DimensionMismatch(
-            f"path dimension {path.dim} != driving dimension {fields.driving_dim}"
-        )
+    # checked on the call, not on the first step, so a caller may size its
+    # output from steps_per_segment before iterating
     if steps_per_segment < 1:
         raise InvalidParameter("steps_per_segment must be >= 1")
-    inc = path.increments()
-    dt = np.diff(path.breakpoints)
-    derivs = (inc[:, 1:] / dt[:, None])[None, :, :]
-    times, states = _rk4_segments(fields, path.breakpoints, derivs, np.asarray(x0, float), steps_per_segment)
-    return Trajectory(times=times, values=states[0])
+
+    def steps():
+        x = x0
+        for seg in range(seg_times.shape[0] - 1):
+            t0 = seg_times[seg]
+            h = (seg_times[seg + 1] - t0) / steps_per_segment
+            g = derivs[:, seg, :]
+            for step in range(steps_per_segment):
+                t = t0 + step * h
+                k1 = rhs(t, x, g)
+                k2 = rhs(t + 0.5 * h, x + (0.5 * h) * k1, g)
+                k3 = rhs(t + 0.5 * h, x + (0.5 * h) * k2, g)
+                k4 = rhs(t + h, x + h * k3, g)
+                x = x + (h / 6.0) * ((k1 + k4) + 2.0 * (k2 + k3))
+                last = step == steps_per_segment - 1
+                yield (seg_times[seg + 1] if last else t0 + (step + 1) * h), x
+
+    return steps()
 
 
 def solve_controlled_ode_batch(
@@ -244,27 +203,32 @@ def solve_controlled_ode_batch(
     x0: np.ndarray,
     steps_per_segment: int = 32,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched variant over paths sharing one segment grid; see _rk4_segments."""
-    return _rk4_segments(fields, seg_times, derivs, np.asarray(x0, float), steps_per_segment)
+    """Integrate ``dphi = sum_i V_i(phi) domega^i`` along a batch of paths.
 
-
-def solve_sde_mc(
-    mu,
-    sigma,
-    x0: np.ndarray,
-    T: float,
-    grid: int,
-    seed: int,
-) -> Trajectory:
-    """One Euler-Maruyama path of the Ito SDE with seeded Gaussian increments.
-
-    Identical seeds give bit-identical trajectories.
+    The paths share one segment grid and are linear on each segment, so every
+    segment is a classical autonomous ODE solved with :func:`rk4_steps`.
+    Returns the step grid and the augmented states (B, n_steps+1, d_x+1).
     """
-    times, paths = solve_sde_mc_batch(mu, sigma, x0, T, grid, np.random.default_rng(seed), 1)
-    values = np.empty((grid + 1, paths.shape[2] + 1))
-    values[:, 0] = times
-    values[:, 1:] = paths[0]
-    return Trajectory(times=times, values=values)
+
+    def rhs(t, x, g):
+        return fields.drift(x) + np.einsum("bdi,bi->bd", fields.diffusion(x), g)
+
+    x0 = np.asarray(x0, float)
+    batch, d_aug = derivs.shape[0], x0.shape[-1]
+    state = np.broadcast_to(x0, (batch, d_aug)).copy()
+    steps = rk4_steps(rhs, seg_times, derivs, state, steps_per_segment)
+    n_total = (seg_times.shape[0] - 1) * steps_per_segment
+    out_times = np.empty(n_total + 1)
+    out = np.empty((batch, n_total + 1, d_aug))
+    out_times[0] = seg_times[0]
+    out[:, 0] = state
+    for pos, (t, state) in enumerate(steps, 1):
+        out_times[pos] = t
+        out[:, pos] = state
+        if pos % steps_per_segment == 0 and not np.all(np.isfinite(state)):
+            seg = pos // steps_per_segment - 1
+            raise NonFiniteState(f"state left the finite range in segment {seg}")
+    return out_times, out
 
 
 def solve_sde_mc_batch(

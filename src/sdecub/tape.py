@@ -15,15 +15,31 @@ from .errors import NonFiniteGradient
 
 
 class Var:
-    """A tape node: value, parent nodes, and the VJP into those parents."""
+    """A tape node: value, parent nodes, and the VJP into those parents.
+
+    ``+`` and ``*`` record :func:`add`/:func:`mul` against another node and
+    :func:`cadd`/:func:`cmul` against a constant, so code written with
+    operators runs unchanged on plain arrays and on the tape.
+    """
 
     __slots__ = ("value", "parents", "vjp", "grad")
+    # numpy scalars and arrays defer to the reflected operators below
+    __array_ufunc__ = None
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = value
         self.parents = parents
         self.vjp = vjp
         self.grad = None
+
+    def __add__(self, other):
+        return add(self, other) if isinstance(other, Var) else cadd(self, other)
+
+    def __mul__(self, other):
+        return mul(self, other) if isinstance(other, Var) else cmul(self, other)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
 
 
 def const(value) -> Var:

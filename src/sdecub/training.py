@@ -4,9 +4,14 @@ Both arms minimise the same variational objective: a Gaussian reconstruction
 log-density against data paths plus a drift-mismatch penalty between the
 generative and variational drifts sharing one diagonal diffusion.  The
 cubature arm solves deterministic controlled ODEs along pre-processed tree
-paths (the same weight table serves every epoch); the Monte Carlo arm
+paths (the same weight table serves every epoch) with the package's one RK4
+core, :func:`sdecub.ode.rk4_steps`, stepping tape nodes; the Monte Carlo arm
 differentiates pathwise through Euler-Maruyama solves with frozen per-epoch
 noise.  Gradients come from the recorded tape in both cases.
+
+The two arms do not yet integrate the same SDE: RK4 along bounded-variation
+paths gives the Stratonovich reading of ``dz = f dt + g dW``, Euler-Maruyama
+the Ito one, and no drift correction bridges them (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from .errors import DivergenceDetected, InvalidParameter, SingularDiffusion
 from .estimator import _leaf_derivative_table
 from .formulas import CubatureFormula, degree3_formula
 from .nets import NetworkFields
-from .ode import Trajectory, solve_sde_mc_batch
+from .ode import Trajectory, rk4_steps, solve_sde_mc_batch
 from .partition import TimePartition, make_partition
 from .recombination import TestBasis, WeightTable, preprocess
 from .tape import Var
@@ -88,65 +93,53 @@ def _loss_graph(
     batch_weights: np.ndarray,
     spec: VariationalLossSpec,
 ):
-    """Scalar loss node plus its constant (parameter-free) part.
+    """Misfit node, drift-mismatch node and the constant part of the loss.
 
-    Loss = -reconstruction + kl_weight * drift-mismatch penalty, both
-    trapezoid integrals on the solver grid, weighted over the path batch.
+    The misfit is sum_j w_j int |z_j - ybar|^2 / (2 obs_noise^2) dt and the
+    mismatch K is sum_j w_j int |(f_prior - f_post) / g|^2 / 2 dt, both
+    trapezoid integrals on the solver grid; K is ``None`` when the KL weight
+    is zero.  The loss is misfit + const + kl_weight * K, and the
+    reconstruction log-density R is -(misfit + const).
     """
     ybar, spread = _resampled_stats(spec, times)
     tau = _trapezoid_weights(times)
     inv_two_var = 1.0 / (2.0 * spec.obs_noise**2)
     d = nets.d_x
-    total: Var | None = None
-    min_diffusion = np.inf
+    misfit: Var | None = None
+    mismatch: Var | None = None
     for i, (t, z) in enumerate(zip(times, states)):
-        resid = tape.cadd(z, -ybar[i])
-        integrand = tape.cmul(tape.row_sumsq(resid), inv_two_var)
+        w = tau[i] * batch_weights
+        term = tape.wsum(tape.row_sumsq(tape.cadd(z, -ybar[i])), w * inv_two_var)
+        misfit = term if misfit is None else misfit + term
         if spec.kl_weight != 0.0:
             f_prior = nets.drift_prior(leaves, z, t)
             f_post = nets.drift_posterior(leaves, z, t)
             g = nets.diffusion_diag(leaves, z, t)
-            min_diffusion = min(min_diffusion, float(np.min(np.abs(g.value))))
-            mismatch = tape.mul(tape.sub(f_prior, f_post), tape.reciprocal(g))
-            integrand = tape.add(
-                integrand, tape.cmul(tape.row_sumsq(mismatch), 0.5 * spec.kl_weight)
-            )
-        term = tape.wsum(integrand, tau[i] * batch_weights)
-        total = term if total is None else tape.add(total, term)
-    if spec.kl_weight != 0.0 and min_diffusion < 1e-10:
-        raise SingularDiffusion(
-            f"diffusion magnitude {min_diffusion:.2e} below 1e-10 on the grid"
-        )
+            smallest = float(np.min(np.abs(g.value)))
+            if smallest < 1e-10:
+                raise SingularDiffusion(
+                    f"diffusion magnitude {smallest:.2e} below 1e-10 at t={t:.6g}"
+                )
+            diff = tape.mul(tape.sub(f_prior, f_post), tape.reciprocal(g))
+            term = tape.wsum(tape.row_sumsq(diff), 0.5 * w)
+            mismatch = term if mismatch is None else mismatch + term
     mass = float(batch_weights.sum())
     const = mass * float(
         np.dot(tau, 0.5 * d * math.log(2.0 * math.pi * spec.obs_noise**2) + spread * inv_two_var)
     )
-    return total, const
+    return misfit, mismatch, const
 
 
 def variational_loss_terms(
     nets: NetworkFields, theta: np.ndarray, trajectory: Trajectory, spec: VariationalLossSpec
 ) -> tuple[float, float]:
     """(reconstruction log-density R, drift-mismatch penalty K) of one path."""
-    times = trajectory.times
-    z = trajectory.spatial
-    ybar, spread = _resampled_stats(spec, times)
-    tau = _trapezoid_weights(times)
-    var = spec.obs_noise**2
-    d = z.shape[1]
-    log_norm = -0.5 * d * math.log(2.0 * math.pi * var)
-    resid = np.sum((z - ybar) ** 2, axis=1) + spread
-    recon = float(np.dot(tau, log_norm - resid / (2.0 * var)))
-    f_prior = nets.drift_prior_np(theta, z, times)
-    f_post = nets.drift_posterior_np(theta, z, times)
-    g = nets.diffusion_diag_np(theta, z, times)
-    if spec.kl_weight != 0.0:
-        if np.min(np.abs(g)) < 1e-10:
-            raise SingularDiffusion("diffusion not invertible on the trajectory grid")
-        kl = float(np.dot(tau, 0.5 * np.sum(((f_prior - f_post) / g) ** 2, axis=1)))
-    else:
-        kl = 0.0
-    return recon, kl
+    states = [tape.const(z[None]) for z in trajectory.spatial]
+    misfit, mismatch, const = _loss_graph(
+        nets, nets.wrap(theta), trajectory.times, states, np.ones(1), spec
+    )
+    kl = 0.0 if mismatch is None else float(mismatch.value)
+    return -(float(misfit.value) + const), kl
 
 
 def variational_loss(
@@ -157,26 +150,34 @@ def variational_loss(
     return -recon + spec.kl_weight * kl
 
 
-def _rk4_tape(nets, leaves, z: Var, t0: float, h: float, slope: np.ndarray) -> Var:
-    def rhs(state, t):
-        f = nets.drift_posterior(leaves, state, t)
-        g = nets.diffusion_diag(leaves, state, t)
-        return tape.add(f, tape.cmul(g, slope))
-
-    k1 = rhs(z, t0)
-    k2 = rhs(tape.add(z, tape.cmul(k1, 0.5 * h)), t0 + 0.5 * h)
-    k3 = rhs(tape.add(z, tape.cmul(k2, 0.5 * h)), t0 + 0.5 * h)
-    k4 = rhs(tape.add(z, tape.cmul(k3, h)), t0 + h)
-    incr = tape.add(tape.add(k1, k4), tape.cmul(tape.add(k2, k3), 2.0))
-    return tape.add(z, tape.cmul(incr, h / 6.0))
-
-
 @dataclass(frozen=True)
 class GradientReport:
     loss: float
     gradient: np.ndarray
     n_paths: int
     tape_bytes: int
+
+
+def _gradient_report(
+    nets: NetworkFields,
+    leaves: dict[str, Var],
+    times: np.ndarray,
+    states: list[Var],
+    batch_weights: np.ndarray,
+    spec: VariationalLossSpec,
+) -> GradientReport:
+    """Loss graph over the solved states, reverse pass and finite check."""
+    misfit, mismatch, const = _loss_graph(nets, leaves, times, states, batch_weights, spec)
+    root = misfit if mismatch is None else misfit + spec.kl_weight * mismatch
+    order = tape.backward(root)
+    grad = nets.collect_grad(leaves)
+    tape.check_finite_gradient(grad)
+    return GradientReport(
+        loss=float(root.value) + const,
+        gradient=grad,
+        n_paths=batch_weights.shape[0],
+        tape_bytes=tape.tape_bytes(order),
+    )
 
 
 def loss_and_gradient_cubature(
@@ -202,26 +203,16 @@ def loss_and_gradient_cubature(
     k = partition.k
     derivs = slopes[np.arange(k)[None, :], iv].reshape(iv.shape[0], k * n_seg, formula.dim)
     leaves = nets.wrap(theta)
-    z = nets.initial_state(leaves, batch=iv.shape[0])
-    times = [seg_times[0]]
-    states = [z]
-    for seg in range(k * n_seg):
-        h = (seg_times[seg + 1] - seg_times[seg]) / steps_per_segment
-        for step in range(steps_per_segment):
-            z = _rk4_tape(nets, leaves, z, times[-1], h, derivs[:, seg, :])
-            times.append(seg_times[seg] + (step + 1) * h)
-            states.append(z)
-        times[-1] = seg_times[seg + 1]
-    root, const = _loss_graph(nets, leaves, np.array(times), states, weights, spec)
-    order = tape.backward(root)
-    grad = nets.collect_grad(leaves)
-    tape.check_finite_gradient(grad)
-    return GradientReport(
-        loss=float(root.value) + const,
-        gradient=grad,
-        n_paths=iv.shape[0],
-        tape_bytes=tape.tape_bytes(order),
-    )
+
+    def rhs(t, z, g):
+        return nets.drift_posterior(leaves, z, t) + nets.diffusion_diag(leaves, z, t) * g
+
+    z0 = nets.initial_state(leaves, batch=iv.shape[0])
+    times, states = [seg_times[0]], [z0]
+    for t, z in rk4_steps(rhs, seg_times, derivs, z0, steps_per_segment):
+        times.append(t)
+        states.append(z)
+    return _gradient_report(nets, leaves, np.array(times), states, weights, spec)
 
 
 def loss_and_gradient_mc(
@@ -247,19 +238,10 @@ def loss_and_gradient_mc(
         t = times[step]
         f = nets.drift_posterior(leaves, z, t)
         g = nets.diffusion_diag(leaves, z, t)
-        z = tape.add(z, tape.add(tape.cmul(f, h), tape.cmul(g, noise[step])))
+        z = z + (f * h + g * noise[step])
         states.append(z)
     weights = np.full(n_paths, 1.0 / n_paths)
-    root, const = _loss_graph(nets, leaves, times, states, weights, spec)
-    order = tape.backward(root)
-    grad = nets.collect_grad(leaves)
-    tape.check_finite_gradient(grad)
-    return GradientReport(
-        loss=float(root.value) + const,
-        gradient=grad,
-        n_paths=n_paths,
-        tape_bytes=tape.tape_bytes(order),
-    )
+    return _gradient_report(nets, leaves, times, states, weights, spec)
 
 
 @dataclass

@@ -81,6 +81,14 @@ class TestEstimateCommand:
         values = {r.split(",")[0]: float(r.split(",")[2]) for r in rows}
         assert values["cubature"] == pytest.approx(values["mc"], abs=5e-3)
 
+    def test_zero_steps_per_segment_is_config_error(self, tmp_path, capsys):
+        code = main(
+            ["estimate", "--field", "brownian", "--k", "2", "--mc-paths", "4",
+             "--mc-grid", "8", "--steps-per-segment", "0", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_CONFIG
+        assert "InvalidParameter" in capsys.readouterr().err
+
     def test_rerun_reproducible_apart_from_timing(self, tmp_path):
         args = ["estimate", "--field", "brownian", "--k", "4", "--mc-paths", "200",
                 "--mc-grid", "32"]

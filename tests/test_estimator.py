@@ -7,6 +7,7 @@ import pytest
 
 from sdecub import (
     BenchConfig,
+    InvalidParameter,
     ManifestMismatch,
     OracleUnavailable,
     TestBasis,
@@ -59,6 +60,16 @@ class TestCubatureEstimate:
         )
         assert rep.n_paths == 27
         assert rep.value == pytest.approx(math.fsum(rep.contributions), abs=1e-14)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_zero_steps_per_segment_rejected(self, workers):
+        spec = brownian_field(1.0)
+        with pytest.raises(InvalidParameter):
+            cubature_estimate(
+                sine_tracking_functional(), spec.stratonovich(), degree5_formula(1),
+                make_partition(1.0, 3, 0.6), None, x0=spec.x0, steps_per_segment=0,
+                workers=workers,
+            )
 
     def test_manifest_mismatch(self):
         formula = degree5_formula(1)

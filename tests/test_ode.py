@@ -7,20 +7,26 @@ import pytest
 
 from sdecub import (
     DimensionMismatch,
+    InvalidParameter,
     NonFiniteState,
     PiecewisePath,
+    Trajectory,
     concat_path,
     degree3_formula,
     initial_state,
     ito_to_stratonovich,
     make_field,
     make_partition,
-    solve_controlled_ode,
-    solve_sde_mc,
 )
+from sdecub import tape
 from sdecub.estimator import PathFunctional, cubature_estimate
 from sdecub.fields import brownian_field, drift_only_field, scaled_diffusion_field
-from sdecub.ode import forward_difference_jacobian
+from sdecub.ode import (
+    forward_difference_jacobian,
+    rk4_steps,
+    solve_controlled_ode_batch,
+    solve_sde_mc_batch,
+)
 
 
 def line_path(slope=1.0):
@@ -29,6 +35,23 @@ def line_path(slope=1.0):
 
 def zero_path():
     return PiecewisePath([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]])
+
+
+def solve_path(fields, path, x0, steps_per_segment=32):
+    """One path through the batched solver: (times, states (n, d_x+1))."""
+    derivs = path.increments()[:, 1:] / np.diff(path.breakpoints)[:, None]
+    times, states = solve_controlled_ode_batch(
+        fields, path.breakpoints, derivs[None], x0, steps_per_segment
+    )
+    return times, states[0]
+
+
+def mc_path(spec, T, grid, seed):
+    """One seeded Euler-Maruyama path: (times, states (grid+1, d_x))."""
+    times, paths = solve_sde_mc_batch(
+        spec.mu, spec.sigma, spec.x0, T, grid, np.random.default_rng(seed), 1
+    )
+    return times, paths[0]
 
 
 class TestItoToStratonovich:
@@ -84,10 +107,10 @@ class TestSolveControlledOde:
     def test_constant_fields(self):
         spec = brownian_field(1.0)
         fields = spec.stratonovich()
-        traj = solve_controlled_ode(fields, line_path(0.8), initial_state(v=np.zeros(1)))
+        _, states = solve_path(fields, line_path(0.8), initial_state(v=np.zeros(1)))
         # phi(t) = (t, 0.8 t) for constant unit diffusion
-        assert traj.values[-1, 0] == pytest.approx(1.0, abs=1e-12)
-        assert traj.values[-1, 1] == pytest.approx(0.8, abs=1e-12)
+        assert states[-1, 0] == pytest.approx(1.0, abs=1e-12)
+        assert states[-1, 1] == pytest.approx(0.8, abs=1e-12)
 
     def test_scalar_exponential(self):
         # dx = x domega with omega = t: x(1) = e
@@ -99,8 +122,8 @@ class TestSolveControlledOde:
 
         fields = ito_to_stratonovich(mu, sig, 1, 1)
         x0 = initial_state(v=np.array([1.0]))
-        traj = solve_controlled_ode(fields, zero_path(), x0, steps_per_segment=100)
-        assert traj.values[-1, 1] == pytest.approx(math.e, rel=1e-8)
+        _, states = solve_path(fields, zero_path(), x0, steps_per_segment=100)
+        assert states[-1, 1] == pytest.approx(math.e, rel=1e-8)
 
     def test_fourth_order_convergence(self):
         def mu(t, x):
@@ -114,8 +137,8 @@ class TestSolveControlledOde:
         errors = []
         steps = [8, 16, 32, 64]
         for n in steps:
-            traj = solve_controlled_ode(fields, zero_path(), x0, steps_per_segment=n)
-            errors.append(abs(traj.values[-1, 1] - math.e))
+            _, states = solve_path(fields, zero_path(), x0, steps_per_segment=n)
+            errors.append(abs(states[-1, 1] - math.e))
         order = np.polyfit(np.log(steps), np.log(errors), 1)[0]
         assert -order >= 3.8
 
@@ -123,18 +146,18 @@ class TestSolveControlledOde:
         # Ito sigma(x)=x, mu=0: along a zero path the corrected drift gives
         # exp(-t/2) * x0
         spec = scaled_diffusion_field(1.0)
-        traj = solve_controlled_ode(
+        _, states = solve_path(
             spec.stratonovich(), zero_path(), initial_state(v=np.array([1.0])),
             steps_per_segment=64,
         )
-        assert traj.values[-1, 1] == pytest.approx(math.exp(-0.5), rel=1e-8)
+        assert states[-1, 1] == pytest.approx(math.exp(-0.5), rel=1e-8)
 
     def test_time_component_exact(self):
         spec = scaled_diffusion_field(0.5)
         part = make_partition(1.0, 3, 0.6)
         cp = concat_path(degree3_formula(1), part, (1, 2, 1))
-        traj = solve_controlled_ode(spec.stratonovich(), cp, initial_state(v=np.ones(1)))
-        assert np.max(np.abs(traj.values[:, 0] - traj.times)) <= 1e-12
+        times, states = solve_path(spec.stratonovich(), cp, initial_state(v=np.ones(1)))
+        assert np.max(np.abs(states[:, 0] - times)) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_state(self):
@@ -146,9 +169,36 @@ class TestSolveControlledOde:
 
         fields = ito_to_stratonovich(mu, sig, 1, 1)
         with pytest.raises(NonFiniteState):
-            solve_controlled_ode(
+            solve_path(
                 fields, zero_path(), initial_state(v=np.array([10.0])), steps_per_segment=4
             )
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_non_positive_steps_per_segment_rejected(self, steps):
+        fields = brownian_field(1.0).stratonovich()
+        with pytest.raises(InvalidParameter):
+            solve_path(fields, line_path(), initial_state(v=np.zeros(1)), steps_per_segment=steps)
+
+
+class TestRk4Steps:
+    def test_array_and_tape_states_agree_bitwise(self):
+        # one right-hand side written with operators serves both state types
+        def rhs(t, x, g):
+            return g * x + (0.3 * t) * (x * x) + 0.1
+
+        rng = np.random.default_rng(4)
+        seg_times = np.array([0.0, 0.3, 0.55, 1.0])
+        derivs = rng.normal(size=(5, 3, 2))
+        x0 = rng.normal(size=(5, 2))
+        plain = list(rk4_steps(rhs, seg_times, derivs, x0, 3))
+        taped = list(rk4_steps(rhs, seg_times, derivs, tape.const(x0), 3))
+        assert len(plain) == len(taped) == 9
+        for (t_a, x_a), (t_b, x_b) in zip(plain, taped):
+            assert isinstance(x_b, tape.Var)
+            assert t_a == t_b
+            assert np.array_equal(x_a, x_b.value)
+        # each segment ends exactly on its knot
+        assert [plain[i][0] for i in (2, 5, 8)] == seg_times[1:].tolist()
 
 
 class TestDegree3Exactness:
@@ -187,20 +237,18 @@ class TestDegree3Exactness:
 class TestSolveSdeMc:
     def test_zero_sigma_is_deterministic(self):
         spec = drift_only_field(rate=1.0, d=1, x0=1.0)
-        t1 = solve_sde_mc(spec.mu, spec.sigma, spec.x0, 1.0, 256, seed=1)
-        t2 = solve_sde_mc(spec.mu, spec.sigma, spec.x0, 1.0, 256, seed=2)
-        assert np.array_equal(t1.values, t2.values)
-        assert t1.values[-1, 1] == pytest.approx(math.exp(-1.0), abs=5e-3)
+        _, p1 = mc_path(spec, 1.0, 256, seed=1)
+        _, p2 = mc_path(spec, 1.0, 256, seed=2)
+        assert np.array_equal(p1, p2)
+        assert p1[-1, 0] == pytest.approx(math.exp(-1.0), abs=5e-3)
 
     def test_seeded_reproducibility(self):
         spec = brownian_field(1.0)
-        t1 = solve_sde_mc(spec.mu, spec.sigma, spec.x0, 1.0, 128, seed=77)
-        t2 = solve_sde_mc(spec.mu, spec.sigma, spec.x0, 1.0, 128, seed=77)
-        assert np.array_equal(t1.values, t2.values)
+        _, p1 = mc_path(spec, 1.0, 128, seed=77)
+        _, p2 = mc_path(spec, 1.0, 128, seed=77)
+        assert np.array_equal(p1, p2)
 
     def test_sample_moments(self):
-        from sdecub.ode import solve_sde_mc_batch
-
         spec = brownian_field(1.0)
         rng = np.random.default_rng(123)
         _, paths = solve_sde_mc_batch(spec.mu, spec.sigma, spec.x0, 1.0, 64, rng, 100000)
@@ -210,14 +258,14 @@ class TestSolveSdeMc:
 
     def test_trajectory_starts_at_x0(self):
         spec = brownian_field(1.0, x0=0.4)
-        traj = solve_sde_mc(spec.mu, spec.sigma, spec.x0, 1.0, 16, seed=5)
-        assert traj.values[0, 1] == 0.4
-        assert traj.values[0, 0] == 0.0
+        times, path = mc_path(spec, 1.0, 16, seed=5)
+        assert path[0, 0] == 0.4
+        assert times[0] == 0.0
 
     def test_csv_export(self):
         spec = brownian_field(1.0)
-        traj = solve_sde_mc(spec.mu, spec.sigma, spec.x0, 1.0, 4, seed=5)
-        text = traj.to_csv()
+        times, path = mc_path(spec, 1.0, 4, seed=5)
+        text = Trajectory(times, np.column_stack([times, path])).to_csv()
         assert text.splitlines()[0] == "t,x_0"
         assert len(text.splitlines()) == 6
 

@@ -7,6 +7,15 @@ from sdecub import NetworkFields
 from sdecub import tape as tp
 
 
+def reference_mlp(theta, net, x, t):
+    """Independent numpy evaluation of one two-layer tanh network."""
+    inp = np.concatenate([np.full((x.shape[0], 1), t), x], axis=1)
+    w1 = theta[net.hidden.w_slice].reshape(net.hidden.shape)
+    h = np.tanh(inp @ w1 + theta[net.hidden.b_slice])
+    w2 = theta[net.out.w_slice].reshape(net.out.shape)
+    return h @ w2 + theta[net.out.b_slice]
+
+
 def numeric_grad(f, x, h=1e-6):
     g = np.zeros_like(x)
     for i in np.ndindex(x.shape):
@@ -79,6 +88,26 @@ class TestTapeOps:
         tp.backward(tp.ssum(y))
         assert x.grad == pytest.approx(np.ones((2, 3)))
 
+    def test_operators_with_numpy_operands(self):
+        # numpy scalars and arrays on either side still record tape nodes
+        rng = np.random.default_rng(2)
+        x, c = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+        leaf = tp.const(x)
+        scaled = np.float64(2.0) * leaf
+        shifted = c + leaf
+        weighted = leaf * c
+        for node in (scaled, shifted, weighted):
+            assert isinstance(node, tp.Var)
+        assert np.array_equal(scaled.value, 2.0 * x)
+        assert np.array_equal(shifted.value, c + x)
+        assert np.array_equal(weighted.value, x * c)
+        tp.backward(tp.ssum(tp.mul(tp.add(scaled, shifted), weighted)))
+
+        def f(arr):
+            return float(np.sum((2.0 * arr + c + arr) * (arr * c)))
+
+        assert leaf.grad == pytest.approx(numeric_grad(f, x), abs=1e-7)
+
     def test_tape_bytes_positive(self):
         x = tp.const(np.ones((5, 2)))
         order = tp.backward(tp.ssum(tp.tanh(x)))
@@ -90,7 +119,8 @@ class TestNetworkFields:
         nets = NetworkFields(d_x=2, width=4)
         theta = np.zeros(nets.n_params)
         theta[nets.prior.out.b_slice] = [0.3, -0.1]
-        out = nets.drift_prior_np(theta, np.random.default_rng(0).normal(size=(5, 2)), 0.5)
+        x = tp.const(np.random.default_rng(0).normal(size=(5, 2)))
+        out = nets.drift_prior(nets.wrap(theta), x, 0.5).value
         assert out == pytest.approx(np.tile([0.3, -0.1], (5, 1)))
 
     def test_tape_and_numpy_agree(self):
@@ -99,19 +129,21 @@ class TestNetworkFields:
         x = np.random.default_rng(1).normal(size=(6, 2))
         leaves = nets.wrap(theta)
         on_tape = nets.drift_posterior(leaves, tp.const(x), 0.25).value
-        plain = nets.drift_posterior_np(theta, x, 0.25)
+        plain = reference_mlp(theta, nets.posterior, x, 0.25)
         assert on_tape == pytest.approx(plain, abs=1e-15)
 
     def test_diffusion_positive_with_floor(self):
         nets = NetworkFields(d_x=1, width=4, diffusion_floor=0.05)
         theta = nets.init_params(0)
-        g = nets.diffusion_diag_np(theta, np.array([[0.2], [-3.0]]), 0.1)
+        g = nets.diffusion_diag(nets.wrap(theta), tp.const(np.array([[0.2], [-3.0]])), 0.1).value
         assert np.all(g >= 0.05)
 
     def test_zero_diffusion_flag(self):
         nets = NetworkFields(d_x=1, width=4, zero_diffusion=True)
         theta = nets.init_params(0)
-        assert np.all(nets.diffusion_diag_np(theta, np.ones((3, 1)), 0.0) == 0.0)
+        g = nets.diffusion_diag(nets.wrap(theta), tp.const(np.ones((3, 1))), 0.0).value
+        assert g.shape == (3, 1)
+        assert np.all(g == 0.0)
 
     def test_parameter_round_trip(self):
         nets = NetworkFields(d_x=3, width=5)
@@ -119,7 +151,7 @@ class TestNetworkFields:
         leaves = nets.wrap(theta)
         # gradient collection with no backward pass gives zeros
         assert nets.collect_grad(leaves) == pytest.approx(np.zeros(nets.n_params))
-        assert nets.z0_np(theta) == pytest.approx(theta[nets.z0_slice])
+        assert leaves["z0"].value == pytest.approx(theta[nets.z0_slice])
 
     def test_deterministic_init(self):
         nets = NetworkFields(d_x=2, width=4)

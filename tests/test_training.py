@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sdecub import (
+    InvalidParameter,
     NetworkFields,
     SingularDiffusion,
     Trajectory,
@@ -69,8 +70,8 @@ class TestVariationalLoss:
         _, kl1 = variational_loss_terms(nets, theta, traj, spec)
 
         class Doubled(NetworkFields):
-            def diffusion_diag_np(self, th, x, t):
-                return 2.0 * super().diffusion_diag_np(th, x, t)
+            def diffusion_diag(self, leaves, x, t):
+                return 2.0 * super().diffusion_diag(leaves, x, t)
 
         doubled = Doubled(1, width=4)
         _, kl2 = variational_loss_terms(doubled, theta, traj, spec)
@@ -159,6 +160,23 @@ class TestGradients:
         r2 = loss_and_gradient_cubature(nets, theta, doubled, formula, partition, spec)
         assert r2.loss == pytest.approx(2.0 * r1.loss, rel=1e-12)
         assert r2.gradient == pytest.approx(2.0 * r1.gradient, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_diffusion_raises_before_dividing(self):
+        config, spec, formula, partition, table, _, theta = small_setup()
+        nets = NetworkFields(1, width=4, zero_diffusion=True)
+        assert spec.kl_weight > 0
+        with pytest.raises(SingularDiffusion, match="at t=0"):
+            loss_and_gradient_cubature(nets, theta, table, formula, partition, spec)
+        with pytest.raises(SingularDiffusion, match="at t=0"):
+            loss_and_gradient_mc(nets, theta, 4, 24, 11, spec)
+
+    def test_zero_steps_per_segment_rejected(self):
+        config, spec, formula, partition, table, nets, theta = small_setup()
+        with pytest.raises(InvalidParameter):
+            loss_and_gradient_cubature(
+                nets, theta, table, formula, partition, spec, steps_per_segment=0
+            )
 
     def test_mc_seed_independence_when_diffusion_off(self):
         config = TrainConfig(d_x=1, width=4, kl_weight=0.0)
