@@ -42,7 +42,6 @@ from .fields import FieldSpec, make_field
 from .formulas import (
     CubatureFormula,
     PiecewisePath,
-    TensorSeries,
     VerificationReport,
     degree3_formula,
     degree5_formula,
@@ -53,21 +52,12 @@ from .formulas import (
     word_degree,
 )
 from .nets import NetworkFields
-from .ode import (
-    Trajectory,
-    VectorFieldSet,
-    initial_state,
-    ito_to_stratonovich,
-)
+from .ode import VectorFieldSet, ito_to_stratonovich
 from .partition import (
-    CubaturePath,
     TimePartition,
-    WeightedLeaf,
-    concat_path,
     enumerate_leaves,
-    leaf_count,
+    leaf_derivatives,
     make_partition,
-    scale_path,
 )
 from .recombination import (
     DiscreteMeasure,
@@ -78,7 +68,6 @@ from .recombination import (
     localize,
     preprocess,
     recombine,
-    reduction_iteration,
     rmp,
     singleton_localization,
 )
@@ -90,7 +79,6 @@ from .training import (
     loss_and_gradient_mc,
     make_training_data,
     train,
-    variational_loss,
     variational_loss_terms,
 )
 

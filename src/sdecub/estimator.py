@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,14 +19,14 @@ import numpy as np
 from .errors import ManifestMismatch, OracleUnavailable
 from .fields import FieldSpec
 from .formulas import CubatureFormula
-from .ode import Trajectory, solve_controlled_ode_batch, solve_sde_mc_batch
-from .partition import TimePartition, enumerate_leaves
+from .ode import solve_controlled_ode_batch, solve_sde_mc_batch
+from .partition import TimePartition, enumerate_leaves, leaf_derivatives
 from .recombination import WeightTable
 
 
 @dataclass(frozen=True)
 class PathFunctional:
-    """A real functional of trajectories with a declared Lipschitz bound.
+    """A real functional of trajectories.
 
     ``evaluate_batch(times, values)`` consumes augmented states of shape
     (B, n, d_x+1) and returns (B,); time integrals use the composite
@@ -34,11 +34,7 @@ class PathFunctional:
     """
 
     name: str
-    lipschitz_bound: float | None
     evaluate_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def evaluate(self, trajectory: Trajectory) -> float:
-        return float(self.evaluate_batch(trajectory.times, trajectory.values[None])[0])
 
 
 def sine_tracking_functional() -> PathFunctional:
@@ -51,9 +47,7 @@ def sine_tracking_functional() -> PathFunctional:
         residual = values[:, :, 1] - np.sin(2.0 * math.pi * times)[None, :]
         return np.trapezoid(residual * residual, times, axis=1)
 
-    return PathFunctional(
-        name="sine_tracking", lipschitz_bound=None, evaluate_batch=evaluate_batch
-    )
+    return PathFunctional(name="sine_tracking", evaluate_batch=evaluate_batch)
 
 
 def terminal_functional(component: int = 0) -> PathFunctional:
@@ -62,9 +56,7 @@ def terminal_functional(component: int = 0) -> PathFunctional:
     def evaluate_batch(times, values):
         return values[:, -1, 1 + component]
 
-    return PathFunctional(
-        name=f"terminal_x{component}", lipschitz_bound=None, evaluate_batch=evaluate_batch
-    )
+    return PathFunctional(name=f"terminal_x{component}", evaluate_batch=evaluate_batch)
 
 
 @dataclass(frozen=True)
@@ -74,7 +66,6 @@ class EstimateReport:
     value: float
     n_paths: int
     seconds: float
-    contributions: np.ndarray | None = field(default=None, repr=False)
 
 
 def _check_manifest(table: WeightTable, formula: CubatureFormula, partition: TimePartition):
@@ -87,27 +78,6 @@ def _check_manifest(table: WeightTable, formula: CubatureFormula, partition: Tim
         raise ManifestMismatch("weight table was built with a different gamma")
 
 
-def _leaf_derivative_table(formula: CubatureFormula, partition: TimePartition):
-    """Shared segment grid plus per (interval, path, segment) Brownian slopes."""
-    aligned = formula.aligned_paths()
-    unit = aligned[0].breakpoints
-    du = np.diff(unit)
-    n_seg = du.shape[0]
-    lengths = partition.lengths
-    k = partition.k
-    seg_times = np.empty(k * n_seg + 1)
-    seg_times[0] = 0.0
-    slopes = np.empty((k, formula.q, n_seg, formula.dim))
-    for i in range(k):
-        s = lengths[i]
-        seg_times[i * n_seg + 1 : (i + 1) * n_seg + 1] = partition.knots[i] + s * unit[1:]
-        seg_times[(i + 1) * n_seg] = partition.knots[i + 1]
-        for j, path in enumerate(aligned):
-            inc = np.diff(path.values[:, 1:], axis=0)
-            slopes[i, j] = inc / (math.sqrt(s) * du[:, None])
-    return seg_times, slopes, n_seg
-
-
 def cubature_estimate(
     functional: PathFunctional,
     fields,
@@ -117,7 +87,6 @@ def cubature_estimate(
     x0: np.ndarray | None = None,
     steps_per_segment: int = 32,
     workers: int = 1,
-    keep_contributions: bool = False,
 ) -> EstimateReport:
     """Weighted functional sum over the cubature tree.
 
@@ -130,44 +99,33 @@ def cubature_estimate(
         _check_manifest(table, formula, partition)
         leaves = sorted(table.leaf_weights().items())
     else:
-        leaves = [(leaf.iv, leaf.weight) for leaf in enumerate_leaves(formula, partition)]
+        leaves = list(enumerate_leaves(formula, partition))
     if not leaves:
         return EstimateReport(value=0.0, n_paths=0, seconds=time.perf_counter() - start)
     if x0 is None:
         x0 = np.zeros(fields.state_dim)
     x0_aug = np.zeros(fields.state_dim + 1)
     x0_aug[1:] = np.asarray(x0, dtype=float)
-
-    seg_times, slopes, n_seg = _leaf_derivative_table(formula, partition)
-    iv = np.array([list(prefix) for prefix, _ in leaves], dtype=int) - 1
+    ivs = [iv for iv, _ in leaves]
     weights = np.array([w for _, w in leaves])
-    k = partition.k
 
-    def solve_chunk(rows):
-        chunk_iv = iv[rows]
-        derivs = slopes[np.arange(k)[None, :], chunk_iv]
-        derivs = derivs.reshape(chunk_iv.shape[0], k * n_seg, formula.dim)
+    def solve_chunk(chunk_ivs):
+        seg_times, derivs = leaf_derivatives(formula, partition, chunk_ivs)
         times, states = solve_controlled_ode_batch(
             fields, seg_times, derivs, x0_aug, steps_per_segment
         )
         return functional.evaluate_batch(times, states)
 
-    n = iv.shape[0]
+    n = len(ivs)
     if workers <= 1 or n < 2 * workers:
-        values = solve_chunk(np.arange(n))
+        values = solve_chunk(ivs)
     else:
         chunks = np.array_split(np.arange(n), workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(solve_chunk, chunks))
+            parts = list(pool.map(solve_chunk, (ivs[c[0] : c[-1] + 1] for c in chunks)))
         values = np.concatenate(parts)
-    contributions = weights * values
-    total = math.fsum(contributions)
-    return EstimateReport(
-        value=total,
-        n_paths=n,
-        seconds=time.perf_counter() - start,
-        contributions=contributions if keep_contributions else None,
-    )
+    total = math.fsum(weights * values)
+    return EstimateReport(value=total, n_paths=n, seconds=time.perf_counter() - start)
 
 
 def mc_estimate(

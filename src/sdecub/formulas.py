@@ -91,9 +91,6 @@ class PiecewisePath:
         """Per-segment increment vectors, shape (segments, d_b+1)."""
         return np.diff(self.values, axis=0)
 
-    def endpoint(self) -> np.ndarray:
-        return self.values[-1]
-
     def brownian_endpoint(self) -> np.ndarray:
         """Final value of the Brownian components."""
         return self.values[-1, 1:]
@@ -107,12 +104,6 @@ class PiecewisePath:
         for c in range(1, self.values.shape[1]):
             vals[:, c] = np.interp(grid, self.breakpoints, self.values[:, c])
         return PiecewisePath(grid, vals)
-
-    def value_at(self, t: float) -> np.ndarray:
-        out = np.empty(self.values.shape[1])
-        for c in range(self.values.shape[1]):
-            out[c] = np.interp(t, self.breakpoints, self.values[:, c])
-        return out
 
 
 def iterated_integral(path: PiecewisePath, word: Word) -> float:

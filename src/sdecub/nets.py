@@ -17,6 +17,8 @@ from . import tape
 from .errors import InvalidParameter
 from .tape import Var
 
+DIFFUSION_FLOOR = 0.05  # added to the softplus head so g stays invertible
+
 
 @dataclass(frozen=True)
 class _Layer:
@@ -55,7 +57,6 @@ class NetworkFields:
         self,
         d_x: int,
         width: int = 8,
-        diffusion_floor: float = 0.05,
         zero_diffusion: bool = False,
     ):
         if d_x < 1 or width < 1:
@@ -63,7 +64,6 @@ class NetworkFields:
         self.d_x = d_x
         self.d_b = d_x
         self.width = width
-        self.diffusion_floor = diffusion_floor
         self.zero_diffusion = zero_diffusion
         offset = 0
         self.prior, offset = _mlp_layout(offset, d_x + 1, width, d_x)
@@ -120,11 +120,11 @@ class NetworkFields:
         return self._mlp(leaves, "posterior", x, t)
 
     def diffusion_diag(self, leaves, x: Var, t: float) -> Var:
-        """Diagonal diffusion: softplus(head) + floor, or exactly zero."""
+        """Diagonal diffusion: softplus(head) + DIFFUSION_FLOOR, or exactly zero."""
         if self.zero_diffusion:
             return tape.const(np.zeros((x.value.shape[0], self.d_x)))
         head = self._mlp(leaves, "diffusion", x, t)
-        return tape.cadd(tape.softplus(head), self.diffusion_floor)
+        return tape.cadd(tape.softplus(head), DIFFUSION_FLOOR)
 
     def initial_state(self, leaves, batch: int) -> Var:
         z0 = leaves["z0"]

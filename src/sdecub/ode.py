@@ -119,49 +119,6 @@ def ito_to_stratonovich(
     )
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Grid times and augmented states; dense output by linear interpolation."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape[0] != self.times.shape[0]:
-            raise InvalidParameter("times and values disagree in length")
-
-    @property
-    def spatial(self) -> np.ndarray:
-        """States without the time component, shape (n, d_x)."""
-        return self.values[:, 1:]
-
-    def at(self, t: float) -> np.ndarray:
-        out = np.empty(self.values.shape[1])
-        for c in range(self.values.shape[1]):
-            out[c] = np.interp(t, self.times, self.values[:, c])
-        return out
-
-    def to_csv(self) -> str:
-        d = self.values.shape[1] - 1
-        header = "t," + ",".join(f"x_{i}" for i in range(d))
-        rows = [header]
-        for i in range(self.times.shape[0]):
-            rows.append(",".join(format(v, ".17g") for v in self.values[i]))
-        return "\n".join(rows) + "\n"
-
-
-def initial_state(zeta=None, v: np.ndarray | None = None, d_x: int = 1, d_v: int = 1):
-    """Augmented initial state (0, zeta(v)); v defaults to the origin."""
-    if v is None:
-        v = np.zeros(d_v)
-    spatial = np.asarray(zeta(v), dtype=float) if zeta is not None else np.asarray(v, float)
-    if spatial.shape != (d_x,):
-        raise DimensionMismatch(f"initial state has shape {spatial.shape}, expected ({d_x},)")
-    out = np.zeros(d_x + 1)
-    out[1:] = spatial
-    return out
-
-
 def rk4_steps(rhs, seg_times, derivs, x0, steps_per_segment: int):
     """Classical RK4 over shared segments with constant path slopes.
 

@@ -4,7 +4,8 @@ The horizon [0, T] is divided by the power schedule
 ``t_i = T * (1 - (1 - i/k)**gamma)``; unit-interval formula paths are
 Brownian-scaled onto each subinterval (space by sqrt(s), time by s) and
 concatenated according to an index vector, one formula path per subinterval.
-The full tree has q**k leaves with product weights.
+The full tree has q**k leaves with product weights.  Solvers see a leaf only
+through :func:`leaf_derivatives`, its path's slope on each linear segment.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidParameter, TreeTooLarge
-from .formulas import CubatureFormula, PiecewisePath
+from .formulas import CubatureFormula
 
 IndexVector = tuple[int, ...]
 
@@ -55,83 +56,49 @@ def make_partition(T: float, k: int, gamma: float) -> TimePartition:
     return TimePartition(horizon=float(T), k=k, gamma=float(gamma), knots=knots)
 
 
-def scale_path(unit_path: PiecewisePath, s: float, offset: float = 0.0) -> PiecewisePath:
-    """Brownian-scale a unit-interval path onto [offset, offset + s].
+def leaf_derivatives(
+    formula: CubatureFormula, partition: TimePartition, ivs: Sequence[IndexVector]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shared segment grid and per-leaf path slopes for a batch of tree leaves.
 
-    Brownian components are multiplied by sqrt(s); the time component covers
-    physical time, so its increment is s, not sqrt(s).
+    ``ivs`` holds one index vector per leaf, each with one 1-based formula
+    path index per subinterval.  Every leaf path is linear between the
+    returned grid times ``seg_times`` (S+1,), so a solve needs only its
+    Brownian slopes ``derivs`` (n_leaves, S, d_b): formula path increments
+    scaled by sqrt(s) over segments stretched by s.
     """
-    if s <= 0:
-        raise InvalidParameter(f"segment length must be positive, got {s}")
-    bp = offset + s * unit_path.breakpoints
-    values = unit_path.values.copy()
-    values[:, 1:] *= math.sqrt(s)
-    values[:, 0] = bp
-    return PiecewisePath(bp, values)
-
-
-def concat_path(
-    formula: CubatureFormula, partition: TimePartition, iv: IndexVector
-) -> "CubaturePath":
-    """Concatenate scaled formula paths per subinterval into one tree path.
-
-    ``iv`` holds one 1-based formula path index per subinterval.  Each scaled
-    segment is translated to start at the previous endpoint, so the result is
-    continuous and starts at the origin.
-    """
-    if len(iv) != partition.k:
-        raise IndexOutOfRange(
-            f"index vector length {len(iv)} != number of subintervals {partition.k}"
-        )
-    for j in iv:
-        if not 1 <= j <= formula.q:
-            raise IndexOutOfRange(f"index {j} outside 1..{formula.q}")
+    k = partition.k
+    for iv in ivs:
+        if len(iv) != k:
+            raise IndexOutOfRange(f"index vector {tuple(iv)} has {len(iv)} entries, not {k}")
+    idx = np.asarray(ivs, dtype=int).reshape(len(ivs), k) - 1
+    bad = (idx < 0) | (idx >= formula.q)
+    if bad.any():
+        iv = tuple(ivs[int(np.argmax(bad.any(axis=1)))])
+        raise IndexOutOfRange(f"index vector {iv} has an entry outside 1..{formula.q}")
+    aligned = formula.aligned_paths()
+    unit = aligned[0].breakpoints
+    du = np.diff(unit)
+    n_seg = du.shape[0]
     lengths = partition.lengths
-    pieces_bp = [np.array([0.0])]
-    pieces_vals = [np.zeros((1, formula.dim + 1))]
-    current = np.zeros(formula.dim + 1)
-    for i, j in enumerate(iv):
-        seg = scale_path(formula.paths[j - 1], lengths[i], offset=partition.knots[i])
-        vals = seg.values.copy()
-        vals[:, 1:] += current[1:]
-        pieces_bp.append(seg.breakpoints[1:])
-        pieces_vals.append(vals[1:])
-        current = vals[-1]
-    breakpoints = np.concatenate(pieces_bp)
-    values = np.vstack(pieces_vals)
-    return CubaturePath(breakpoints, values, iv=tuple(iv))
-
-
-class CubaturePath(PiecewisePath):
-    """A tree path over [0, T] remembering the index vector that built it."""
-
-    __slots__ = ("iv",)
-
-    def __init__(self, breakpoints, values, iv: IndexVector):
-        super().__init__(breakpoints, values)
-        self.iv = tuple(iv)
-
-
-@dataclass(frozen=True)
-class WeightedLeaf:
-    """A leaf of the cubature tree: index vector plus product weight."""
-
-    iv: IndexVector
-    weight: float
-
-
-def leaf_count(formula: CubatureFormula, partition: TimePartition) -> int:
-    return formula.q**partition.k
+    seg_times = partition.knots[:-1, None] + lengths[:, None] * unit[None, 1:]
+    seg_times[:, -1] = partition.knots[1:]
+    seg_times = np.concatenate([[0.0], seg_times.ravel()])
+    # slopes[i, j] is path j on subinterval i, shape (k, q, n_seg, d_b)
+    increments = np.array([np.diff(path.values[:, 1:], axis=0) for path in aligned])
+    scale = np.sqrt(lengths)[:, None, None, None] * du[None, None, :, None]
+    slopes = increments[None] / scale
+    derivs = slopes[np.arange(k)[None, :], idx].reshape(idx.shape[0], k * n_seg, formula.dim)
+    return seg_times, derivs
 
 
 def enumerate_leaves(
     formula: CubatureFormula, partition: TimePartition
-) -> Iterator[WeightedLeaf]:
-    """Stream all q**k leaves in lexicographic index order with product weights."""
-    n = leaf_count(formula, partition)
+) -> Iterator[tuple[IndexVector, float]]:
+    """Stream all q**k ``(iv, weight)`` leaves in lexicographic index order."""
+    n = formula.q**partition.k
     if n > MAX_LEAVES:
         raise TreeTooLarge(f"{formula.q}**{partition.k} = {n} leaves exceeds 2**40")
     weights = formula.weights
     for iv in product(range(1, formula.q + 1), repeat=partition.k):
-        weight = math.prod(weights[j - 1] for j in iv)
-        yield WeightedLeaf(iv=iv, weight=weight)
+        yield iv, math.prod(weights[j - 1] for j in iv)

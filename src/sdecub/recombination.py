@@ -267,22 +267,6 @@ def _reduce_step(lifted: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, n
     return new_weights, keep
 
 
-def reduction_iteration(
-    points: np.ndarray, weights: np.ndarray, basis: TestBasis
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single support-reduction step preserving mass and basis moments.
-
-    Solves ``sum u_i phi(z_i) = 0, sum u_i = 0`` for a kernel vector u, moves
-    along it until the first weight hits zero, and prunes zero-weight points.
-    Raises NoNullVector when the support is already minimal for this basis.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    weights = np.asarray(weights, dtype=float)
-    lifted = basis.evaluate(points)
-    new_weights, keep = _reduce_step(lifted, weights)
-    return points[keep], new_weights[keep]
-
-
 @dataclass(frozen=True)
 class RecombineStats:
     """Diagnostics of one recombination run."""
@@ -492,9 +476,9 @@ class WeightTable:
         )
 
 
-def radius_schedule(partition: TimePartition, p_star: int, gamma: float) -> np.ndarray:
+def radius_schedule(partition: TimePartition, p_star: int) -> np.ndarray:
     """Localization radii u_i = s_i**(p_star / (2*gamma)) per subinterval."""
-    return partition.lengths ** (p_star / (2.0 * gamma))
+    return partition.lengths ** (p_star / (2.0 * partition.gamma))
 
 
 def preprocess(
@@ -502,7 +486,6 @@ def preprocess(
     partition: TimePartition,
     basis: TestBasis,
     p_star: int = 1,
-    gamma: float | None = None,
     radius_mode: str = "schedule",
 ) -> WeightTable:
     """Run the pre-processing loop and read off sparse per-interval weights.
@@ -525,10 +508,8 @@ def preprocess(
         raise InvalidParameter(f"p_star must be a positive integer, got {p_star}")
     if radius_mode not in ("schedule", "singleton"):
         raise InvalidParameter(f"unknown radius mode {radius_mode!r}")
-    if gamma is None:
-        gamma = partition.gamma
     start = time.perf_counter()
-    radii_all = radius_schedule(partition, p_star, gamma)
+    radii_all = radius_schedule(partition, p_star)
     k = partition.k
     lengths = partition.lengths
     measure = DiscreteMeasure(
@@ -566,7 +547,7 @@ def preprocess(
         "horizon": partition.horizon,
         "k": partition.k,
         "gamma": partition.gamma,
-        "gamma_radius": gamma,
+        "gamma_radius": partition.gamma,
         "p_star": p_star,
         "basis_degree": basis.degree,
         "basis_dim": basis.dim,

@@ -24,11 +24,10 @@ import numpy as np
 
 from . import tape
 from .errors import DivergenceDetected, InvalidParameter, SingularDiffusion
-from .estimator import _leaf_derivative_table
 from .formulas import CubatureFormula, degree3_formula
 from .nets import NetworkFields
-from .ode import Trajectory, rk4_steps, solve_sde_mc_batch
-from .partition import TimePartition, make_partition
+from .ode import rk4_steps, solve_sde_mc_batch
+from .partition import TimePartition, leaf_derivatives, make_partition
 from .recombination import TestBasis, WeightTable, preprocess
 from .tape import Var
 
@@ -131,23 +130,20 @@ def _loss_graph(
 
 
 def variational_loss_terms(
-    nets: NetworkFields, theta: np.ndarray, trajectory: Trajectory, spec: VariationalLossSpec
+    nets: NetworkFields,
+    theta: np.ndarray,
+    times: np.ndarray,
+    states: np.ndarray,
+    spec: VariationalLossSpec,
 ) -> tuple[float, float]:
-    """(reconstruction log-density R, drift-mismatch penalty K) of one path."""
-    states = [tape.const(z[None]) for z in trajectory.spatial]
-    misfit, mismatch, const = _loss_graph(
-        nets, nets.wrap(theta), trajectory.times, states, np.ones(1), spec
-    )
+    """(reconstruction log-density R, drift-mismatch penalty K) of one path.
+
+    ``states`` holds the path's latent state at ``times``, shape (n, d_x).
+    """
+    nodes = [tape.const(z[None]) for z in states]
+    misfit, mismatch, const = _loss_graph(nets, nets.wrap(theta), times, nodes, np.ones(1), spec)
     kl = 0.0 if mismatch is None else float(mismatch.value)
     return -(float(misfit.value) + const), kl
-
-
-def variational_loss(
-    nets: NetworkFields, theta: np.ndarray, trajectory: Trajectory, spec: VariationalLossSpec
-) -> float:
-    """Negative evidence bound of one trajectory: -R + kl_weight * K."""
-    recon, kl = variational_loss_terms(nets, theta, trajectory, spec)
-    return -recon + spec.kl_weight * kl
 
 
 @dataclass(frozen=True)
@@ -197,17 +193,14 @@ def loss_and_gradient_cubature(
     leaves_sorted = sorted(table.leaf_weights().items())
     if not leaves_sorted:
         return GradientReport(0.0, np.zeros(nets.n_params), 0, 0)
-    seg_times, slopes, n_seg = _leaf_derivative_table(formula, partition)
-    iv = np.array([list(p) for p, _ in leaves_sorted], dtype=int) - 1
+    seg_times, derivs = leaf_derivatives(formula, partition, [iv for iv, _ in leaves_sorted])
     weights = np.array([w for _, w in leaves_sorted])
-    k = partition.k
-    derivs = slopes[np.arange(k)[None, :], iv].reshape(iv.shape[0], k * n_seg, formula.dim)
     leaves = nets.wrap(theta)
 
     def rhs(t, z, g):
         return nets.drift_posterior(leaves, z, t) + nets.diffusion_diag(leaves, z, t) * g
 
-    z0 = nets.initial_state(leaves, batch=iv.shape[0])
+    z0 = nets.initial_state(leaves, batch=derivs.shape[0])
     times, states = [seg_times[0]], [z0]
     for t, z in rk4_steps(rhs, seg_times, derivs, z0, steps_per_segment):
         times.append(t)
@@ -227,6 +220,8 @@ def loss_and_gradient_mc(
     """Pathwise Monte Carlo gradient through Euler-Maruyama with frozen noise."""
     if n_paths < 1:
         raise InvalidParameter("n_paths must be >= 1")
+    if grid < 1:
+        raise InvalidParameter("grid size must be >= 1")
     rng = np.random.default_rng(seed)
     h = T / grid
     noise = rng.standard_normal((grid, n_paths, nets.d_x)) * math.sqrt(h)

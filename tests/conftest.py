@@ -3,6 +3,8 @@
 import numpy as np
 from hypothesis import settings
 
+from sdecub import PiecewisePath, leaf_derivatives
+
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 
@@ -27,3 +29,16 @@ def grid_iterated_integral(path, word, resolution=2**16):
         midpoints = 0.5 * (level[1:] + level[:-1])
         level = np.concatenate([[0.0], np.cumsum(midpoints * increments)])
     return level[-1]
+
+
+def leaf_path(formula, partition, iv):
+    """One tree leaf as a path, integrated from the slopes of ``leaf_derivatives``.
+
+    The time component is the segment grid itself; the Brownian components
+    accumulate slope times segment length from the origin.
+    """
+    seg_times, derivs = leaf_derivatives(formula, partition, [iv])
+    values = np.zeros((seg_times.shape[0], formula.dim + 1))
+    values[:, 0] = seg_times
+    values[1:, 1:] = np.cumsum(derivs[0] * np.diff(seg_times)[:, None], axis=0)
+    return PiecewisePath(seg_times, values)

@@ -155,6 +155,11 @@ class TestTrainCommand:
 
         assert losses(a) == losses(b)
 
+    def test_zero_mc_grid_is_config_error(self, tmp_path, capsys):
+        args = ["train", "--mc-grid", "0", "--epochs", "1", "--k", "3", "--width", "4"]
+        assert main(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "InvalidParameter" in capsys.readouterr().err
+
 
 class TestBenchCommand:
     def test_tiny_bench(self, tmp_path):

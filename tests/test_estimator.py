@@ -1,12 +1,15 @@
 """Cubature/MC estimators and the convergence experiment plumbing."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from sdecub import (
     BenchConfig,
+    IndexOutOfRange,
     InvalidParameter,
     ManifestMismatch,
     OracleUnavailable,
@@ -15,12 +18,16 @@ from sdecub import (
     cubature_estimate,
     degree3_formula,
     degree5_formula,
+    enumerate_leaves,
+    leaf_derivatives,
     make_partition,
     mc_estimate,
     preprocess,
     sine_tracking_functional,
 )
 from sdecub.estimator import fit_slope, interp_loglog, plateau_cut
+from sdecub.ode import solve_controlled_ode_batch
+from sdecub.recombination import WeightTable
 from sdecub.fields import brownian_field, drift_only_field, scaled_diffusion_field
 
 
@@ -54,12 +61,33 @@ class TestCubatureEstimate:
         functional = sine_tracking_functional()
         formula = degree5_formula(1)
         part = make_partition(1.0, 3, 0.6)
-        rep = cubature_estimate(
-            functional, spec.stratonovich(), formula, part, None,
-            x0=spec.x0, keep_contributions=True,
-        )
+        fields = spec.stratonovich()
+        rep = cubature_estimate(functional, fields, formula, part, None, x0=spec.x0)
+        leaves = list(enumerate_leaves(formula, part))
+        seg_times, derivs = leaf_derivatives(formula, part, [iv for iv, _ in leaves])
+        x0 = np.concatenate([[0.0], spec.x0])
+        times, states = solve_controlled_ode_batch(fields, seg_times, derivs, x0)
+        values = functional.evaluate_batch(times, states)
+        contributions = [w * v for (_, w), v in zip(leaves, values)]
         assert rep.n_paths == 27
-        assert rep.value == pytest.approx(math.fsum(rep.contributions), abs=1e-14)
+        assert rep.value == pytest.approx(math.fsum(contributions), abs=1e-14)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("prefix", [(0, 1, 1, 1), (4, 1, 1, 1), (1, 1, 1)])
+    def test_malformed_table_leaf_rejected(self, prefix, workers):
+        # a table read back from JSON is not re-validated on load; without the
+        # check, index 0 wraps to path q, index q+1 and a short prefix crash
+        spec = scaled_diffusion_field(0.6)
+        formula = degree5_formula(1)
+        part = make_partition(1.0, 4, 0.6)
+        doc = json.loads(preprocess(formula, part, TestBasis(1, 4), p_star=2).to_json())
+        doc["intervals"][-1][0][0] = list(prefix)
+        table = WeightTable.from_json(json.dumps(doc))
+        with pytest.raises(IndexOutOfRange, match=re.escape(str(prefix))):
+            cubature_estimate(
+                sine_tracking_functional(), spec.stratonovich(), formula, part, table,
+                x0=spec.x0, steps_per_segment=8, workers=workers,
+            )
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_zero_steps_per_segment_rejected(self, workers):

@@ -10,10 +10,7 @@ from sdecub import (
     InvalidParameter,
     NonFiniteState,
     PiecewisePath,
-    Trajectory,
-    concat_path,
     degree3_formula,
-    initial_state,
     ito_to_stratonovich,
     make_field,
     make_partition,
@@ -27,6 +24,7 @@ from sdecub.ode import (
     solve_controlled_ode_batch,
     solve_sde_mc_batch,
 )
+from conftest import leaf_path
 
 
 def line_path(slope=1.0):
@@ -107,7 +105,7 @@ class TestSolveControlledOde:
     def test_constant_fields(self):
         spec = brownian_field(1.0)
         fields = spec.stratonovich()
-        _, states = solve_path(fields, line_path(0.8), initial_state(v=np.zeros(1)))
+        _, states = solve_path(fields, line_path(0.8), np.zeros(2))
         # phi(t) = (t, 0.8 t) for constant unit diffusion
         assert states[-1, 0] == pytest.approx(1.0, abs=1e-12)
         assert states[-1, 1] == pytest.approx(0.8, abs=1e-12)
@@ -121,7 +119,7 @@ class TestSolveControlledOde:
             return np.zeros((x.shape[0], 1, 1))
 
         fields = ito_to_stratonovich(mu, sig, 1, 1)
-        x0 = initial_state(v=np.array([1.0]))
+        x0 = np.array([0.0, 1.0])
         _, states = solve_path(fields, zero_path(), x0, steps_per_segment=100)
         assert states[-1, 1] == pytest.approx(math.e, rel=1e-8)
 
@@ -133,7 +131,7 @@ class TestSolveControlledOde:
             return np.zeros((x.shape[0], 1, 1))
 
         fields = ito_to_stratonovich(mu, sig, 1, 1)
-        x0 = initial_state(v=np.array([1.0]))
+        x0 = np.array([0.0, 1.0])
         errors = []
         steps = [8, 16, 32, 64]
         for n in steps:
@@ -147,7 +145,7 @@ class TestSolveControlledOde:
         # exp(-t/2) * x0
         spec = scaled_diffusion_field(1.0)
         _, states = solve_path(
-            spec.stratonovich(), zero_path(), initial_state(v=np.array([1.0])),
+            spec.stratonovich(), zero_path(), np.array([0.0, 1.0]),
             steps_per_segment=64,
         )
         assert states[-1, 1] == pytest.approx(math.exp(-0.5), rel=1e-8)
@@ -155,8 +153,8 @@ class TestSolveControlledOde:
     def test_time_component_exact(self):
         spec = scaled_diffusion_field(0.5)
         part = make_partition(1.0, 3, 0.6)
-        cp = concat_path(degree3_formula(1), part, (1, 2, 1))
-        times, states = solve_path(spec.stratonovich(), cp, initial_state(v=np.ones(1)))
+        cp = leaf_path(degree3_formula(1), part, (1, 2, 1))
+        times, states = solve_path(spec.stratonovich(), cp, np.array([0.0, 1.0]))
         assert np.max(np.abs(states[:, 0] - times)) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -170,14 +168,14 @@ class TestSolveControlledOde:
         fields = ito_to_stratonovich(mu, sig, 1, 1)
         with pytest.raises(NonFiniteState):
             solve_path(
-                fields, zero_path(), initial_state(v=np.array([10.0])), steps_per_segment=4
+                fields, zero_path(), np.array([0.0, 10.0]), steps_per_segment=4
             )
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_non_positive_steps_per_segment_rejected(self, steps):
         fields = brownian_field(1.0).stratonovich()
         with pytest.raises(InvalidParameter):
-            solve_path(fields, line_path(), initial_state(v=np.zeros(1)), steps_per_segment=steps)
+            solve_path(fields, line_path(), np.zeros(2), steps_per_segment=steps)
 
 
 class TestRk4Steps:
@@ -205,7 +203,7 @@ class TestDegree3Exactness:
     def test_second_moment_of_brownian(self):
         # two leaves +-1 at T=1: sum lambda f(phi(1)) = 1 = E[B_1^2]
         spec = brownian_field(1.0)
-        sq = PathFunctional("terminal_sq", None, lambda t, v: v[:, -1, 1] ** 2)
+        sq = PathFunctional("terminal_sq", lambda t, v: v[:, -1, 1] ** 2)
         rep = cubature_estimate(
             sq, spec.stratonovich(), degree3_formula(1), make_partition(1.0, 1, 1.0),
             None, x0=spec.x0,
@@ -215,7 +213,7 @@ class TestDegree3Exactness:
     def test_second_moment_k2_tree(self):
         # four-leaf tree: the weighted terminal second moment is still exact
         spec = brownian_field(1.0)
-        sq = PathFunctional("terminal_sq", None, lambda t, v: v[:, -1, 1] ** 2)
+        sq = PathFunctional("terminal_sq", lambda t, v: v[:, -1, 1] ** 2)
         rep = cubature_estimate(
             sq, spec.stratonovich(), degree3_formula(1), make_partition(1.0, 2, 1.0),
             None, x0=spec.x0,
@@ -226,7 +224,7 @@ class TestDegree3Exactness:
     def test_linear_functional_exact_for_linear_fields(self):
         # dX = -0.5 X dt + 0.3 dB: E X_T = e^{-0.5 T} x0, met to solver error
         spec = make_field("ou", rate=0.5, mean=0.0, sigma=0.3, x0=1.0)
-        term = PathFunctional("terminal", None, lambda t, v: v[:, -1, 1])
+        term = PathFunctional("terminal", lambda t, v: v[:, -1, 1])
         rep = cubature_estimate(
             term, spec.stratonovich(), degree3_formula(1), make_partition(1.0, 2, 1.0),
             None, x0=spec.x0, steps_per_segment=64,
@@ -261,24 +259,3 @@ class TestSolveSdeMc:
         times, path = mc_path(spec, 1.0, 16, seed=5)
         assert path[0, 0] == 0.4
         assert times[0] == 0.0
-
-    def test_csv_export(self):
-        spec = brownian_field(1.0)
-        times, path = mc_path(spec, 1.0, 4, seed=5)
-        text = Trajectory(times, np.column_stack([times, path])).to_csv()
-        assert text.splitlines()[0] == "t,x_0"
-        assert len(text.splitlines()) == 6
-
-
-class TestInitialState:
-    def test_identity_zeta_at_origin(self):
-        out = initial_state(zeta=lambda v: v, v=np.zeros(1))
-        assert out.tolist() == [0.0, 0.0]
-
-    def test_default_v_is_zero(self):
-        out = initial_state(zeta=lambda v: v + 1.0, d_x=1, d_v=1)
-        assert out.tolist() == [0.0, 1.0]
-
-    def test_constant_zeta(self):
-        out = initial_state(zeta=lambda v: np.array([3.0]), v=np.array([9.0]))
-        assert out.tolist() == [0.0, 3.0]

@@ -19,11 +19,10 @@ from sdecub import (
     make_partition,
     preprocess,
     recombine,
-    reduction_iteration,
     rmp,
     singleton_localization,
 )
-from sdecub.recombination import RecombineStats
+from sdecub.recombination import RecombineStats, _reduce_step
 
 
 def random_measure(rng, n, d):
@@ -77,11 +76,17 @@ class TestLocalize:
             assert np.all(dist <= 0.8 + 1e-12)
 
 
+def reduce_once(points, weights, basis):
+    """One reduction step on the basis-lifted points; the survivors and their weights."""
+    new_weights, keep = _reduce_step(basis.evaluate(points), weights)
+    return points[keep], new_weights[keep]
+
+
 class TestReductionIteration:
     def test_hand_checked_three_points(self):
         points = np.array([[0.0], [1.0], [2.0]])
         weights = np.array([1.0, 1.0, 1.0]) / 3.0
-        out_pts, out_wts = reduction_iteration(points, weights, TestBasis(1, 1))
+        out_pts, out_wts = reduce_once(points, weights, TestBasis(1, 1))
         assert out_pts.ravel().tolist() == [1.0]
         assert out_wts.tolist() == [1.0]
 
@@ -89,14 +94,14 @@ class TestReductionIteration:
         points = np.array([[-1.0], [1.0]])
         weights = np.array([0.5, 0.5])
         with pytest.raises(NoNullVector):
-            reduction_iteration(points, weights, TestBasis(1, 1))
+            reduce_once(points, weights, TestBasis(1, 1))
 
     def test_moments_preserved(self):
         rng = np.random.default_rng(5)
         basis = TestBasis(2, 2)
         m = random_measure(rng, 30, 2)
         before = m.weights @ basis.evaluate(m.points)
-        pts, wts = reduction_iteration(m.points, m.weights, basis)
+        pts, wts = reduce_once(m.points, m.weights, basis)
         after = wts @ basis.evaluate(pts)
         assert pts.shape[0] <= 29
         assert np.max(np.abs(after - before)) < 1e-11 * max(1.0, np.max(np.abs(before)))

@@ -133,7 +133,7 @@ class TestNetworkFields:
         assert on_tape == pytest.approx(plain, abs=1e-15)
 
     def test_diffusion_positive_with_floor(self):
-        nets = NetworkFields(d_x=1, width=4, diffusion_floor=0.05)
+        nets = NetworkFields(d_x=1, width=4)
         theta = nets.init_params(0)
         g = nets.diffusion_diag(nets.wrap(theta), tp.const(np.array([[0.2], [-3.0]])), 0.1).value
         assert np.all(g >= 0.05)

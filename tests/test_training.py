@@ -1,22 +1,23 @@
 """Variational loss, both gradient arms, and the training loop."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from sdecub import (
+    IndexOutOfRange,
     InvalidParameter,
     NetworkFields,
     SingularDiffusion,
-    Trajectory,
     TrainConfig,
     VariationalLossSpec,
     loss_and_gradient_cubature,
     loss_and_gradient_mc,
     make_training_data,
     train,
-    variational_loss,
     variational_loss_terms,
 )
 from sdecub.recombination import WeightTable
@@ -32,12 +33,9 @@ def small_setup(d_x=1, k=3, width=4, seed=0, **cfg_kwargs):
     return config, spec, formula, partition, table, nets, theta
 
 
-def flat_trajectory(spec, value=0.0, n=33):
-    times = np.linspace(0.0, 1.0, n)
-    vals = np.empty((n, spec.d_x + 1))
-    vals[:, 0] = times
-    vals[:, 1:] = value
-    return Trajectory(times=times, values=vals)
+def flat_path(spec, value=0.0, n=33):
+    """(times, states): a constant latent path on a uniform grid."""
+    return np.linspace(0.0, 1.0, n), np.full((n, spec.d_x), value)
 
 
 class TestVariationalLoss:
@@ -48,48 +46,38 @@ class TestVariationalLoss:
         theta[nets.prior.hidden.b_slice] = theta[nets.posterior.hidden.b_slice]
         theta[nets.prior.out.w_slice] = theta[nets.posterior.out.w_slice]
         theta[nets.prior.out.b_slice] = theta[nets.posterior.out.b_slice]
-        _, kl = variational_loss_terms(nets, theta, flat_trajectory(spec), spec)
+        _, kl = variational_loss_terms(nets, theta, *flat_path(spec), spec)
         assert kl == 0.0
 
     def test_reconstruction_of_identical_path_unit_noise(self):
         # trajectory equal to the single data path, unit observation noise
         config = TrainConfig(d_x=1, n_data=1, obs_noise=1.0)
         base = make_training_data(config)
-        times = base.data_times
-        vals = np.empty((times.shape[0], 2))
-        vals[:, 0] = times
-        vals[:, 1:] = base.data_values[0]
         nets = NetworkFields(1, width=4)
         theta = nets.init_params(0)
-        recon, _ = variational_loss_terms(nets, theta, Trajectory(times, vals), base)
+        recon, _ = variational_loss_terms(
+            nets, theta, base.data_times, base.data_values[0], base
+        )
         assert recon == pytest.approx(-0.5 * 1 * math.log(2 * math.pi), abs=1e-12)
 
     def test_doubling_diffusion_quarters_kl(self):
         _, spec, _, _, _, nets, theta = small_setup()
-        traj = flat_trajectory(spec, value=0.3)
-        _, kl1 = variational_loss_terms(nets, theta, traj, spec)
+        path = flat_path(spec, value=0.3)
+        _, kl1 = variational_loss_terms(nets, theta, *path, spec)
 
         class Doubled(NetworkFields):
             def diffusion_diag(self, leaves, x, t):
                 return 2.0 * super().diffusion_diag(leaves, x, t)
 
         doubled = Doubled(1, width=4)
-        _, kl2 = variational_loss_terms(doubled, theta, traj, spec)
+        _, kl2 = variational_loss_terms(doubled, theta, *path, spec)
         assert kl2 == pytest.approx(kl1 / 4.0, rel=1e-12)
 
     def test_singular_diffusion_raises(self):
         _, spec, _, _, _, _, theta = small_setup()
         nets = NetworkFields(1, width=4, zero_diffusion=True)
         with pytest.raises(SingularDiffusion):
-            variational_loss(nets, theta, flat_trajectory(spec), spec)
-
-    def test_loss_is_negative_elbo(self):
-        _, spec, _, _, _, nets, theta = small_setup()
-        traj = flat_trajectory(spec, value=0.1)
-        recon, kl = variational_loss_terms(nets, theta, traj, spec)
-        assert variational_loss(nets, theta, traj, spec) == pytest.approx(
-            -recon + spec.kl_weight * kl
-        )
+            variational_loss_terms(nets, theta, *flat_path(spec), spec)
 
 
 class TestGradients:
@@ -170,6 +158,21 @@ class TestGradients:
             loss_and_gradient_cubature(nets, theta, table, formula, partition, spec)
         with pytest.raises(SingularDiffusion, match="at t=0"):
             loss_and_gradient_mc(nets, theta, 4, 24, 11, spec)
+
+    @pytest.mark.parametrize("prefix", [(0, 1, 1), (3, 1, 1), (1, 1)])
+    def test_malformed_table_leaf_rejected(self, prefix):
+        config, spec, formula, partition, table, nets, theta = small_setup()
+        doc = json.loads(table.to_json())
+        doc["intervals"][-1][0][0] = list(prefix)
+        bad = WeightTable.from_json(json.dumps(doc))
+        with pytest.raises(IndexOutOfRange, match=re.escape(str(prefix))):
+            loss_and_gradient_cubature(nets, theta, bad, formula, partition, spec)
+
+    @pytest.mark.parametrize("grid", [0, -1])
+    def test_non_positive_mc_grid_rejected(self, grid):
+        config, spec, _, _, _, nets, theta = small_setup()
+        with pytest.raises(InvalidParameter):
+            loss_and_gradient_mc(nets, theta, 4, grid, 11, spec)
 
     def test_zero_steps_per_segment_rejected(self):
         config, spec, formula, partition, table, nets, theta = small_setup()
