@@ -135,20 +135,21 @@ def ssum(a: Var) -> Var:
 def topo_order(root: Var) -> list[Var]:
     """Post-order of the graph below ``root`` (parents before children)."""
     order: list[Var] = []
-    seen: set[int] = set()
+    seen: set[Var] = set()
     stack: list[tuple[Var, bool]] = [(root, False)]
+    push, pop, emit, mark = stack.append, stack.pop, order.append, seen.add
     while stack:
-        node, expanded = stack.pop()
+        node, expanded = pop()
         if expanded:
-            order.append(node)
+            emit(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
+        mark(node)
+        push((node, True))
         for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
+            if p not in seen:
+                push((p, False))
     return order
 
 
@@ -163,8 +164,11 @@ def backward(root: Var) -> list[Var]:
             continue
         for parent, g in zip(node.parents, node.vjp(node.grad)):
             if parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-            parent.grad += g
+                # a fresh copy, as one vjp may hand the same array to two
+                # parents; 0.0 + g has the bits of zeros + g
+                parent.grad = g + 0.0
+            else:
+                parent.grad += g
     return order
 
 
