@@ -242,6 +242,7 @@ def cmd_estimate(args) -> int:
             "mc": mc.value,
             "analytic": spec.sine_tracking_value,
             "n_leaves": cub.n_paths,
+            "interval_solves": cub.interval_solves,
         },
     )
     print(f"cubature {cub.value:.6f} (n={cub.n_paths})  mc {mc.value:.6f} (n={mc.n_paths})")

@@ -59,7 +59,15 @@ class MatchFailure(NumericalError):
 
 
 class NonFiniteState(NumericalError):
-    """An integrator state left the finite floating-point range."""
+    """An integrator state left the finite floating-point range.
+
+    ``segment`` is the index of the solver segment after which the state was
+    first seen non-finite, or ``None`` where the solver has no segments.
+    """
+
+    def __init__(self, message: str, segment: int | None = None):
+        super().__init__(message)
+        self.segment = segment
 
 
 class SingularDiffusion(NumericalError):

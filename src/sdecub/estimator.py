@@ -1,9 +1,13 @@
 """Cubature and Monte Carlo estimators of expected path functionals.
 
-The cubature estimator solves one controlled ODE per surviving tree leaf and
-returns the weighted sum of functional values; the Monte Carlo estimator
-averages the functional over seeded Euler-Maruyama paths.  The convergence
-experiment sweeps both against an oracle and fits log-log error slopes.
+The cubature estimator walks the prefix trie of the surviving tree leaves:
+each distinct index-vector prefix of length i has interval i solved once, as
+a controlled ODE started from its parent prefix's end state, and each leaf's
+whole trajectory is gathered from its ancestors' solves before the functional
+sees it.  It returns the weighted sum of functional values; the Monte Carlo
+estimator averages the functional over seeded Euler-Maruyama paths.  The
+convergence experiment sweeps both against an oracle and fits log-log error
+slopes.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ManifestMismatch, OracleUnavailable
+from .errors import NonFiniteState, OracleUnavailable
 from .fields import FieldSpec
 from .formulas import CubatureFormula
 from .ode import solve_controlled_ode_batch, solve_sde_mc_batch
@@ -61,21 +65,64 @@ def terminal_functional(component: int = 0) -> PathFunctional:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """A single estimate with its path count and wall time."""
+    """A single estimate with its path count and wall time.
+
+    ``interval_solves`` counts the trie nodes the cubature estimator solved,
+    one controlled ODE over one interval each; Monte Carlo reports 0.
+    """
 
     value: float
     n_paths: int
     seconds: float
+    interval_solves: int = 0
 
 
-def _check_manifest(table: WeightTable, formula: CubatureFormula, partition: TimePartition):
-    manifest = table.manifest
-    if manifest.get("formula_hash") != formula.formula_hash():
-        raise ManifestMismatch("weight table was built from a different formula")
-    if manifest.get("k") != partition.k or manifest.get("horizon") != partition.horizon:
-        raise ManifestMismatch("weight table was built from a different partition")
-    if manifest.get("gamma") != partition.gamma:
-        raise ManifestMismatch("weight table was built with a different gamma")
+def _solve_over_trie(fields, formula, partition, ivs, x0_aug, steps_per_segment):
+    """Trajectories of the leaves ``ivs``, each shared prefix solved once.
+
+    Leaves sharing a length-i prefix share their path up to knot i, so
+    interval i is solved once per distinct length-i prefix (a trie node),
+    from the end state of its length-(i-1) parent.  Equal prefixes must be
+    adjacent to be shared, which sorted leaves guarantee.  Returns the step
+    grid, the augmented states (n_leaves, n_steps+1, d_x+1) bit for bit as
+    one whole-leaf solve gives them, and the number of trie nodes solved.
+    """
+    seg_times, derivs = leaf_derivatives(formula, partition, ivs)
+    k = partition.k
+    idx = np.asarray(ivs, dtype=int)
+    n_seg = (seg_times.shape[0] - 1) // k
+    # first[r]: the first interval (0-based) where leaf r leaves leaf r-1's path
+    differs = idx[1:] != idx[:-1]
+    first = np.concatenate([[0], np.where(differs.any(axis=1), differs.argmax(axis=1), k)])
+    times = states = None
+    solved = 0
+    for i in range(k):
+        new = first <= i
+        starts = np.flatnonzero(new)
+        x_start = x0_aug if i == 0 else ends[node[starts]]
+        node = np.cumsum(new) - 1
+        lo, hi = i * n_seg, (i + 1) * n_seg
+        try:
+            level_times, level = solve_controlled_ode_batch(
+                fields, seg_times[lo : hi + 1], derivs[starts, lo:hi], x_start, steps_per_segment
+            )
+        except NonFiniteState as err:
+            seg = lo + err.segment
+            raise NonFiniteState(
+                f"state left the finite range in interval {i + 1} of {k}, segment {seg}",
+                segment=seg,
+            ) from err
+        m = level.shape[1] - 1
+        if states is None:
+            times = np.empty(k * m + 1)
+            states = np.empty((idx.shape[0], k * m + 1, level.shape[2]))
+            times[0] = level_times[0]
+            states[:, 0] = x0_aug
+        times[1 + i * m : 1 + (i + 1) * m] = level_times[1:]
+        states[:, 1 + i * m : 1 + (i + 1) * m] = level[node, 1:]
+        ends = level[:, -1]
+        solved += starts.size
+    return times, states, solved
 
 
 def cubature_estimate(
@@ -91,12 +138,13 @@ def cubature_estimate(
     """Weighted functional sum over the cubature tree.
 
     With a weight table only surviving leaves are solved; without one the full
-    q**k tree is enumerated.  The reduction is a compensated sum, so the
-    result is independent of worker count.
+    q**k tree is enumerated.  Either way the leaves are solved over their
+    prefix trie, each chunk of leaves on its own.  The reduction is a
+    compensated sum, so the result is independent of worker count.
     """
     start = time.perf_counter()
     if table is not None:
-        _check_manifest(table, formula, partition)
+        table.check_inputs(formula, partition)
         leaves = sorted(table.leaf_weights().items())
     else:
         leaves = list(enumerate_leaves(formula, partition))
@@ -110,22 +158,26 @@ def cubature_estimate(
     weights = np.array([w for _, w in leaves])
 
     def solve_chunk(chunk_ivs):
-        seg_times, derivs = leaf_derivatives(formula, partition, chunk_ivs)
-        times, states = solve_controlled_ode_batch(
-            fields, seg_times, derivs, x0_aug, steps_per_segment
+        times, states, solved = _solve_over_trie(
+            fields, formula, partition, chunk_ivs, x0_aug, steps_per_segment
         )
-        return functional.evaluate_batch(times, states)
+        return functional.evaluate_batch(times, states), solved
 
     n = len(ivs)
     if workers <= 1 or n < 2 * workers:
-        values = solve_chunk(ivs)
+        parts = [solve_chunk(ivs)]
     else:
         chunks = np.array_split(np.arange(n), workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(solve_chunk, (ivs[c[0] : c[-1] + 1] for c in chunks)))
-        values = np.concatenate(parts)
+    values = np.concatenate([v for v, _ in parts])
     total = math.fsum(weights * values)
-    return EstimateReport(value=total, n_paths=n, seconds=time.perf_counter() - start)
+    return EstimateReport(
+        value=total,
+        n_paths=n,
+        seconds=time.perf_counter() - start,
+        interval_solves=sum(solved for _, solved in parts),
+    )
 
 
 def mc_estimate(

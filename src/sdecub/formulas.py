@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -244,6 +245,12 @@ class CubatureFormula:
         return dumps_17g(doc)
 
     def formula_hash(self) -> str:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> str:
+        # the formula is frozen, so its hash is computed once: every training
+        # step checks its weight table against it
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
     @staticmethod

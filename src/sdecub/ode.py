@@ -184,7 +184,7 @@ def solve_controlled_ode_batch(
         out[:, pos] = state
         if pos % steps_per_segment == 0 and not np.all(np.isfinite(state)):
             seg = pos // steps_per_segment - 1
-            raise NonFiniteState(f"state left the finite range in segment {seg}")
+            raise NonFiniteState(f"state left the finite range in segment {seg}", segment=seg)
     return out_times, out
 
 

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import InvalidParameter, MatchFailure, NoNullVector
+from .errors import InvalidParameter, ManifestMismatch, MatchFailure, NoNullVector
 from .formulas import CubatureFormula, dumps_17g
 from .partition import IndexVector, TimePartition
 
@@ -436,6 +436,16 @@ class WeightTable:
 
     def leaf_weights(self) -> dict[IndexVector, float]:
         return self.intervals[-1]
+
+    def check_inputs(self, formula: CubatureFormula, partition: TimePartition) -> None:
+        """Raise ``ManifestMismatch`` unless the table was built for these inputs."""
+        manifest = self.manifest
+        if manifest.get("formula_hash") != formula.formula_hash():
+            raise ManifestMismatch("weight table was built from a different formula")
+        if manifest.get("k") != partition.k or manifest.get("horizon") != partition.horizon:
+            raise ManifestMismatch("weight table was built from a different partition")
+        if manifest.get("gamma") != partition.gamma:
+            raise ManifestMismatch("weight table was built with a different gamma")
 
     @property
     def n_leaves(self) -> int:

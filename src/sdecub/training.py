@@ -190,6 +190,7 @@ def loss_and_gradient_cubature(
     One controlled ODE per surviving leaf, batched; the gradient is the
     weighted sum of per-leaf gradients by linearity of the tape.
     """
+    table.check_inputs(formula, partition)
     leaves_sorted = sorted(table.leaf_weights().items())
     if not leaves_sorted:
         return GradientReport(0.0, np.zeros(nets.n_params), 0, 0)

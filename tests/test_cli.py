@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdecub import TestBasis, degree5_formula, make_partition, preprocess
 from sdecub.cli import EXIT_CONFIG, EXIT_OK, main
 
 
@@ -80,6 +81,24 @@ class TestEstimateCommand:
         rows = (tmp_path / "estimate.csv").read_text().splitlines()[1:]
         values = {r.split(",")[0]: float(r.split(",")[2]) for r in rows}
         assert values["cubature"] == pytest.approx(values["mc"], abs=5e-3)
+
+    def test_manifest_records_interval_solves(self, tmp_path):
+        code = main(
+            ["estimate", "--field", "brownian", "--k", "4", "--mc-paths", "4",
+             "--mc-grid", "8", "--steps-per-segment", "2", "--workers", "1",
+             "--out", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        results = read_manifest(tmp_path)["results"]
+        # the same table as the command builds with its defaults; one solve
+        # per distinct leaf prefix
+        table = preprocess(
+            degree5_formula(1), make_partition(1.0, 4, 0.6), TestBasis(1, 4), p_star=2
+        )
+        leaves = table.leaf_weights()
+        prefixes = sum(len({iv[:i] for iv in leaves}) for i in range(1, 5))
+        assert results["n_leaves"] == len(leaves)
+        assert results["interval_solves"] == prefixes < 4 * len(leaves)
 
     def test_zero_steps_per_segment_is_config_error(self, tmp_path, capsys):
         code = main(

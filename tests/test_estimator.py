@@ -12,6 +12,7 @@ from sdecub import (
     IndexOutOfRange,
     InvalidParameter,
     ManifestMismatch,
+    NonFiniteState,
     OracleUnavailable,
     TestBasis,
     convergence_experiment,
@@ -19,16 +20,18 @@ from sdecub import (
     degree3_formula,
     degree5_formula,
     enumerate_leaves,
+    ito_to_stratonovich,
     leaf_derivatives,
     make_partition,
     mc_estimate,
     preprocess,
     sine_tracking_functional,
 )
+from sdecub import estimator
 from sdecub.estimator import fit_slope, interp_loglog, plateau_cut
 from sdecub.ode import solve_controlled_ode_batch
 from sdecub.recombination import WeightTable
-from sdecub.fields import brownian_field, drift_only_field, scaled_diffusion_field
+from sdecub.fields import brownian_field, drift_only_field, ou_field, scaled_diffusion_field
 
 
 class TestSineTracking:
@@ -114,6 +117,11 @@ class TestCubatureEstimate:
                 sine_tracking_functional(), spec.stratonovich(),
                 degree3_formula(1), part, table,
             )
+        with pytest.raises(ManifestMismatch, match="gamma"):
+            cubature_estimate(
+                sine_tracking_functional(), spec.stratonovich(), formula,
+                make_partition(1.0, 3, 1.0), table,
+            )
 
     def test_workers_do_not_change_result(self):
         spec = scaled_diffusion_field(0.8)
@@ -142,6 +150,92 @@ class TestCubatureEstimate:
         )
         assert tab.value == pytest.approx(raw.value, abs=1e-14)
         assert tab.n_paths == raw.n_paths == 9
+
+
+def whole_leaf_estimate(functional, fields, formula, partition, table, x0, steps_per_segment):
+    """The estimate with every leaf solved from t=0 in one batch, no trie."""
+    if table is None:
+        leaves = list(enumerate_leaves(formula, partition))
+    else:
+        leaves = sorted(table.leaf_weights().items())
+    seg_times, derivs = leaf_derivatives(formula, partition, [iv for iv, _ in leaves])
+    x0_aug = np.concatenate([[0.0], np.atleast_1d(x0)])
+    times, states = solve_controlled_ode_batch(fields, seg_times, derivs, x0_aug, steps_per_segment)
+    values = functional.evaluate_batch(times, states)
+    return math.fsum(np.array([w for _, w in leaves]) * values)
+
+
+def raw_degree5_k5():
+    spec = scaled_diffusion_field(0.6)
+    return spec, degree5_formula(1), make_partition(1.0, 5, 0.6), None
+
+
+def ou_degree3_2d_table():
+    # reduction first bites at interval 5: 996 of 1024 prefixes survive
+    spec = ou_field(rate=1.5, mean=0.5, sigma=0.7, d=2, x0=0.2)
+    formula = degree3_formula(2)
+    part = make_partition(1.0, 6, 0.6)
+    return spec, formula, part, preprocess(formula, part, TestBasis(2, 2), p_star=2)
+
+
+class TestTrieSolve:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", [raw_degree5_k5, ou_degree3_2d_table])
+    def test_bitwise_equal_to_whole_leaf_solve(self, case, workers):
+        spec, formula, part, table = case()
+        functional = sine_tracking_functional()
+        fields = spec.stratonovich()
+        rep = cubature_estimate(
+            functional, fields, formula, part, table, x0=spec.x0, steps_per_segment=8,
+            workers=workers,
+        )
+        reference = whole_leaf_estimate(functional, fields, formula, part, table, spec.x0, 8)
+        assert rep.value == reference
+
+    def test_each_trie_node_solved_once(self, monkeypatch):
+        rows = []
+        solve = estimator.solve_controlled_ode_batch
+
+        def counting(fields, seg_times, derivs, *args):
+            rows.append(derivs.shape[0])
+            return solve(fields, seg_times, derivs, *args)
+
+        monkeypatch.setattr(estimator, "solve_controlled_ode_batch", counting)
+        spec, formula, part, _ = raw_degree5_k5()
+        rep = cubature_estimate(
+            sine_tracking_functional(), spec.stratonovich(), formula, part, None,
+            x0=spec.x0, steps_per_segment=4,
+        )
+        # one solve per interval, one row per distinct prefix: 3 + 9 + ... + 243
+        assert rows == [3, 9, 27, 81, 243]
+        assert rep.interval_solves == 363
+        assert rep.n_paths == 243
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_state_names_interval_and_global_segment(self):
+        # dx/dt = x^2 from x=1.5 blows up at t=2/3, inside the second interval
+        def mu(t, x):
+            return x * x
+
+        def sig(t, x):
+            return np.zeros((x.shape[0], 1, 1))
+
+        fields = ito_to_stratonovich(mu, sig, 1, 1)
+        formula = degree5_formula(1)
+        part = make_partition(1.0, 2, 1.0)
+        x0 = np.array([1.5])
+        with pytest.raises(NonFiniteState) as whole:
+            whole_leaf_estimate(sine_tracking_functional(), fields, formula, part, None, x0, 8)
+        seg = whole.value.segment
+        n_seg = 3  # linear segments per interval of the degree-5 paths
+        assert n_seg <= seg < 2 * n_seg
+        with pytest.raises(NonFiniteState, match=f"in interval 2 of 2, segment {seg}$") as trie:
+            cubature_estimate(
+                sine_tracking_functional(), fields, formula, part, None, x0=x0,
+                steps_per_segment=8,
+            )
+        assert trie.value.segment == seg
+        assert isinstance(trie.value.__cause__, NonFiniteState)
 
 
 class TestMcEstimate:

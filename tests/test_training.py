@@ -10,12 +10,14 @@ import pytest
 from sdecub import (
     IndexOutOfRange,
     InvalidParameter,
+    ManifestMismatch,
     NetworkFields,
     SingularDiffusion,
     TrainConfig,
     VariationalLossSpec,
     loss_and_gradient_cubature,
     loss_and_gradient_mc,
+    make_partition,
     make_training_data,
     train,
     variational_loss_terms,
@@ -167,6 +169,15 @@ class TestGradients:
         bad = WeightTable.from_json(json.dumps(doc))
         with pytest.raises(IndexOutOfRange, match=re.escape(str(prefix))):
             loss_and_gradient_cubature(nets, theta, bad, formula, partition, spec)
+
+    def test_table_for_other_gamma_rejected(self):
+        # the k=3 table is built at gamma 0.6; a gamma-1.0 partition moves the
+        # knots the leaves are scaled onto
+        config, spec, formula, partition, table, nets, theta = small_setup()
+        assert table.manifest["gamma"] == 0.6
+        other = make_partition(partition.horizon, 3, 1.0)
+        with pytest.raises(ManifestMismatch, match="gamma"):
+            loss_and_gradient_cubature(nets, theta, table, formula, other, spec)
 
     @pytest.mark.parametrize("grid", [0, -1])
     def test_non_positive_mc_grid_rejected(self, grid):
