@@ -23,6 +23,7 @@ from .errors import (
     NonFiniteState,
     NumericalError,
     OracleUnavailable,
+    RecombinationDefect,
     SdeCubError,
     SingularDiffusion,
     TreeTooLarge,

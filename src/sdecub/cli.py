@@ -171,6 +171,7 @@ def cmd_preprocess(args) -> int:
         {
             "seconds": table.seconds,
             "survivor_counts": list(table.survivor_counts),
+            "moment_defects": list(table.moment_defects),
             "n_leaves": table.n_leaves,
             "formula_hash": formula.formula_hash(),
         },

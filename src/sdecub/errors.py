@@ -58,6 +58,19 @@ class MatchFailure(NumericalError):
     """A surviving support point could not be traced back to a tree prefix."""
 
 
+class RecombinationDefect(NumericalError):
+    """Recombination changed the total mass or a basis moment past tolerance.
+
+    ``interval`` is the 1-based interval whose reduction failed the check and
+    ``defect`` the largest relative change seen there.
+    """
+
+    def __init__(self, message: str, interval: int, defect: float):
+        super().__init__(message)
+        self.interval = interval
+        self.defect = defect
+
+
 class NonFiniteState(NumericalError):
     """An integrator state left the finite floating-point range.
 

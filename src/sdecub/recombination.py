@@ -5,11 +5,22 @@ compressed: points are grouped into balls (localization) and each ball's
 sub-measure is replaced by one supported on at most N_p + 1 of its own points
 while preserving total mass and all moments of a polynomial test basis.
 
+The balls are independent, so :func:`rmp` reduces them together, in
+lockstep.  Each ball runs its own reduction (Litterer & Lyons' hierarchical
+scheme) as a generator that yields every reduction problem, a set of lifted
+points and their weights, and is sent back the survivors.  The driver groups
+the pending problems of all balls by point count and solves each group with
+one stacked complete QR, so the number of QR calls follows the steps and the
+distinct point counts, not the number of balls.  Stacked QR gives every
+matrix bitwise the factors of a call on it alone, so the result is bitwise
+that of reducing ball by ball.  :func:`recombine` is the one-ball case.
+
 The pre-processing loop alternates tree propagation steps with this
 compression and ends with a sparse per-interval weight table; surviving
 support points are traced back to tree prefixes by provenance tracking, never
-by coordinate comparison.  Nothing in this module touches vector fields, so a
-table can be reused for any dynamics sharing the driving dimension.
+by coordinate comparison.  After each recombination it checks that mass and
+moments were kept.  Nothing in this module touches vector fields, so a table
+can be reused for any dynamics sharing the driving dimension.
 """
 
 from __future__ import annotations
@@ -22,7 +33,13 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import InvalidParameter, ManifestMismatch, MatchFailure, NoNullVector
+from .errors import (
+    InvalidParameter,
+    ManifestMismatch,
+    MatchFailure,
+    NoNullVector,
+    RecombinationDefect,
+)
 from .formulas import CubatureFormula, dumps_17g
 from .partition import IndexVector, TimePartition
 
@@ -216,55 +233,169 @@ def singleton_localization(measure: DiscreteMeasure) -> Localization:
     return Localization(balls=balls, radius=0.0)
 
 
-def _null_vector(mat: np.ndarray) -> np.ndarray:
-    """A kernel vector of ``mat`` (rows = constraints), deterministic sign.
+def _reduce_batch(
+    lifted: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One reduction step on each of B problems of n pre-lifted points.
 
-    Raises NoNullVector when the kernel is trivial.  The sign is fixed so the
-    first significant entry is positive; the sum-to-zero constraint then
-    guarantees entries of both signs.
+    ``lifted`` has shape (B, n, N_p) and ``weights`` shape (B, n).  One
+    stacked complete QR of the constraint matrices ``[1 | lifted]`` gives
+    every problem a kernel vector, column N_p + 1 of its Q factor; each
+    matrix gets bitwise the factors a call on it alone would give.  The sign
+    is fixed so the first significant entry is positive; the sum-to-zero
+    constraint then guarantees entries of both signs.
+
+    Returns (new_weights, keep, usable).  In each usable row at least one
+    point is dropped: ties in the ratio test break at the lowest index, and
+    any further exact zeros are dropped too.  A row whose kernel vector has
+    no positive entry is not usable.  Raises NoNullVector when n <= N_p + 1,
+    where the constraints leave no kernel vector to take.
     """
-    n_rows, n_cols = mat.shape
-    if n_cols > n_rows:
-        # a kernel vector is guaranteed; complete QR of mat.T exposes it
-        q_full, _ = np.linalg.qr(mat.T, mode="complete")
-        u = q_full[:, n_rows]
-    else:
-        _, s, vh = np.linalg.svd(mat)
-        scale = s[0] if s.size else 0.0
-        if s.size == n_cols and s[-1] > 1e-12 * max(scale, 1e-300):
-            raise NoNullVector(
-                f"constraint matrix of shape {mat.shape} has full column rank"
-            )
-        u = vh[-1]
-    peak = np.max(np.abs(u))
-    first = int(np.argmax(np.abs(u) > 1e-12 * peak))
-    if u[first] < 0:
-        u = -u
-    return u
-
-
-def _reduce_step(lifted: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One reduction step on pre-lifted points.
-
-    Returns (new_weights, keep_mask); at least one point is dropped.  Ties in
-    the ratio test break at the lowest index; any further exact zeros are
-    dropped too.
-    """
-    n = weights.shape[0]
-    mat = np.vstack([np.ones((1, n)), lifted.T])
-    u = _null_vector(mat)
+    n_batch, n, n_basis = lifted.shape
+    if n <= n_basis + 1:
+        raise NoNullVector(
+            f"{n} points under {n_basis + 1} constraints leave no kernel vector"
+        )
+    mats = np.concatenate([np.ones((n_batch, n, 1)), lifted], axis=2)
+    q_full, _ = np.linalg.qr(mats, mode="complete")
+    u = q_full[:, :, n_basis + 1]
+    mag = np.abs(u)
+    first = np.argmax(mag > 1e-12 * mag.max(axis=1, keepdims=True), axis=1)
+    rows = np.arange(n_batch)
+    u = np.where((u[rows, first] < 0)[:, None], -u, u)
     positive = u > 0
-    if not np.any(positive):
-        raise NoNullVector("kernel vector has no positive entry")
     ratios = np.where(positive, weights / np.where(positive, u, 1.0), np.inf)
-    star = int(np.argmin(ratios))
-    alpha = ratios[star]
-    new_weights = weights - alpha * u
-    new_weights[star] = 0.0
+    star = np.argmin(ratios, axis=1)
+    alpha = ratios[rows, star]
+    new_weights = weights - alpha[:, None] * u
+    new_weights[rows, star] = 0.0
     np.maximum(new_weights, 0.0, out=new_weights)
     keep = new_weights > 0.0
-    keep[star] = False
-    return new_weights, keep
+    keep[rows, star] = False
+    return new_weights, keep, positive.any(axis=1)
+
+
+def _reduce_points(lifted: np.ndarray, weights: np.ndarray, target: int):
+    """Step one point set down to ``target`` points.
+
+    A generator: it yields each step's problem ``(lifted, weights)`` and is
+    sent back the step's ``(new_weights, keep)``, or ``None`` when the step
+    found no usable kernel vector, which ends the reduction early.  Returns
+    (surviving local indices, their weights, steps taken).
+    """
+    local = np.arange(weights.shape[0])
+    steps = 0
+    while local.shape[0] > target:
+        step = yield lifted[local], weights
+        if step is None:
+            break
+        new_weights, keep = step
+        local = local[keep]
+        weights = new_weights[keep]
+        steps += 1
+    return local, weights, steps
+
+
+def _recombine_ball(points: np.ndarray, weights: np.ndarray, lifted: np.ndarray, target: int):
+    """Compress one ball to at most ``target`` of its points; a generator.
+
+    Hierarchical scheme: partition the support into 2*target consecutive
+    chunks, reduce the chunk centers of mass in the lifted monomial space,
+    re-expand surviving chunks, and repeat; small supports are reduced
+    point-by-point.  Every reduction step is yielded as in
+    :func:`_reduce_points`.  Returns (indices into the ball in output order,
+    their new weights, outer rounds, reduction steps).
+    """
+    wts = weights.copy()
+    # lexicographic position order makes the consecutive chunks below
+    # spatially coherent, so a killed chunk moves mass only locally
+    idx = np.lexsort(points.T[::-1])
+    rounds = 0
+    steps = 0
+    while idx.shape[0] > target:
+        rounds += 1
+        n = idx.shape[0]
+        if n <= 2 * target:
+            # chunks would be singletons: reduce the points directly
+            local, w, done = yield from _reduce_points(lifted[idx], wts[idx], target)
+            steps += done
+            wts[idx[local]] = w
+            idx = idx[local]
+            break
+        groups = 2 * target
+        bounds = np.linspace(0, n, groups + 1).astype(int)
+        w_all = wts[idx]
+        lifted_all = lifted[idx]
+        nu = np.array([w_all[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+        com = np.array(
+            [
+                (w_all[a:b, None] * lifted_all[a:b]).sum(axis=0)
+                for a, b in zip(bounds[:-1], bounds[1:])
+            ]
+        )
+        live = nu > 0
+        com[live] /= nu[live, None]
+        kept, gnu, done = yield from _reduce_points(com[live], nu[live], target)
+        steps += done
+        glocal = np.flatnonzero(live)[kept]
+        new_idx = []
+        new_wts = np.zeros_like(wts)
+        for g, nu_tilde in zip(glocal, gnu):
+            members = idx[bounds[g] : bounds[g + 1]]
+            new_wts[members] = wts[members] * (nu_tilde / nu[g])
+            new_idx.append(members)
+        idx = np.concatenate(new_idx) if new_idx else np.zeros(0, dtype=int)
+        wts = new_wts
+        if glocal.shape[0] > target:
+            break  # kernel exhausted early; support stays above target
+    idx = idx[wts[idx] > 0]
+    return idx, wts[idx], rounds, steps
+
+
+# Upper bound on the entries of one stacked Q factor (8 MB), so that a large
+# basis over many balls cannot build one huge stack.
+_QR_STACK_ENTRIES = 1 << 20
+
+
+def _recombine_balls(
+    points: np.ndarray, weights: np.ndarray, lifted: np.ndarray, balls, target: int
+) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
+    """Recombine every ball in lockstep; one :func:`_recombine_ball` result per ball.
+
+    ``balls`` holds each ball's indices into ``points``, ``weights`` and
+    ``lifted`` (the basis values of every point).  Each lockstep round groups
+    the balls' pending reduction problems by point count n and takes one
+    batched step per group, so the QR calls grow with the distinct problem
+    sizes, not with the number of balls.
+    """
+    runs = [_recombine_ball(points[b], weights[b], lifted[b], target) for b in balls]
+    results: list = [None] * len(runs)
+    pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def advance(i: int, sent) -> None:
+        try:
+            pending[i] = runs[i].send(sent)
+        except StopIteration as done:
+            results[i] = done.value
+
+    for i in range(len(runs)):
+        advance(i, None)
+    while pending:
+        by_size: dict[int, list[int]] = {}
+        for i, (_, w) in pending.items():
+            by_size.setdefault(w.shape[0], []).append(i)
+        problems, pending = pending, {}
+        for n, members in by_size.items():
+            per_stack = max(1, _QR_STACK_ENTRIES // (n * n))
+            for lo in range(0, len(members), per_stack):
+                part = members[lo : lo + per_stack]
+                new_weights, keep, usable = _reduce_batch(
+                    np.stack([problems[i][0] for i in part]),
+                    np.stack([problems[i][1] for i in part]),
+                )
+                for row, i in enumerate(part):
+                    advance(i, (new_weights[row], keep[row]) if usable[row] else None)
+    return results
 
 
 @dataclass(frozen=True)
@@ -282,79 +413,18 @@ def recombine(
 ):
     """Compress a measure to at most N_p + 1 of its own points.
 
-    Hierarchical scheme: partition the support into 2*(N_p+1) consecutive
-    chunks, reduce the chunk centers of mass in the lifted monomial space,
-    re-expand surviving chunks, and repeat; small supports are reduced
-    point-by-point.  Mass and all basis moments are preserved to roundoff and
-    every output point is an input point (index-based pruning).
+    The one-ball case of :func:`rmp`, by the hierarchical scheme of
+    :func:`_recombine_ball`.  Mass and all basis moments are preserved to
+    roundoff and every output point is an input point (index-based pruning).
     """
-    target = basis.size + 1
-    pts = measure.points
-    wts = measure.weights.copy()
-    # lexicographic position order makes the consecutive chunks below
-    # spatially coherent, so a killed chunk moves mass only locally
-    idx = np.lexsort(pts.T[::-1])
-    rounds = 0
-    steps = 0
-    while idx.shape[0] > target:
-        rounds += 1
-        lifted = basis.evaluate(pts[idx])
-        n = idx.shape[0]
-        if n <= 2 * target:
-            # chunks would be singletons: reduce the points directly
-            local = np.arange(n)
-            w = wts[idx]
-            try:
-                while local.shape[0] > target:
-                    new_w, keep = _reduce_step(lifted[local], w)
-                    steps += 1
-                    local = local[keep]
-                    w = new_w[keep]
-            except NoNullVector:
-                pass
-            wts[idx] = 0.0
-            wts[idx[local]] = w
-            idx = idx[local]
-            break
-        groups = 2 * target
-        bounds = np.linspace(0, n, groups + 1).astype(int)
-        w_all = wts[idx]
-        nu = np.array([w_all[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
-        com = np.array(
-            [
-                (w_all[a:b, None] * lifted[a:b]).sum(axis=0)
-                for a, b in zip(bounds[:-1], bounds[1:])
-            ]
-        )
-        live = nu > 0
-        com[live] /= nu[live, None]
-        glocal = np.arange(groups)[live]
-        gnu = nu[live]
-        gcom = com[live]
-        try:
-            while glocal.shape[0] > target:
-                new_nu, keep = _reduce_step(gcom, gnu)
-                steps += 1
-                glocal = glocal[keep]
-                gnu = new_nu[keep]
-                gcom = gcom[keep]
-        except NoNullVector:
-            pass
-        new_idx = []
-        new_wts = np.zeros_like(wts)
-        for g, nu_tilde in zip(glocal, gnu):
-            a, b = bounds[g], bounds[g + 1]
-            members = idx[a:b]
-            scale = nu_tilde / nu[g]
-            new_wts[members] = wts[members] * scale
-            new_idx.append(members)
-        idx = np.concatenate(new_idx) if new_idx else np.zeros(0, dtype=int)
-        wts = new_wts
-        if glocal.shape[0] > target:
-            break  # kernel exhausted early; support stays above target
-    live = wts[idx] > 0
-    idx = idx[live]
-    out = measure.reweighted(idx, wts[idx])
+    ((idx, weights, rounds, steps),) = _recombine_balls(
+        measure.points,
+        measure.weights,
+        basis.evaluate(measure.points),
+        [np.arange(measure.size)],
+        basis.size + 1,
+    )
+    out = measure.reweighted(idx, weights)
     if with_stats:
         stats = RecombineStats(
             input_size=measure.size,
@@ -372,17 +442,19 @@ def rmp(
     """Reduce within each ball independently and take the union.
 
     Per-ball support is at most N_p + 1, so the output has at most
-    l * (N_p + 1) points for l balls.
+    l * (N_p + 1) points for l balls.  The balls are reduced together, in
+    lockstep, over one evaluation of the basis; the output lists each
+    ball's survivors in ball order.
     """
     if measure.size == 0:
         return measure
-    pieces = [recombine(measure.subset(ball.indices), basis) for ball in localization.balls]
-    points = np.vstack([p.points for p in pieces])
-    weights = np.concatenate([p.weights for p in pieces])
-    prov = None
-    if measure.provenance is not None:
-        prov = tuple(pr for p in pieces for pr in p.provenance)
-    return DiscreteMeasure(points, weights, prov)
+    balls = [ball.indices for ball in localization.balls]
+    results = _recombine_balls(
+        measure.points, measure.weights, basis.evaluate(measure.points), balls, basis.size + 1
+    )
+    indices = np.concatenate([b[idx] for b, (idx, _, _, _) in zip(balls, results)])
+    weights = np.concatenate([w for _, w, _, _ in results])
+    return measure.reweighted(indices, weights)
 
 
 def klv_step(measure: DiscreteMeasure, formula: CubatureFormula, s: float) -> DiscreteMeasure:
@@ -425,12 +497,16 @@ class WeightTable:
     solved.  A merged support point's weight is distributed over its prefixes
     in proportion to the mass each contributed, which preserves mass and
     recovers the raw product weights exactly wherever no reduction occurred.
+    ``moment_defects[i-1]`` is the relative mass and moment defect that
+    recombination left at interval i (see :func:`moment_defect`), ``None``
+    where the interval was not reduced.
     """
 
     k: int
     intervals: tuple[dict[IndexVector, float], ...]
     survivor_counts: tuple[int, ...]
     radii: tuple[float | None, ...]
+    moment_defects: tuple[float | None, ...]
     seconds: float
     manifest: dict
 
@@ -462,6 +538,7 @@ class WeightTable:
             "seconds": self.seconds,
             "survivor_counts": list(self.survivor_counts),
             "radii": [r for r in self.radii],
+            "moment_defects": list(self.moment_defects),
             "intervals": [
                 [[list(prefix), w] for prefix, w in sorted(table.items())]
                 for table in self.intervals
@@ -481,9 +558,32 @@ class WeightTable:
             intervals=intervals,
             survivor_counts=tuple(int(c) for c in doc["survivor_counts"]),
             radii=tuple(None if r is None else float(r) for r in doc["radii"]),
+            moment_defects=tuple(
+                None if d is None else float(d) for d in doc["moment_defects"]
+            ),
             seconds=float(doc["seconds"]),
             manifest=doc["manifest"],
         )
+
+
+MOMENT_DEFECT_TOL = 1e-10
+
+
+def moment_defect(
+    before: DiscreteMeasure, after: DiscreteMeasure, basis: TestBasis
+) -> float:
+    """Largest relative change in total mass or in any basis moment.
+
+    A moment's change is taken relative to the input's absolute moment
+    sum_i w_i |phi(x_i)|, so moments that vanish by symmetry stay defined.
+    """
+    mass_in = before.total_mass()
+    worst = abs(after.total_mass() - mass_in) / mass_in
+    phi_in = basis.evaluate(before.points)
+    phi_out = basis.evaluate(after.points)
+    change = np.abs(after.weights @ phi_out - before.weights @ phi_in)
+    scale = np.maximum(before.weights @ np.abs(phi_in), np.finfo(float).tiny)
+    return max(worst, float(np.max(change / scale)))
 
 
 def radius_schedule(partition: TimePartition, p_star: int) -> np.ndarray:
@@ -504,6 +604,8 @@ def preprocess(
     between, each propagation is followed by localization at the scheduled
     radius and per-ball recombination.  ``radius_mode='singleton'`` uses one
     ball per point (no reduction can occur), which reproduces the raw tree.
+    Each recombination is checked while the loop runs: a mass or moment
+    defect past ``MOMENT_DEFECT_TOL`` raises :class:`RecombinationDefect`.
 
     The loop never evaluates vector fields: its output depends only on the
     formula, partition, basis, and radii.
@@ -528,6 +630,7 @@ def preprocess(
     tables: list[dict[IndexVector, float]] = []
     counts: list[int] = []
     radii: list[float | None] = []
+    defects: list[float | None] = []
     for i in range(1, k + 1):
         measure = klv_step(measure, formula, lengths[i - 1]).canonicalize()
         if 2 <= i <= k - 1:
@@ -537,10 +640,21 @@ def preprocess(
             else:
                 radius = None
                 loc = singleton_localization(measure)
-            measure = rmp(measure, loc, basis)
+            reduced = rmp(measure, loc, basis)
+            defect = moment_defect(measure, reduced, basis)
+            if not defect <= MOMENT_DEFECT_TOL:  # NaN fails too
+                raise RecombinationDefect(
+                    f"recombination at interval {i} of {k} changed the mass or a "
+                    f"moment by {defect:.3g} (relative), past {MOMENT_DEFECT_TOL:g}",
+                    interval=i,
+                    defect=defect,
+                )
+            measure = reduced
             radii.append(radius)
+            defects.append(defect)
         else:
             radii.append(None)
+            defects.append(None)
         table: dict[IndexVector, float] = {}
         for point_prefixes, weight in zip(measure.provenance, measure.weights):
             if not point_prefixes:
@@ -568,6 +682,7 @@ def preprocess(
         intervals=tuple(tables),
         survivor_counts=tuple(counts),
         radii=tuple(radii),
+        moment_defects=tuple(defects),
         seconds=seconds,
         manifest=manifest,
     )

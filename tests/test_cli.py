@@ -50,6 +50,9 @@ class TestPreprocessCommand:
         manifest = read_manifest(pdir)
         assert manifest["results"]["n_leaves"] < 3**6
         assert (pdir / "weight_table.json").exists()
+        first, *middle, last = manifest["results"]["moment_defects"]
+        assert first is None and last is None
+        assert len(middle) == 4 and all(d < 1e-10 for d in middle)
 
     def test_missing_formula_file(self, tmp_path, capsys):
         code = main(

@@ -10,6 +10,7 @@ from sdecub import (
     DiscreteMeasure,
     InvalidParameter,
     NoNullVector,
+    RecombinationDefect,
     TestBasis,
     WeightTable,
     degree3_formula,
@@ -22,13 +23,121 @@ from sdecub import (
     rmp,
     singleton_localization,
 )
-from sdecub.recombination import RecombineStats, _reduce_step
+from sdecub import recombination
+from sdecub.recombination import RecombineStats, _reduce_batch
 
 
-def random_measure(rng, n, d):
+def random_measure(rng, n, d, provenance=False):
     points = rng.normal(size=(n, d))
     weights = rng.uniform(0.1, 1.0, size=n)
-    return DiscreteMeasure(points, weights / weights.sum())
+    weights /= weights.sum()
+    prov = tuple((((i,), float(w)),) for i, w in enumerate(weights)) if provenance else None
+    return DiscreteMeasure(points, weights, prov)
+
+
+# Serial reference: each ball reduced on its own, one QR call per reduction
+# step.  The lockstep reduction must reproduce it bit for bit.
+
+
+def serial_null_vector(mat):
+    n_rows = mat.shape[0]
+    q_full, _ = np.linalg.qr(mat.T, mode="complete")
+    u = q_full[:, n_rows]
+    peak = np.max(np.abs(u))
+    first = int(np.argmax(np.abs(u) > 1e-12 * peak))
+    if u[first] < 0:
+        u = -u
+    return u
+
+
+def serial_reduce_step(lifted, weights):
+    n = weights.shape[0]
+    u = serial_null_vector(np.vstack([np.ones((1, n)), lifted.T]))
+    positive = u > 0
+    if not np.any(positive):
+        raise NoNullVector("kernel vector has no positive entry")
+    ratios = np.where(positive, weights / np.where(positive, u, 1.0), np.inf)
+    star = int(np.argmin(ratios))
+    new_weights = weights - ratios[star] * u
+    new_weights[star] = 0.0
+    np.maximum(new_weights, 0.0, out=new_weights)
+    keep = new_weights > 0.0
+    keep[star] = False
+    return new_weights, keep
+
+
+def serial_recombine(measure, basis):
+    target = basis.size + 1
+    pts = measure.points
+    wts = measure.weights.copy()
+    idx = np.lexsort(pts.T[::-1])
+    while idx.shape[0] > target:
+        lifted = basis.evaluate(pts[idx])
+        n = idx.shape[0]
+        if n <= 2 * target:
+            local = np.arange(n)
+            w = wts[idx]
+            try:
+                while local.shape[0] > target:
+                    new_w, keep = serial_reduce_step(lifted[local], w)
+                    local = local[keep]
+                    w = new_w[keep]
+            except NoNullVector:
+                pass
+            wts[idx] = 0.0
+            wts[idx[local]] = w
+            idx = idx[local]
+            break
+        groups = 2 * target
+        bounds = np.linspace(0, n, groups + 1).astype(int)
+        w_all = wts[idx]
+        nu = np.array([w_all[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+        com = np.array(
+            [(w_all[a:b, None] * lifted[a:b]).sum(axis=0) for a, b in zip(bounds[:-1], bounds[1:])]
+        )
+        live = nu > 0
+        com[live] /= nu[live, None]
+        glocal = np.arange(groups)[live]
+        gnu = nu[live]
+        gcom = com[live]
+        try:
+            while glocal.shape[0] > target:
+                new_nu, keep = serial_reduce_step(gcom, gnu)
+                glocal = glocal[keep]
+                gnu = new_nu[keep]
+                gcom = gcom[keep]
+        except NoNullVector:
+            pass
+        new_idx = []
+        new_wts = np.zeros_like(wts)
+        for g, nu_tilde in zip(glocal, gnu):
+            members = idx[bounds[g] : bounds[g + 1]]
+            new_wts[members] = wts[members] * (nu_tilde / nu[g])
+            new_idx.append(members)
+        idx = np.concatenate(new_idx) if new_idx else np.zeros(0, dtype=int)
+        wts = new_wts
+        if glocal.shape[0] > target:
+            break
+    idx = idx[wts[idx] > 0]
+    return measure.reweighted(idx, wts[idx])
+
+
+def serial_rmp(measure, localization, basis):
+    if measure.size == 0:
+        return measure
+    pieces = [serial_recombine(measure.subset(b.indices), basis) for b in localization.balls]
+    prov = None
+    if measure.provenance is not None:
+        prov = tuple(pr for p in pieces for pr in p.provenance)
+    return DiscreteMeasure(
+        np.vstack([p.points for p in pieces]), np.concatenate([p.weights for p in pieces]), prov
+    )
+
+
+def assert_measures_equal(out, ref):
+    assert np.array_equal(out.points, ref.points)
+    assert np.array_equal(out.weights, ref.weights)
+    assert out.provenance == ref.provenance
 
 
 class TestTestBasis:
@@ -77,9 +186,10 @@ class TestLocalize:
 
 
 def reduce_once(points, weights, basis):
-    """One reduction step on the basis-lifted points; the survivors and their weights."""
-    new_weights, keep = _reduce_step(basis.evaluate(points), weights)
-    return points[keep], new_weights[keep]
+    """One batched reduction step, as a batch of one; the survivors and their weights."""
+    new_weights, keep, usable = _reduce_batch(basis.evaluate(points)[None], weights[None])
+    assert usable[0]
+    return points[keep[0]], new_weights[0][keep[0]]
 
 
 class TestReductionIteration:
@@ -184,6 +294,49 @@ class TestRmp:
         out = rmp(m, singleton_localization(m), TestBasis(1, 1))
         assert out.size == 0
 
+    @pytest.mark.parametrize(
+        "case", ["localized_1d", "split_stacks", "hierarchical_2d", "singletons"]
+    )
+    def test_bitwise_equal_to_serial_reference(self, monkeypatch, case):
+        rng = np.random.default_rng(24)
+        if case in ("localized_1d", "split_stacks"):
+            m = random_measure(rng, 3000, 1, provenance=True)
+            loc, basis = localize(m, 0.02), TestBasis(1, 4)
+            assert len(loc.balls) >= 100
+            if case == "split_stacks":
+                # at most one or two problems per stacked QR
+                monkeypatch.setattr(recombination, "_QR_STACK_ENTRIES", 100)
+        elif case == "hierarchical_2d":
+            m = random_measure(rng, 2000, 2, provenance=True)
+            loc, basis = localize(m, 0.3), TestBasis(2, 2)
+            # such balls go through the chunked rounds
+            assert max(b.indices.shape[0] for b in loc.balls) > 2 * (basis.size + 1)
+        else:
+            m = random_measure(rng, 300, 2, provenance=True)
+            loc, basis = singleton_localization(m), TestBasis(2, 2)
+        assert_measures_equal(rmp(m, loc, basis), serial_rmp(m, loc, basis))
+
+    def test_qr_calls_do_not_grow_with_ball_count(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        # 200 balls of 8 points each, one grid cell apiece at radius 1
+        points = 10.0 * np.arange(200)[:, None] + rng.uniform(0.0, 1.0, size=(200, 8))
+        m = DiscreteMeasure(points.reshape(-1, 1), np.full(1600, 1.0 / 1600))
+        loc = localize(m, 1.0)
+        assert len(loc.balls) == 200
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        out = rmp(m, loc, TestBasis(1, 4))
+        assert out.size == 200 * 5
+        # each ball takes 3 steps (8 -> 5 points); one stacked QR per step
+        # and point count, where reducing ball by ball makes 600 calls
+        assert len(calls) <= 6
+
 
 class TestKlvStep:
     def test_point_mass_children(self):
@@ -264,3 +417,46 @@ class TestPreprocess:
         assert back.k == table.k
         assert back.manifest == table.manifest
         assert back.leaf_weights() == table.leaf_weights()
+        assert back.moment_defects == table.moment_defects
+
+    def test_moment_defects_recorded_for_reduced_intervals(self):
+        table = preprocess(degree5_formula(1), make_partition(1.0, 6, 0.6), TestBasis(1, 4))
+        first, *middle, last = table.moment_defects
+        assert first is None and last is None
+        assert len(middle) == 4
+        assert all(0.0 <= d < 1e-10 for d in middle)
+
+    @pytest.mark.parametrize("corruption", [1e-6, math.nan], ids=["inflated", "nan"])
+    def test_moment_defect_raises_naming_interval(self, monkeypatch, corruption):
+        def corrupting_rmp(measure, localization, basis):
+            out = rmp(measure, localization, basis)
+            weights = out.weights.copy()
+            weights[0] += corruption
+            return DiscreteMeasure(out.points, weights, out.provenance)
+
+        monkeypatch.setattr(recombination, "rmp", corrupting_rmp)
+        f = degree5_formula(1)
+        with pytest.raises(RecombinationDefect, match="interval 2 of 4") as info:
+            preprocess(f, make_partition(1.0, 4, 0.6), TestBasis(1, 4), p_star=2)
+        assert info.value.interval == 2
+        assert not info.value.defect <= 1e-10
+
+    @pytest.mark.parametrize(
+        "formula, k, basis, p_star",
+        [
+            (degree5_formula(1), 8, TestBasis(1, 4), 2),
+            (degree3_formula(2), 5, TestBasis(2, 2), 1),
+        ],
+        ids=["deg5-d1-k8", "deg3-d2-k5"],
+    )
+    def test_bitwise_equal_to_serial_reference(self, monkeypatch, formula, k, basis, p_star):
+        part = make_partition(1.0, k, 0.6)
+        table = preprocess(formula, part, basis, p_star=p_star)
+        monkeypatch.setattr(recombination, "rmp", serial_rmp)
+        ref = preprocess(formula, part, basis, p_star=p_star)
+        assert [list(t.items()) for t in table.intervals] == [
+            list(t.items()) for t in ref.intervals
+        ]
+        assert table.survivor_counts == ref.survivor_counts
+        # recombination reduced something, so the comparison covers it
+        assert table.n_leaves < formula.q**k

@@ -126,6 +126,7 @@ class TestGradients:
             intervals=tuple({} for _ in table.intervals),
             survivor_counts=(0,) * table.k,
             radii=table.radii,
+            moment_defects=table.moment_defects,
             seconds=0.0,
             manifest=table.manifest,
         )
@@ -143,6 +144,7 @@ class TestGradients:
             ),
             survivor_counts=table.survivor_counts,
             radii=table.radii,
+            moment_defects=table.moment_defects,
             seconds=table.seconds,
             manifest=table.manifest,
         )
