@@ -2,8 +2,9 @@
 
 The pipeline: construct a degree-m cubature formula on the unit interval,
 scale and concatenate its paths over a power-schedule time partition,
-compress the resulting tree by localized measure recombination, solve one
-controlled ODE per surviving leaf, and weight the functional values.  A
+compress the resulting tree by localized measure recombination, walk the
+tree level by level solving one controlled ODE per row and interval, and
+weight each interval's running cost by the level before it.  A
 seeded Euler-Maruyama Monte Carlo estimator serves as the baseline, and a
 toy variational training loop compares gradient descent under both
 estimators.

@@ -244,6 +244,8 @@ def cmd_estimate(args) -> int:
             "analytic": spec.sine_tracking_value,
             "n_leaves": cub.n_paths,
             "interval_solves": cub.interval_solves,
+            "interval_costs": list(cub.interval_costs),
+            "interval_weight_range": [list(r) for r in cub.interval_weight_range],
         },
     )
     print(f"cubature {cub.value:.6f} (n={cub.n_paths})  mc {mc.value:.6f} (n={mc.n_paths})")

@@ -1,13 +1,14 @@
 """Cubature and Monte Carlo estimators of expected path functionals.
 
-The cubature estimator walks the prefix trie of the surviving tree leaves:
-each distinct index-vector prefix of length i has interval i solved once, as
-a controlled ODE started from its parent prefix's end state, and each leaf's
-whole trajectory is gathered from its ancestors' solves before the functional
-sees it.  It returns the weighted sum of functional values; the Monte Carlo
-estimator averages the functional over seeded Euler-Maruyama paths.  The
-convergence experiment sweeps both against an oracle and fits log-log error
-slopes.
+A path functional is a running cost integrated over time plus a terminal
+cost.  The cubature estimator walks the tree level by level: level i holds
+the children (p, j) of the prefixes the weight table keeps at knot i-1,
+each solved over interval i from p's end state, and its running cost over
+the interval is weighted by p's table weight times formula weight j.
+Recombination keeps moments at the knots only, so no whole leaf path is
+ever weighted.  The Monte Carlo estimator averages whole-path values over
+seeded Euler-Maruyama paths.  The convergence experiment sweeps both
+against an oracle and fits log-log error slopes.
 """
 
 from __future__ import annotations
@@ -15,114 +16,151 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteState, OracleUnavailable
+from .errors import IndexOutOfRange, InvalidParameter, NonFiniteState, OracleUnavailable
 from .fields import FieldSpec
 from .formulas import CubatureFormula
 from .ode import solve_controlled_ode_batch, solve_sde_mc_batch
-from .partition import TimePartition, enumerate_leaves, leaf_derivatives
+from .partition import TimePartition, enumerate_leaves, interval_slopes
 from .recombination import WeightTable
 
 
 @dataclass(frozen=True)
 class PathFunctional:
-    """A real functional of trajectories.
+    """A running cost c(t, x) integrated over [0, T] plus a terminal cost h(x_T).
 
-    ``evaluate_batch(times, values)`` consumes augmented states of shape
-    (B, n, d_x+1) and returns (B,); time integrals use the composite
-    trapezoid rule on the trajectory grid.
+    ``running(times, states)`` maps augmented states (B, n, d_x+1) on the
+    grid ``times`` (n,) to cost rates (B, n); ``terminal(states)`` maps
+    augmented end states (B, d_x+1) to (B,).  Either may be omitted, not
+    both.  ``evaluate_batch(times, states)``, the whole-path value (B,) that
+    Monte Carlo uses, is the trapezoid rule of c plus h at the last state,
+    unless a callable is passed in its place.
     """
 
     name: str
-    evaluate_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    running: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    terminal: Callable[[np.ndarray], np.ndarray] | None = None
+    evaluate_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.running is None and self.terminal is None:
+            raise InvalidParameter(f"functional {self.name!r} has no running or terminal cost")
+        if self.evaluate_batch is None:
+            object.__setattr__(self, "evaluate_batch", self._whole_path)
+
+    def running_integral(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """Trapezoid rule of the running cost over ``times``, shape (B,)."""
+        if self.running is None:
+            return np.zeros(states.shape[0])
+        return np.trapezoid(self.running(times, states), times, axis=1)
+
+    def _whole_path(self, times, states):
+        value = self.running_integral(times, states)
+        return value if self.terminal is None else value + self.terminal(states[:, -1])
 
 
 def sine_tracking_functional() -> PathFunctional:
     """Integral of the squared distance to sin(2*pi*t) on [0, 1].
 
-    Acts on the first spatial component; trapezoid rule on the given grid.
+    Acts on the first spatial component.
     """
 
-    def evaluate_batch(times, values):
+    def running(times, values):
         residual = values[:, :, 1] - np.sin(2.0 * math.pi * times)[None, :]
-        return np.trapezoid(residual * residual, times, axis=1)
+        return residual * residual
 
-    return PathFunctional(name="sine_tracking", evaluate_batch=evaluate_batch)
+    return PathFunctional(name="sine_tracking", running=running)
 
 
 def terminal_functional(component: int = 0) -> PathFunctional:
     """Value of one spatial component at the final time (linear functional)."""
 
-    def evaluate_batch(times, values):
-        return values[:, -1, 1 + component]
+    def terminal(values):
+        return values[:, 1 + component]
 
-    return PathFunctional(name=f"terminal_x{component}", evaluate_batch=evaluate_batch)
+    return PathFunctional(name=f"terminal_x{component}", terminal=terminal)
 
 
 @dataclass(frozen=True)
 class EstimateReport:
     """A single estimate with its path count and wall time.
 
-    ``interval_solves`` counts the trie nodes the cubature estimator solved,
-    one controlled ODE over one interval each; Monte Carlo reports 0.
+    ``interval_solves`` counts the rows the cubature estimator solved, one
+    controlled ODE over one interval each; Monte Carlo reports 0.
+    ``interval_costs[i-1]`` is interval i's weighted share of the cubature
+    value (the last one includes the terminal cost), and
+    ``interval_weight_range[i-1]`` the smallest and largest row weight of
+    level i; Monte Carlo reports both empty.
     """
 
     value: float
     n_paths: int
     seconds: float
     interval_solves: int = 0
+    interval_costs: tuple[float, ...] = ()
+    interval_weight_range: tuple[tuple[float, float], ...] = ()
 
 
-def _solve_over_trie(fields, formula, partition, ivs, x0_aug, steps_per_segment):
-    """Trajectories of the leaves ``ivs``, each shared prefix solved once.
+def _raw_levels(formula: CubatureFormula, partition: TimePartition):
+    """Row weights of the full tree's levels; every row is kept."""
+    # the leaves give the guard, the count and the last level's weights
+    leaves = np.array([w for _, w in enumerate_leaves(formula, partition)])
+    w = np.asarray(formula.weights)
+    weights, level = [], np.ones(1)
+    for _ in range(partition.k - 1):
+        level = np.multiply.outer(level, w).ravel()
+        weights.append(level)
+    return weights + [leaves], [None] * (partition.k - 1), leaves.size
 
-    Leaves sharing a length-i prefix share their path up to knot i, so
-    interval i is solved once per distinct length-i prefix (a trie node),
-    from the end state of its length-(i-1) parent.  Equal prefixes must be
-    adjacent to be shared, which sorted leaves guarantee.  Returns the step
-    grid, the augmented states (n_leaves, n_steps+1, d_x+1) bit for bit as
-    one whole-leaf solve gives them, and the number of trie nodes solved.
+
+def _table_levels(table: WeightTable, formula: CubatureFormula):
+    """Row weights of each level and the rows the table keeps at each knot.
+
+    Level i's rows are the q children of the prefixes in T_{i-1} (the
+    table's interval i-1), in prefix order; a row's weight is its parent's
+    T_{i-1} weight times its formula weight.  ``keeps[i-1]`` lists the
+    level-i rows of T_i's prefixes, ascending, which is prefix order.  Every
+    key of every interval is checked before any solve: its length, its
+    entries and its parent.
     """
-    seg_times, derivs = leaf_derivatives(formula, partition, ivs)
-    k = partition.k
-    idx = np.asarray(ivs, dtype=int)
-    n_seg = (seg_times.shape[0] - 1) // k
-    # first[r]: the first interval (0-based) where leaf r leaves leaf r-1's path
-    differs = idx[1:] != idx[:-1]
-    first = np.concatenate([[0], np.where(differs.any(axis=1), differs.argmax(axis=1), k)])
-    times = states = None
-    solved = 0
-    for i in range(k):
-        new = first <= i
-        starts = np.flatnonzero(new)
-        x_start = x0_aug if i == 0 else ends[node[starts]]
-        node = np.cumsum(new) - 1
-        lo, hi = i * n_seg, (i + 1) * n_seg
-        try:
-            level_times, level = solve_controlled_ode_batch(
-                fields, seg_times[lo : hi + 1], derivs[starts, lo:hi], x_start, steps_per_segment
-            )
-        except NonFiniteState as err:
-            seg = lo + err.segment
-            raise NonFiniteState(
-                f"state left the finite range in interval {i + 1} of {k}, segment {seg}",
-                segment=seg,
-            ) from err
-        m = level.shape[1] - 1
-        if states is None:
-            times = np.empty(k * m + 1)
-            states = np.empty((idx.shape[0], k * m + 1, level.shape[2]))
-            times[0] = level_times[0]
-            states[:, 0] = x0_aug
-        times[1 + i * m : 1 + (i + 1) * m] = level_times[1:]
-        states[:, 1 + i * m : 1 + (i + 1) * m] = level[node, 1:]
-        ends = level[:, -1]
-        solved += starts.size
-    return times, states, solved
+    k, q = table.k, formula.q
+    w = np.asarray(formula.weights)
+    parent_weights = np.ones(1)
+    weights, keeps, slot = [], [], []  # slot[l][row]: row's place in T_{l+1}, or -1
+    for i, interval in enumerate(table.intervals, 1):
+        prefixes = list(interval)
+        lengths = np.fromiter(map(len, prefixes), int, len(prefixes))
+
+        def reject(bad, why):
+            prefix = prefixes[int(np.argmax(bad))]
+            raise IndexOutOfRange(f"weight table interval {i} of {k}: prefix {prefix} {why}")
+
+        if (lengths != i).any():
+            reject(lengths != i, f"does not have {i} entries")
+        idx = np.fromiter(chain.from_iterable(prefixes), int, len(prefixes) * i)
+        idx = idx.reshape(len(prefixes), i) - 1
+        if ((idx < 0) | (idx >= q)).any():
+            reject(((idx < 0) | (idx >= q)).any(axis=1), f"has an entry outside 1..{q}")
+        # a prefix's level row is its parent's place in T_{i-1} times q plus j
+        row = idx[:, 0]
+        for level in range(i - 1):
+            place = slot[level][row]
+            if (place < 0).any():
+                reject(place < 0, f"extends no prefix of interval {i - 1}")
+            row = place * q + idx[:, level + 1]
+        order = np.argsort(row)
+        weights.append(np.multiply.outer(parent_weights, w).ravel())
+        keeps.append(row[order])
+        slot.append(np.full(weights[-1].size, -1))
+        slot[-1][keeps[-1]] = np.arange(len(prefixes))
+        parent_weights = np.fromiter(interval.values(), float, len(prefixes))[order]
+    return weights, keeps[:-1], table.n_leaves
 
 
 def cubature_estimate(
@@ -135,48 +173,77 @@ def cubature_estimate(
     steps_per_segment: int = 32,
     workers: int = 1,
 ) -> EstimateReport:
-    """Weighted functional sum over the cubature tree.
+    """Weighted sum of interval costs over the levels of the cubature tree.
 
-    With a weight table only surviving leaves are solved; without one the full
-    q**k tree is enumerated.  Either way the leaves are solved over their
-    prefix trie, each chunk of leaves on its own.  The reduction is a
-    compensated sum, so the result is independent of worker count.
+    With a weight table, level i solves the children of the table's
+    interval i-1; without one, the full q**i level.  Each level is one
+    batched solve per worker chunk of its rows, started from the parents'
+    end states.  The value is one compensated sum over every weighted row
+    cost, so it does not depend on the worker count.
     """
     start = time.perf_counter()
     if table is not None:
         table.check_inputs(formula, partition)
-        leaves = sorted(table.leaf_weights().items())
+        level_weights, keeps, n_paths = _table_levels(table, formula)
     else:
-        leaves = list(enumerate_leaves(formula, partition))
-    if not leaves:
+        level_weights, keeps, n_paths = _raw_levels(formula, partition)
+    if n_paths == 0:
         return EstimateReport(value=0.0, n_paths=0, seconds=time.perf_counter() - start)
+    k, q = partition.k, formula.q
+    seg_times, slopes = interval_slopes(formula, partition)
+    n_seg = slopes.shape[2]
     if x0 is None:
         x0 = np.zeros(fields.state_dim)
-    x0_aug = np.zeros(fields.state_dim + 1)
-    x0_aug[1:] = np.asarray(x0, dtype=float)
-    ivs = [iv for iv, _ in leaves]
-    weights = np.array([w for _, w in leaves])
+    ends = np.zeros((1, fields.state_dim + 1))
+    ends[0, 1:] = np.asarray(x0, dtype=float)
 
-    def solve_chunk(chunk_ivs):
-        times, states, solved = _solve_over_trie(
-            fields, formula, partition, chunk_ivs, x0_aug, steps_per_segment
-        )
-        return functional.evaluate_batch(times, states), solved
+    def solve_rows(i, x_start, derivs):
+        lo = i * n_seg
+        try:
+            times, states = solve_controlled_ode_batch(
+                fields, seg_times[lo : lo + n_seg + 1], derivs, x_start, steps_per_segment
+            )
+        except NonFiniteState as err:
+            seg = lo + err.segment
+            raise NonFiniteState(
+                f"state left the finite range in interval {i + 1} of {k}, segment {seg}",
+                segment=seg,
+            ) from err
+        return functional.running_integral(times, states), states[:, -1]
 
-    n = len(ivs)
-    if workers <= 1 or n < 2 * workers:
-        parts = [solve_chunk(ivs)]
-    else:
-        chunks = np.array_split(np.arange(n), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(solve_chunk, (ivs[c[0] : c[-1] + 1] for c in chunks)))
-    values = np.concatenate([v for v, _ in parts])
-    total = math.fsum(weights * values)
+    terms, interval_costs, weight_range = [], [], []
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for i, weights in enumerate(level_weights):
+            # rows are sorted by (parent, j): row r is child r % q of parent r // q
+            x_start = np.repeat(ends, q, axis=0)
+            derivs = np.tile(slopes[i], (ends.shape[0], 1, 1))
+            chunks = max(1, min(workers, weights.size))
+            bounds = np.linspace(0, weights.size, chunks + 1).astype(int)
+            parts = list(
+                run(
+                    lambda lo, hi: solve_rows(i, x_start[lo:hi], derivs[lo:hi]),
+                    bounds[:-1],
+                    bounds[1:],
+                )
+            )
+            level = weights * np.concatenate([c for c, _ in parts])
+            ends = np.concatenate([e for _, e in parts])
+            if i < k - 1:
+                if keeps[i] is not None:
+                    ends = ends[keeps[i]]
+            elif functional.terminal is not None:
+                level = np.concatenate([level, weights * functional.terminal(ends)])
+            terms.append(level.tolist())
+            interval_costs.append(math.fsum(terms[-1]))
+            weight_range.append((float(weights.min()), float(weights.max())))
     return EstimateReport(
-        value=total,
-        n_paths=n,
+        value=math.fsum(chain.from_iterable(terms)),
+        n_paths=n_paths,
         seconds=time.perf_counter() - start,
-        interval_solves=sum(solved for _, solved in parts),
+        interval_solves=sum(w.size for w in level_weights),
+        interval_costs=tuple(interval_costs),
+        interval_weight_range=tuple(weight_range),
     )
 
 

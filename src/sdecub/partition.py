@@ -4,13 +4,13 @@ The horizon [0, T] is divided by the power schedule
 ``t_i = T * (1 - (1 - i/k)**gamma)``; unit-interval formula paths are
 Brownian-scaled onto each subinterval (space by sqrt(s), time by s) and
 concatenated according to an index vector, one formula path per subinterval.
-The full tree has q**k leaves with product weights.  Solvers see a leaf only
-through :func:`leaf_derivatives`, its path's slope on each linear segment.
+The full tree has q**k leaves with product weights.  Solvers see tree paths
+only through :func:`interval_slopes`, each formula path's slope on each
+linear segment of each subinterval.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
@@ -56,16 +56,39 @@ def make_partition(T: float, k: int, gamma: float) -> TimePartition:
     return TimePartition(horizon=float(T), k=k, gamma=float(gamma), knots=knots)
 
 
+def interval_slopes(
+    formula: CubatureFormula, partition: TimePartition
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shared segment grid and every formula path's slopes on every subinterval.
+
+    Every tree path is linear between the returned grid times ``seg_times``
+    (S+1,), with S = k * n_seg and subinterval i covering
+    ``seg_times[i*n_seg : (i+1)*n_seg + 1]``.  ``slopes[i, j]`` (shape
+    (k, q, n_seg, d_b)) holds the Brownian slopes of formula path j on
+    subinterval i: its increments scaled by sqrt(s) over segments stretched
+    by s.  This is the one place tree paths are formed.
+    """
+    aligned = formula.aligned_paths()
+    unit = aligned[0].breakpoints
+    du = np.diff(unit)
+    lengths = partition.lengths
+    seg_times = partition.knots[:-1, None] + lengths[:, None] * unit[None, 1:]
+    seg_times[:, -1] = partition.knots[1:]
+    seg_times = np.concatenate([[0.0], seg_times.ravel()])
+    increments = np.array([np.diff(path.values[:, 1:], axis=0) for path in aligned])
+    scale = np.sqrt(lengths)[:, None, None, None] * du[None, None, :, None]
+    return seg_times, increments[None] / scale
+
+
 def leaf_derivatives(
     formula: CubatureFormula, partition: TimePartition, ivs: Sequence[IndexVector]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shared segment grid and per-leaf path slopes for a batch of tree leaves.
 
     ``ivs`` holds one index vector per leaf, each with one 1-based formula
-    path index per subinterval.  Every leaf path is linear between the
-    returned grid times ``seg_times`` (S+1,), so a solve needs only its
-    Brownian slopes ``derivs`` (n_leaves, S, d_b): formula path increments
-    scaled by sqrt(s) over segments stretched by s.
+    path index per subinterval.  Returns the grid of
+    :func:`interval_slopes` and each leaf's slopes ``derivs``
+    (n_leaves, S, d_b), gathered from that function's per-interval slopes.
     """
     k = partition.k
     for iv in ivs:
@@ -76,29 +99,25 @@ def leaf_derivatives(
     if bad.any():
         iv = tuple(ivs[int(np.argmax(bad.any(axis=1)))])
         raise IndexOutOfRange(f"index vector {iv} has an entry outside 1..{formula.q}")
-    aligned = formula.aligned_paths()
-    unit = aligned[0].breakpoints
-    du = np.diff(unit)
-    n_seg = du.shape[0]
-    lengths = partition.lengths
-    seg_times = partition.knots[:-1, None] + lengths[:, None] * unit[None, 1:]
-    seg_times[:, -1] = partition.knots[1:]
-    seg_times = np.concatenate([[0.0], seg_times.ravel()])
-    # slopes[i, j] is path j on subinterval i, shape (k, q, n_seg, d_b)
-    increments = np.array([np.diff(path.values[:, 1:], axis=0) for path in aligned])
-    scale = np.sqrt(lengths)[:, None, None, None] * du[None, None, :, None]
-    slopes = increments[None] / scale
-    derivs = slopes[np.arange(k)[None, :], idx].reshape(idx.shape[0], k * n_seg, formula.dim)
+    seg_times, slopes = interval_slopes(formula, partition)
+    n_segments = k * slopes.shape[2]
+    derivs = slopes[np.arange(k)[None, :], idx].reshape(idx.shape[0], n_segments, formula.dim)
     return seg_times, derivs
 
 
 def enumerate_leaves(
     formula: CubatureFormula, partition: TimePartition
 ) -> Iterator[tuple[IndexVector, float]]:
-    """Stream all q**k ``(iv, weight)`` leaves in lexicographic index order."""
+    """Stream all q**k ``(iv, weight)`` leaves in lexicographic index order.
+
+    Each weight is the product of its formula weights taken left to right,
+    bit for bit ``math.prod`` over the index vector.
+    """
     n = formula.q**partition.k
     if n > MAX_LEAVES:
         raise TreeTooLarge(f"{formula.q}**{partition.k} = {n} leaves exceeds 2**40")
-    weights = formula.weights
-    for iv in product(range(1, formula.q + 1), repeat=partition.k):
-        yield iv, math.prod(weights[j - 1] for j in iv)
+    w = np.asarray(formula.weights)
+    weights = np.ones(1)
+    for _ in range(partition.k):
+        weights = np.multiply.outer(weights, w).ravel()
+    yield from zip(product(range(1, formula.q + 1), repeat=partition.k), weights.tolist())

@@ -264,3 +264,45 @@ def test_criterion_8_training_parity_and_speedup():
         f"200 epochs at matched path counts; both arms drop >= 50% and the "
         f"cubature arm is faster in 1-d and 8-d, {elapsed:.0f}s",
     )
+
+
+def test_error_does_not_grow_with_tree_depth():
+    # recombination keeps moments at the knots only, so a biased estimator's
+    # error grows with k; thresholds fixed before the sweep was run
+    start = time.perf_counter()
+    formula = degree5_formula(1)
+    ks = range(6, 15)
+    tables = {
+        k: (partition, preprocess(formula, partition, TestBasis(1, 4), p_star=2))
+        for k in ks
+        for partition in [make_partition(1.0, k, 0.6)]
+    }
+    raw_partition = make_partition(1.0, 10, 0.6)
+    dynamics = [("brownian", 1.0)] + [("scaled_diffusion", s) for s in (0.3, 0.6, 0.9)]
+    worst_growth = worst_vs_raw = 0.0
+    for name, sigma in dynamics:
+        spec = make_field(name, sigma=sigma)
+        strat = spec.stratonovich()
+
+        def error(partition, table):
+            rep = cubature_estimate(
+                sine_tracking_functional(), strat, formula, partition, table,
+                x0=spec.x0, steps_per_segment=8,
+            )
+            return abs(rep.value - spec.sine_tracking_value)
+
+        errors = {k: error(*tables[k]) for k in ks}
+        raw = error(raw_partition, None)
+        growth = max(errors.values()) / errors[6]
+        vs_raw = errors[12] / raw
+        print(f"    {name} sigma={sigma}: err(6..14) {[f'{errors[k]:.1e}' for k in ks]}, "
+              f"raw k=10 {raw:.1e}")
+        worst_growth = max(worst_growth, growth)
+        worst_vs_raw = max(worst_vs_raw, vs_raw)
+    elapsed = time.perf_counter() - start
+    report(
+        "k-sweep error growth",
+        worst_growth <= 1.5 and worst_vs_raw <= 2.0,
+        f"max err(k)/err(6) = {worst_growth:.2f} over k=6..14, max err(12)/raw err(10) "
+        f"= {worst_vs_raw:.2f}, 4 dynamics, {elapsed:.1f}s",
+    )

@@ -1,6 +1,7 @@
 """CLI subcommands: exit codes, artifacts, manifests, reproducibility."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -93,8 +94,9 @@ class TestEstimateCommand:
         )
         assert code == EXIT_OK
         results = read_manifest(tmp_path)["results"]
-        # the same table as the command builds with its defaults; one solve
-        # per distinct leaf prefix
+        # the same table as the command builds with its defaults; it reduces
+        # nothing at k=4, so the q children of each kept prefix, one solve
+        # each, are exactly the distinct leaf prefixes
         table = preprocess(
             degree5_formula(1), make_partition(1.0, 4, 0.6), TestBasis(1, 4), p_star=2
         )
@@ -102,6 +104,11 @@ class TestEstimateCommand:
         prefixes = sum(len({iv[:i] for iv in leaves}) for i in range(1, 5))
         assert results["n_leaves"] == len(leaves)
         assert results["interval_solves"] == prefixes < 4 * len(leaves)
+        # each interval's weighted share of the estimate, beside its row weights
+        assert len(results["interval_costs"]) == len(results["interval_weight_range"]) == 4
+        assert math.fsum(results["interval_costs"]) == pytest.approx(
+            results["cubature"], rel=1e-14
+        )
 
     def test_zero_steps_per_segment_is_config_error(self, tmp_path, capsys):
         code = main(

@@ -14,6 +14,7 @@ from sdecub import (
     ManifestMismatch,
     NonFiniteState,
     OracleUnavailable,
+    PathFunctional,
     TestBasis,
     convergence_experiment,
     cubature_estimate,
@@ -26,6 +27,7 @@ from sdecub import (
     mc_estimate,
     preprocess,
     sine_tracking_functional,
+    terminal_functional,
 )
 from sdecub import estimator
 from sdecub.estimator import fit_slope, interp_loglog, plateau_cut
@@ -91,6 +93,63 @@ class TestCubatureEstimate:
                 sine_tracking_functional(), spec.stratonovich(), formula, part, table,
                 x0=spec.x0, steps_per_segment=8, workers=workers,
             )
+
+    @pytest.mark.parametrize(
+        "corrupt, prefix",
+        [
+            # an inner interval's key with an entry outside 1..q
+            (lambda intervals: intervals[1][0].__setitem__(0, [1, 4]), (1, 4)),
+            # a key whose parent is missing from the interval before it
+            (lambda intervals: intervals[1].pop(0), (1, 1, 1)),
+        ],
+        ids=["inner_entry", "orphan"],
+    )
+    def test_malformed_inner_interval_rejected(self, corrupt, prefix, monkeypatch):
+        # the walk reads only inner intervals' rows, so every key is checked
+        # before any solve
+        def no_solve(*args):
+            raise AssertionError("solved before the table was checked")
+
+        monkeypatch.setattr(estimator, "solve_controlled_ode_batch", no_solve)
+        spec = scaled_diffusion_field(0.6)
+        formula = degree5_formula(1)
+        part = make_partition(1.0, 4, 0.6)
+        doc = json.loads(preprocess(formula, part, TestBasis(1, 4), p_star=2).to_json())
+        corrupt(doc["intervals"])
+        table = WeightTable.from_json(json.dumps(doc))
+        with pytest.raises(IndexOutOfRange, match=re.escape(str(prefix))):
+            cubature_estimate(
+                sine_tracking_functional(), spec.stratonovich(), formula, part, table,
+                x0=spec.x0, steps_per_segment=8,
+            )
+
+    @pytest.mark.parametrize("recombined", [False, True])
+    def test_interval_costs_add_up_to_value(self, recombined):
+        spec = scaled_diffusion_field(0.6)
+        formula = degree5_formula(1)
+        part = make_partition(1.0, 7, 0.6)
+        table = preprocess(formula, part, TestBasis(1, 4), p_star=2) if recombined else None
+        sine = sine_tracking_functional()
+        both = PathFunctional("sine_plus_x", running=sine.running, terminal=lambda x: x[:, 1])
+        reports = [
+            cubature_estimate(
+                f, spec.stratonovich(), formula, part, table, x0=spec.x0, steps_per_segment=4
+            )
+            for f in (sine, both, terminal_functional())
+        ]
+        for rep in reports:
+            assert len(rep.interval_costs) == len(rep.interval_weight_range) == 7
+            assert math.fsum(rep.interval_costs) == pytest.approx(rep.value, rel=1e-14)
+        sine_rep, both_rep, term_rep = reports
+        # the terminal cost lands in the last interval only
+        assert both_rep.interval_costs[:-1] == sine_rep.interval_costs[:-1]
+        assert term_rep.interval_costs[:-1] == (0.0,) * 6
+        assert both_rep.value == pytest.approx(sine_rep.value + term_rep.value, rel=1e-14)
+        (lo, hi), w = sine_rep.interval_weight_range[0], formula.weights
+        assert (lo, hi) == (min(w), max(w))
+        if not recombined:
+            leaf_range = (math.prod([min(w)] * 7), math.prod([max(w)] * 7))
+            assert sine_rep.interval_weight_range[-1] == leaf_range
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_zero_steps_per_segment_rejected(self, workers):
@@ -165,6 +224,40 @@ def whole_leaf_estimate(functional, fields, formula, partition, table, x0, steps
     return math.fsum(np.array([w for _, w in leaves]) * values)
 
 
+def interval_by_interval_estimate(
+    functional, fields, formula, partition, table, x0, steps_per_segment
+):
+    """The estimate with each level's rows solved from t=0, weighted by the table.
+
+    Interval i's rows are the children (p, j) of the table's interval i-1 (the
+    root for i=1), weighted T_{i-1}[p] * w_j; each is solved from t=0 along
+    its prefix and charged the trapezoid of the running cost over interval i.
+    """
+    k, q = partition.k, formula.q
+    x0_aug = np.concatenate([[0.0], np.atleast_1d(x0)])
+    terms = []
+    parents = {(): 1.0}
+    for i in range(1, k + 1):
+        children = sorted(
+            (p + (j,), wp * formula.weights[j - 1])
+            for p, wp in parents.items()
+            for j in range(1, q + 1)
+        )
+        seg_times, derivs = leaf_derivatives(
+            formula, partition, [c + (1,) * (k - i) for c, _ in children]
+        )
+        n_seg = (seg_times.shape[0] - 1) // k
+        times, states = solve_controlled_ode_batch(
+            fields, seg_times[: i * n_seg + 1], derivs[:, : i * n_seg], x0_aug,
+            steps_per_segment,
+        )
+        lo = (i - 1) * n_seg * steps_per_segment
+        costs = np.trapezoid(functional.running(times[lo:], states[:, lo:]), times[lo:], axis=1)
+        terms += [w * c for (_, w), c in zip(children, costs)]
+        parents = table.intervals[i - 1]
+    return math.fsum(terms)
+
+
 def raw_degree5_k5():
     spec = scaled_diffusion_field(0.6)
     return spec, degree5_formula(1), make_partition(1.0, 5, 0.6), None
@@ -182,6 +275,8 @@ class TestTrieSolve:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", [raw_degree5_k5, ou_degree3_2d_table])
     def test_bitwise_equal_to_whole_leaf_solve(self, case, workers):
+        # a raw tree weights whole leaves exactly; a recombined table weights
+        # each interval by its previous level, checked against solves from t=0
         spec, formula, part, table = case()
         functional = sine_tracking_functional()
         fields = spec.stratonovich()
@@ -189,7 +284,9 @@ class TestTrieSolve:
             functional, fields, formula, part, table, x0=spec.x0, steps_per_segment=8,
             workers=workers,
         )
-        reference = whole_leaf_estimate(functional, fields, formula, part, table, spec.x0, 8)
+        reference = (whole_leaf_estimate if table is None else interval_by_interval_estimate)(
+            functional, fields, formula, part, table, spec.x0, 8
+        )
         assert rep.value == reference
 
     def test_each_trie_node_solved_once(self, monkeypatch):

@@ -16,7 +16,7 @@ from sdecub import (
     make_partition,
 )
 from sdecub import tape
-from sdecub.estimator import PathFunctional, cubature_estimate
+from sdecub.estimator import PathFunctional, cubature_estimate, terminal_functional
 from sdecub.fields import brownian_field, drift_only_field, scaled_diffusion_field
 from sdecub.ode import (
     forward_difference_jacobian,
@@ -203,7 +203,7 @@ class TestDegree3Exactness:
     def test_second_moment_of_brownian(self):
         # two leaves +-1 at T=1: sum lambda f(phi(1)) = 1 = E[B_1^2]
         spec = brownian_field(1.0)
-        sq = PathFunctional("terminal_sq", lambda t, v: v[:, -1, 1] ** 2)
+        sq = PathFunctional("terminal_sq", terminal=lambda x: x[:, 1] ** 2)
         rep = cubature_estimate(
             sq, spec.stratonovich(), degree3_formula(1), make_partition(1.0, 1, 1.0),
             None, x0=spec.x0,
@@ -213,7 +213,7 @@ class TestDegree3Exactness:
     def test_second_moment_k2_tree(self):
         # four-leaf tree: the weighted terminal second moment is still exact
         spec = brownian_field(1.0)
-        sq = PathFunctional("terminal_sq", lambda t, v: v[:, -1, 1] ** 2)
+        sq = PathFunctional("terminal_sq", terminal=lambda x: x[:, 1] ** 2)
         rep = cubature_estimate(
             sq, spec.stratonovich(), degree3_formula(1), make_partition(1.0, 2, 1.0),
             None, x0=spec.x0,
@@ -224,7 +224,7 @@ class TestDegree3Exactness:
     def test_linear_functional_exact_for_linear_fields(self):
         # dX = -0.5 X dt + 0.3 dB: E X_T = e^{-0.5 T} x0, met to solver error
         spec = make_field("ou", rate=0.5, mean=0.0, sigma=0.3, x0=1.0)
-        term = PathFunctional("terminal", lambda t, v: v[:, -1, 1])
+        term = terminal_functional()
         rep = cubature_estimate(
             term, spec.stratonovich(), degree3_formula(1), make_partition(1.0, 2, 1.0),
             None, x0=spec.x0, steps_per_segment=64,

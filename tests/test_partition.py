@@ -1,6 +1,7 @@
 """Time partitions, leaf paths (scaling and concatenation), leaf enumeration."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -189,6 +190,15 @@ class TestEnumerateLeaves:
         f = degree3_formula(1)
         ivs = [iv for iv, _ in enumerate_leaves(f, make_partition(1.0, 3, 1.0))]
         assert ivs == sorted(ivs)
+
+    @pytest.mark.parametrize("formula", [degree3_formula(1), degree5_formula(1)])
+    def test_weights_bitwise_left_to_right_products(self, formula):
+        for k in range(1, 7):
+            reference = [
+                (iv, math.prod(formula.weights[j - 1] for j in iv))
+                for iv in product(range(1, formula.q + 1), repeat=k)
+            ]
+            assert list(enumerate_leaves(formula, make_partition(1.0, k, 1.0))) == reference
 
     def test_tree_guard(self):
         f = degree3_formula(4)  # q = 8
