@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidParameter, NonFiniteState, OracleUnavailable
+from .errors import InvalidParameter, NonFiniteState, OracleUnavailable
 from .fields import FieldSpec
 from .formulas import CubatureFormula
 from .ode import solve_controlled_ode_batch, solve_sde_mc_batch
@@ -122,45 +122,15 @@ def _raw_levels(formula: CubatureFormula, partition: TimePartition):
 def _table_levels(table: WeightTable, formula: CubatureFormula):
     """Row weights of each level and the rows the table keeps at each knot.
 
-    Level i's rows are the q children of the prefixes in T_{i-1} (the
-    table's interval i-1), in prefix order; a row's weight is its parent's
-    T_{i-1} weight times its formula weight.  ``keeps[i-1]`` lists the
-    level-i rows of T_i's prefixes, ascending, which is prefix order.  Every
-    key of every interval is checked before any solve: its length, its
-    entries and its parent.
+    Level i's rows are the q children of each row of T_{i-1} (the table's
+    interval i-1) in order, weighted by the parent's weight times w_j, and
+    T_i's rows are its rows ``parent * q + j``.  Keys were checked on load.
     """
-    k, q = table.k, formula.q
     w = np.asarray(formula.weights)
-    parent_weights = np.ones(1)
-    weights, keeps, slot = [], [], []  # slot[l][row]: row's place in T_{l+1}, or -1
-    for i, interval in enumerate(table.intervals, 1):
-        prefixes = list(interval)
-        lengths = np.fromiter(map(len, prefixes), int, len(prefixes))
-
-        def reject(bad, why):
-            prefix = prefixes[int(np.argmax(bad))]
-            raise IndexOutOfRange(f"weight table interval {i} of {k}: prefix {prefix} {why}")
-
-        if (lengths != i).any():
-            reject(lengths != i, f"does not have {i} entries")
-        idx = np.fromiter(chain.from_iterable(prefixes), int, len(prefixes) * i)
-        idx = idx.reshape(len(prefixes), i) - 1
-        if ((idx < 0) | (idx >= q)).any():
-            reject(((idx < 0) | (idx >= q)).any(axis=1), f"has an entry outside 1..{q}")
-        # a prefix's level row is its parent's place in T_{i-1} times q plus j
-        row = idx[:, 0]
-        for level in range(i - 1):
-            place = slot[level][row]
-            if (place < 0).any():
-                reject(place < 0, f"extends no prefix of interval {i - 1}")
-            row = place * q + idx[:, level + 1]
-        order = np.argsort(row)
-        weights.append(np.multiply.outer(parent_weights, w).ravel())
-        keeps.append(row[order])
-        slot.append(np.full(weights[-1].size, -1))
-        slot[-1][keeps[-1]] = np.arange(len(prefixes))
-        parent_weights = np.fromiter(interval.values(), float, len(prefixes))[order]
-    return weights, keeps[:-1], table.n_leaves
+    parents = [np.ones(1)] + [level.weight for level in table.levels[:-1]]
+    weights = [np.multiply.outer(p, w).ravel() for p in parents]
+    keeps = [level.parent * formula.q + level.j for level in table.levels[:-1]]
+    return weights, keeps, table.n_leaves
 
 
 def cubature_estimate(

@@ -85,10 +85,10 @@ def leaf_derivatives(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shared segment grid and per-leaf path slopes for a batch of tree leaves.
 
-    ``ivs`` holds one index vector per leaf, each with one 1-based formula
-    path index per subinterval.  Returns the grid of
-    :func:`interval_slopes` and each leaf's slopes ``derivs``
-    (n_leaves, S, d_b), gathered from that function's per-interval slopes.
+    ``ivs`` holds one index vector per leaf (a sequence or an (n_leaves, k)
+    array), each with one 1-based formula path index per subinterval.
+    Returns the grid of :func:`interval_slopes` and each leaf's slopes
+    ``derivs`` (n_leaves, S, d_b), gathered from its per-interval slopes.
     """
     k = partition.k
     for iv in ivs:
@@ -97,7 +97,7 @@ def leaf_derivatives(
     idx = np.asarray(ivs, dtype=int).reshape(len(ivs), k) - 1
     bad = (idx < 0) | (idx >= formula.q)
     if bad.any():
-        iv = tuple(ivs[int(np.argmax(bad.any(axis=1)))])
+        iv = tuple((idx[int(np.argmax(bad.any(axis=1)))] + 1).tolist())
         raise IndexOutOfRange(f"index vector {iv} has an entry outside 1..{formula.q}")
     seg_times, slopes = interval_slopes(formula, partition)
     n_segments = k * slopes.shape[2]

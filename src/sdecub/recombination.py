@@ -16,11 +16,13 @@ matrix bitwise the factors of a call on it alone, so the result is bitwise
 that of reducing ball by ball.  :func:`recombine` is the one-ball case.
 
 The pre-processing loop alternates tree propagation steps with this
-compression and ends with a sparse per-interval weight table; surviving
-support points are traced back to tree prefixes by provenance tracking, never
-by coordinate comparison.  After each recombination it checks that mass and
-moments were kept.  Nothing in this module touches vector fields, so a table
-can be reused for any dynamics sharing the driving dimension.
+compression and ends with a sparse per-interval weight table.  Tree nodes are
+tracked through merging and reduction as per-node arrays (:class:`Provenance`,
+never by coordinate comparison), and the survivors at each knot are read off
+as one level of parent rows, path indices and weights (:class:`Level`).
+After each recombination it checks that mass and moments were kept.  Nothing
+in this module touches vector fields, so a table can be reused for any
+dynamics sharing the driving dimension.
 """
 
 from __future__ import annotations
@@ -30,10 +32,12 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    IndexOutOfRange,
     InvalidParameter,
     ManifestMismatch,
     MatchFailure,
@@ -41,27 +45,51 @@ from .errors import (
     RecombinationDefect,
 )
 from .formulas import CubatureFormula, dumps_17g
-from .partition import IndexVector, TimePartition
+from .partition import TimePartition
 
-Prefix = tuple[int, ...]
+
+class Provenance(NamedTuple):
+    """The tree nodes on a measure's points: id, point row and weight share.
+
+    Node ``p * q + j`` is child j (0-based) of entry p of the provenance it was
+    propagated from.  Each node sits on one point; entries stay in node order.
+    """
+
+    node: np.ndarray
+    point: np.ndarray
+    share: np.ndarray
+
+    def moved(self, place: np.ndarray, factor: np.ndarray | None = None) -> "Provenance":
+        """Nodes moved to points ``place[point]`` (dropped at -1), shares times ``factor``."""
+        row = place[self.point]
+        held = row >= 0
+        share = self.share[held] if factor is None else self.share[held] * factor[row[held]]
+        return Provenance(self.node[held], row[held], share)
+
+
+def _first_seen_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's group of bitwise-equal rows (first-seen order), each group's first row."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse], np.sort(first)
 
 
 @dataclass
 class DiscreteMeasure:
-    """Weighted point cloud in R^D, optionally carrying tree-prefix provenance.
+    """Weighted point cloud in R^D, optionally carrying tree-node provenance.
 
-    ``provenance[i]`` lists ``(prefix, share)`` pairs: the index-vector
-    prefixes whose tree positions landed on ``points[i]`` and the portion of
-    the point's weight each carries.  Shares sum to the point weight; when a
-    reduction rescales a point, its shares rescale proportionally, so the
-    read-off weights reproduce raw product weights exactly wherever no
-    reduction occurred.  Weights are nonnegative; zero-weight points are
-    removed by :meth:`canonicalize`.
+    ``provenance`` (see :class:`Provenance`) records which tree nodes landed
+    on each point and the share of the point's weight each carries.  Shares
+    sum to the point weight; when a reduction rescales a point, its shares
+    rescale proportionally, so the read-off weights reproduce raw product
+    weights exactly wherever no reduction occurred.  Weights are
+    nonnegative; zero-weight points are removed by :meth:`canonicalize`.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    provenance: tuple[tuple[tuple[Prefix, float], ...], ...] | None = None
+    provenance: Provenance | None = None
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -70,8 +98,6 @@ class DiscreteMeasure:
             raise InvalidParameter("points and weights disagree in length")
         if np.any(self.weights < 0):
             raise InvalidParameter("weights must be nonnegative")
-        if self.provenance is not None and len(self.provenance) != len(self.weights):
-            raise InvalidParameter("provenance and weights disagree in length")
 
     @property
     def size(self) -> int:
@@ -85,55 +111,29 @@ class DiscreteMeasure:
         return float(math.fsum(self.weights))
 
     def canonicalize(self) -> "DiscreteMeasure":
-        """Merge bitwise-identical points (summing weights, concatenating
-        provenance shares) and drop zero-weight points.  First-seen order."""
-        slots: dict[bytes, int] = {}
-        pts: list[np.ndarray] = []
-        wts: list[float] = []
-        prov: list[list] | None = [] if self.provenance is not None else None
-        for i in range(self.size):
-            key = self.points[i].tobytes()
-            if key in slots:
-                j = slots[key]
-                wts[j] += self.weights[i]
-                if prov is not None:
-                    prov[j].extend(self.provenance[i])
-            else:
-                slots[key] = len(pts)
-                pts.append(self.points[i])
-                wts.append(float(self.weights[i]))
-                if prov is not None:
-                    prov.append(list(self.provenance[i]))
-        keep = [j for j, w in enumerate(wts) if w > 0.0]
-        points = np.array([pts[j] for j in keep]) if keep else np.zeros((0, self.dim))
-        weights = np.array([wts[j] for j in keep])
-        provenance = None
-        if prov is not None:
-            provenance = tuple(tuple(sorted(prov[j])) for j in keep)
-        return DiscreteMeasure(points, weights, provenance)
-
-    def subset(self, indices) -> "DiscreteMeasure":
-        indices = np.asarray(indices, dtype=int)
-        prov = None
-        if self.provenance is not None:
-            prov = tuple(self.provenance[i] for i in indices)
-        return DiscreteMeasure(self.points[indices], self.weights[indices], prov)
+        """Merge bitwise-identical points, summing weights in input order and
+        keeping their nodes, and drop zero-weight points.  First-seen order."""
+        group, first = _first_seen_groups(self.points)
+        weights = np.zeros(first.size)
+        np.add.at(weights, group, self.weights)
+        keep = weights > 0.0
+        provenance = self.provenance
+        if provenance is not None:
+            provenance = provenance.moved(np.where(keep, np.cumsum(keep) - 1, -1)[group])
+        return DiscreteMeasure(self.points[first[keep]], weights[keep], provenance)
 
     def reweighted(self, indices, new_weights) -> "DiscreteMeasure":
         """Subset with new weights; provenance shares rescale proportionally."""
         indices = np.asarray(indices, dtype=int)
         new_weights = np.asarray(new_weights, dtype=float)
-        prov = None
-        if self.provenance is not None:
-            scaled = []
-            for i, w_new in zip(indices, new_weights):
-                w_old = self.weights[i]
-                factor = w_new / w_old if w_old > 0 else 0.0
-                scaled.append(
-                    tuple((prefix, share * factor) for prefix, share in self.provenance[i])
-                )
-            prov = tuple(scaled)
-        return DiscreteMeasure(self.points[indices], new_weights, prov)
+        provenance = self.provenance
+        if provenance is not None:
+            old = self.weights[indices]
+            factor = np.divide(new_weights, old, out=np.zeros_like(new_weights), where=old > 0)
+            place = np.full(self.size, -1)
+            place[indices] = np.arange(indices.size)
+            provenance = provenance.moved(place, factor)
+        return DiscreteMeasure(self.points[indices], new_weights, provenance)
 
 
 @dataclass(frozen=True)
@@ -208,20 +208,11 @@ def localize(measure: DiscreteMeasure, radius: float) -> Localization:
         return Localization(balls=(), radius=radius)
     width = 2.0 * radius / math.sqrt(measure.dim)
     keys = np.floor(measure.points / width).astype(np.int64)
-    cells: dict[bytes, list[int]] = {}
-    order: list[bytes] = []
-    for i in range(measure.size):
-        key = keys[i].tobytes()
-        if key not in cells:
-            cells[key] = []
-            order.append(key)
-        cells[key].append(i)
-    balls = []
-    for key in order:
-        idx = np.array(cells[key], dtype=int)
-        center = (keys[idx[0]] + 0.5) * width
-        balls.append(Ball(center=center, indices=idx))
-    return Localization(balls=tuple(balls), radius=radius)
+    cell, first = _first_seen_groups(keys)
+    members = np.split(np.argsort(cell, kind="stable"), np.cumsum(np.bincount(cell))[:-1])
+    centers = (keys[first] + 0.5) * width
+    balls = tuple(Ball(center=c, indices=m) for c, m in zip(centers, members))
+    return Localization(balls=balls, radius=radius)
 
 
 def singleton_localization(measure: DiscreteMeasure) -> Localization:
@@ -462,7 +453,9 @@ def klv_step(measure: DiscreteMeasure, formula: CubatureFormula, s: float) -> Di
 
     Every point x spawns q children ``x + sqrt(s) * omega_j(1)`` (Brownian
     components) with weight multiplied by the formula weight.  Children are
-    returned unmerged; colliding points merge in :meth:`canonicalize`.
+    returned unmerged; colliding points merge in :meth:`canonicalize`.  Each
+    provenance entry e gets q child nodes: ``e * q + j`` on point
+    ``row * q + j``, share times w_j.
     """
     if s <= 0:
         raise InvalidParameter(f"subinterval length must be positive, got {s}")
@@ -473,48 +466,59 @@ def klv_step(measure: DiscreteMeasure, formula: CubatureFormula, s: float) -> Di
     offsets = math.sqrt(s) * formula.brownian_endpoints()
     q = formula.q
     n = measure.size
+    w = np.asarray(formula.weights)
     points = (measure.points[:, None, :] + offsets[None, :, :]).reshape(n * q, measure.dim)
-    weights = (measure.weights[:, None] * np.asarray(formula.weights)[None, :]).reshape(n * q)
-    prov = None
-    if measure.provenance is not None:
-        prov = tuple(
-            tuple(
-                (prefix + (j + 1,), share * formula.weights[j])
-                for prefix, share in measure.provenance[i]
-            )
-            for i in range(n)
-            for j in range(q)
+    weights = (measure.weights[:, None] * w[None, :]).reshape(n * q)
+    provenance = measure.provenance
+    if provenance is not None:
+        child = np.tile(np.arange(q), provenance.node.size)
+        provenance = Provenance(
+            np.arange(child.size),
+            np.repeat(provenance.point * q, q) + child,
+            np.repeat(provenance.share, q) * w[child],
         )
-    return DiscreteMeasure(points, weights, prov)
+    return DiscreteMeasure(points, weights, provenance)
+
+
+class Level(NamedTuple):
+    """One level of the kept tree, rows sorted by (parent, j), which is prefix order.
+
+    Row r is child ``j[r]`` (0-based formula path) of row ``parent[r]`` of the
+    level before (the root for level 1), with weight ``weight[r]``.
+    """
+
+    parent: np.ndarray
+    j: np.ndarray
+    weight: np.ndarray
 
 
 @dataclass(frozen=True)
 class WeightTable:
     """Sparse per-interval weights produced by pre-processing.
 
-    ``intervals[i-1]`` maps each surviving length-i prefix to its weight; the
-    last interval's map is the set of leaves whose controlled ODEs must be
-    solved.  A merged support point's weight is distributed over its prefixes
-    in proportion to the mass each contributed, which preserves mass and
-    recovers the raw product weights exactly wherever no reduction occurred.
-    ``moment_defects[i-1]`` is the relative mass and moment defect that
-    recombination left at interval i (see :func:`moment_defect`), ``None``
-    where the interval was not reduced.
+    ``levels[i-1]`` holds each surviving length-i prefix and its weight; the
+    last level's rows are the leaves.  A merged support point's weight is
+    distributed over its prefixes in proportion to the mass each contributed,
+    which preserves mass and recovers the raw product weights exactly
+    wherever no reduction occurred.  ``moment_defects[i-1]`` is the relative
+    mass and moment defect that recombination left at interval i (see
+    :func:`moment_defect`), ``None`` where the interval was not reduced.
+
+    JSON lists each interval's ``[prefix, weight]`` pairs in prefix order,
+    1-based; :meth:`from_json` checks every prefix.
     """
 
     k: int
-    intervals: tuple[dict[IndexVector, float], ...]
+    levels: tuple[Level, ...]
     survivor_counts: tuple[int, ...]
     radii: tuple[float | None, ...]
     moment_defects: tuple[float | None, ...]
     seconds: float
     manifest: dict
 
-    def leaf_weights(self) -> dict[IndexVector, float]:
-        return self.intervals[-1]
-
     def check_inputs(self, formula: CubatureFormula, partition: TimePartition) -> None:
-        """Raise ``ManifestMismatch`` unless the table was built for these inputs."""
+        """Raise ``ManifestMismatch`` unless the table was built for these inputs,
+        and ``IndexOutOfRange`` if interval 1, which bounds every entry, exceeds q."""
         manifest = self.manifest
         if manifest.get("formula_hash") != formula.formula_hash():
             raise ManifestMismatch("weight table was built from a different formula")
@@ -522,14 +526,26 @@ class WeightTable:
             raise ManifestMismatch("weight table was built from a different partition")
         if manifest.get("gamma") != partition.gamma:
             raise ManifestMismatch("weight table was built with a different gamma")
+        if self.levels and self.levels[0].j.size > formula.q:
+            n = self.levels[0].j.size
+            raise IndexOutOfRange(f"weight table interval 1 holds {n} prefixes, q is {formula.q}")
 
     @property
     def n_leaves(self) -> int:
-        return len(self.intervals[-1])
+        return self.levels[-1].weight.size
 
     def interval_mass(self, i: int) -> float:
         """Total weight at interval i (1-based)."""
-        return float(math.fsum(self.intervals[i - 1].values()))
+        return float(math.fsum(self.levels[i - 1].weight))
+
+    def prefixes(self, i: int) -> np.ndarray:
+        """Interval i's prefixes (1-based), read back along the parents; (n_i, i)."""
+        row = np.arange(self.levels[i - 1].j.size)
+        out = np.empty((row.size, i), dtype=int)
+        for level in range(i - 1, -1, -1):
+            out[:, level] = self.levels[level].j[row] + 1
+            row = self.levels[level].parent[row]
+        return out
 
     def to_json(self) -> str:
         doc = {
@@ -540,8 +556,8 @@ class WeightTable:
             "radii": [r for r in self.radii],
             "moment_defects": list(self.moment_defects),
             "intervals": [
-                [[list(prefix), w] for prefix, w in sorted(table.items())]
-                for table in self.intervals
+                [list(pair) for pair in zip(self.prefixes(i).tolist(), level.weight.tolist())]
+                for i, level in enumerate(self.levels, 1)
             ],
         }
         return dumps_17g(doc)
@@ -549,13 +565,9 @@ class WeightTable:
     @staticmethod
     def from_json(text: str) -> "WeightTable":
         doc = json.loads(text)
-        intervals = tuple(
-            {tuple(int(j) for j in prefix): float(w) for prefix, w in entries}
-            for entries in doc["intervals"]
-        )
         return WeightTable(
             k=int(doc["k"]),
-            intervals=intervals,
+            levels=_read_levels(doc["intervals"], int(doc["k"])),
             survivor_counts=tuple(int(c) for c in doc["survivor_counts"]),
             radii=tuple(None if r is None else float(r) for r in doc["radii"]),
             moment_defects=tuple(
@@ -564,6 +576,36 @@ class WeightTable:
             seconds=float(doc["seconds"]),
             manifest=doc["manifest"],
         )
+
+
+def _read_levels(intervals: list, k: int) -> tuple[Level, ...]:
+    """Levels from the JSON intervals, each sorted; the first bad prefix raises.
+
+    A prefix of interval i has i entries, each from 1 to the size of interval 1
+    (never reduced, so q, which ``check_inputs`` checks), extends a prefix of
+    interval i-1 and appears once; else ``IndexOutOfRange`` names it.
+    """
+    top = len(intervals[0]) if intervals else 0
+    levels, rows = [], {(): 0}  # rows: interval i-1's prefixes and their rows
+    for i, entries in enumerate(intervals, 1):
+        kept: dict[tuple[int, ...], float] = {}
+        for prefix, w in sorted((tuple(int(e) for e in p), float(w)) for p, w in entries):
+            if len(prefix) != i:
+                why = f"does not have {i} entries"
+            elif not all(1 <= e <= top for e in prefix):
+                why = f"has an entry outside 1..{top}"
+            elif prefix[:-1] not in rows:
+                why = f"extends no prefix of interval {i - 1}"
+            elif prefix in kept:
+                why = "appears twice"
+            else:
+                kept[prefix] = w
+                continue
+            raise IndexOutOfRange(f"weight table interval {i} of {k}: prefix {prefix} {why}")
+        parent, j = np.array([(rows[p[:-1]], p[-1] - 1) for p in kept], dtype=int).reshape(-1, 2).T
+        levels.append(Level(parent, j, np.array(list(kept.values()))))
+        rows = {prefix: row for row, prefix in enumerate(kept)}
+    return tuple(levels)
 
 
 MOMENT_DEFECT_TOL = 1e-10
@@ -624,10 +666,9 @@ def preprocess(
     radii_all = radius_schedule(partition, p_star)
     k = partition.k
     lengths = partition.lengths
-    measure = DiscreteMeasure(
-        np.zeros((1, formula.dim)), np.ones(1), provenance=((((), 1.0),),)
-    )
-    tables: list[dict[IndexVector, float]] = []
+    root = Provenance(np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1))
+    measure = DiscreteMeasure(np.zeros((1, formula.dim)), np.ones(1), root)
+    levels: list[Level] = []
     counts: list[int] = []
     radii: list[float | None] = []
     defects: list[float | None] = []
@@ -655,13 +696,11 @@ def preprocess(
         else:
             radii.append(None)
             defects.append(None)
-        table: dict[IndexVector, float] = {}
-        for point_prefixes, weight in zip(measure.provenance, measure.weights):
-            if not point_prefixes:
-                raise MatchFailure("surviving support point has no tree prefix")
-            for prefix, share in point_prefixes:
-                table[prefix] = table.get(prefix, 0.0) + share
-        tables.append(table)
+        # the surviving nodes, in order, are this level's rows
+        node, point, share = measure.provenance
+        if not np.bincount(point, minlength=measure.size).all():
+            raise MatchFailure("surviving support point has no tree prefix")
+        levels.append(Level(node // formula.q, node % formula.q, share))
         counts.append(measure.size)
     seconds = time.perf_counter() - start
     manifest = {
@@ -679,7 +718,7 @@ def preprocess(
     }
     return WeightTable(
         k=k,
-        intervals=tuple(tables),
+        levels=tuple(levels),
         survivor_counts=tuple(counts),
         radii=tuple(radii),
         moment_defects=tuple(defects),

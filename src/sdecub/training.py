@@ -191,11 +191,10 @@ def loss_and_gradient_cubature(
     weighted sum of per-leaf gradients by linearity of the tape.
     """
     table.check_inputs(formula, partition)
-    leaves_sorted = sorted(table.leaf_weights().items())
-    if not leaves_sorted:
+    if table.n_leaves == 0:
         return GradientReport(0.0, np.zeros(nets.n_params), 0, 0)
-    seg_times, derivs = leaf_derivatives(formula, partition, [iv for iv, _ in leaves_sorted])
-    weights = np.array([w for _, w in leaves_sorted])
+    seg_times, derivs = leaf_derivatives(formula, partition, table.prefixes(table.k))
+    weights = table.levels[-1].weight
     leaves = nets.wrap(theta)
 
     def rhs(t, z, g):

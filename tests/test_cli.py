@@ -100,7 +100,7 @@ class TestEstimateCommand:
         table = preprocess(
             degree5_formula(1), make_partition(1.0, 4, 0.6), TestBasis(1, 4), p_star=2
         )
-        leaves = table.leaf_weights()
+        leaves = [tuple(p) for p in table.prefixes(4).tolist()]
         prefixes = sum(len({iv[:i] for iv in leaves}) for i in range(1, 5))
         assert results["n_leaves"] == len(leaves)
         assert results["interval_solves"] == prefixes < 4 * len(leaves)

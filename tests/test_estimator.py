@@ -80,19 +80,16 @@ class TestCubatureEstimate:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("prefix", [(0, 1, 1, 1), (4, 1, 1, 1), (1, 1, 1)])
     def test_malformed_table_leaf_rejected(self, prefix, workers):
-        # a table read back from JSON is not re-validated on load; without the
-        # check, index 0 wraps to path q, index q+1 and a short prefix crash
-        spec = scaled_diffusion_field(0.6)
+        # a table enters from outside through from_json, which checks every
+        # key; without the check, index 0 wraps to path q, index q+1 and a
+        # short prefix crash.  The table is refused before any estimate, so
+        # no worker count reaches the walk.
         formula = degree5_formula(1)
         part = make_partition(1.0, 4, 0.6)
         doc = json.loads(preprocess(formula, part, TestBasis(1, 4), p_star=2).to_json())
         doc["intervals"][-1][0][0] = list(prefix)
-        table = WeightTable.from_json(json.dumps(doc))
         with pytest.raises(IndexOutOfRange, match=re.escape(str(prefix))):
-            cubature_estimate(
-                sine_tracking_functional(), spec.stratonovich(), formula, part, table,
-                x0=spec.x0, steps_per_segment=8, workers=workers,
-            )
+            WeightTable.from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
         "corrupt, prefix",
@@ -101,23 +98,31 @@ class TestCubatureEstimate:
             (lambda intervals: intervals[1][0].__setitem__(0, [1, 4]), (1, 4)),
             # a key whose parent is missing from the interval before it
             (lambda intervals: intervals[1].pop(0), (1, 1, 1)),
+            # a key listed twice
+            (lambda intervals: intervals[1].append(intervals[1][0]), (1, 1)),
         ],
-        ids=["inner_entry", "orphan"],
+        ids=["inner_entry", "orphan", "duplicate"],
     )
-    def test_malformed_inner_interval_rejected(self, corrupt, prefix, monkeypatch):
+    def test_malformed_inner_interval_rejected(self, corrupt, prefix):
         # the walk reads only inner intervals' rows, so every key is checked
-        # before any solve
-        def no_solve(*args):
-            raise AssertionError("solved before the table was checked")
-
-        monkeypatch.setattr(estimator, "solve_controlled_ode_batch", no_solve)
-        spec = scaled_diffusion_field(0.6)
+        # on load, interval by interval
         formula = degree5_formula(1)
         part = make_partition(1.0, 4, 0.6)
         doc = json.loads(preprocess(formula, part, TestBasis(1, 4), p_star=2).to_json())
         corrupt(doc["intervals"])
-        table = WeightTable.from_json(json.dumps(doc))
         with pytest.raises(IndexOutOfRange, match=re.escape(str(prefix))):
+            WeightTable.from_json(json.dumps(doc))
+
+    def test_interval_one_larger_than_q_rejected(self):
+        # entries are checked on load against interval 1's size, which
+        # check_inputs bounds by q
+        spec = scaled_diffusion_field(0.6)
+        formula = degree5_formula(1)
+        part = make_partition(1.0, 4, 0.6)
+        doc = json.loads(preprocess(formula, part, TestBasis(1, 4), p_star=2).to_json())
+        doc["intervals"][0].append([[4], 0.0])
+        table = WeightTable.from_json(json.dumps(doc))
+        with pytest.raises(IndexOutOfRange, match="interval 1 holds 4 prefixes"):
             cubature_estimate(
                 sine_tracking_functional(), spec.stratonovich(), formula, part, table,
                 x0=spec.x0, steps_per_segment=8,
@@ -216,7 +221,9 @@ def whole_leaf_estimate(functional, fields, formula, partition, table, x0, steps
     if table is None:
         leaves = list(enumerate_leaves(formula, partition))
     else:
-        leaves = sorted(table.leaf_weights().items())
+        leaves = list(
+            zip(map(tuple, table.prefixes(table.k).tolist()), table.levels[-1].weight.tolist())
+        )
     seg_times, derivs = leaf_derivatives(formula, partition, [iv for iv, _ in leaves])
     x0_aug = np.concatenate([[0.0], np.atleast_1d(x0)])
     times, states = solve_controlled_ode_batch(fields, seg_times, derivs, x0_aug, steps_per_segment)
@@ -254,7 +261,7 @@ def interval_by_interval_estimate(
         lo = (i - 1) * n_seg * steps_per_segment
         costs = np.trapezoid(functional.running(times[lo:], states[:, lo:]), times[lo:], axis=1)
         terms += [w * c for (_, w), c in zip(children, costs)]
-        parents = table.intervals[i - 1]
+        parents = dict(zip(map(tuple, table.prefixes(i).tolist()), table.levels[i - 1].weight))
     return math.fsum(terms)
 
 

@@ -158,6 +158,9 @@ class TestConcatPath:
             leaf_derivatives(f, part, [(1,)])
         with pytest.raises(IndexOutOfRange):
             leaf_derivatives(f, part, [(1, 2), (0, 1)])
+        # training passes an (n_leaves, k) array; the message names plain ints
+        with pytest.raises(IndexOutOfRange, match=r"\(0, 1\)"):
+            leaf_derivatives(f, part, np.array([[1, 2], [0, 1]]))
 
     def test_chen_composition_against_quadrature(self):
         f = degree5_formula(1)

@@ -1,5 +1,6 @@
 """Localization, reduction, recombination, and the pre-processing loop."""
 
+import json
 import math
 from pathlib import Path
 
@@ -24,14 +25,15 @@ from sdecub import (
     singleton_localization,
 )
 from sdecub import recombination
-from sdecub.recombination import RecombineStats, _reduce_batch
+from sdecub.formulas import dumps_17g
+from sdecub.recombination import Level, Provenance, RecombineStats, _reduce_batch
 
 
 def random_measure(rng, n, d, provenance=False):
     points = rng.normal(size=(n, d))
     weights = rng.uniform(0.1, 1.0, size=n)
     weights /= weights.sum()
-    prov = tuple((((i,), float(w)),) for i, w in enumerate(weights)) if provenance else None
+    prov = Provenance(np.arange(n), np.arange(n), weights.copy()) if provenance else None
     return DiscreteMeasure(points, weights, prov)
 
 
@@ -66,10 +68,10 @@ def serial_reduce_step(lifted, weights):
     return new_weights, keep
 
 
-def serial_recombine(measure, basis):
+def serial_recombine(pts, weights, basis):
+    """Indices of one ball's survivors and their weights."""
     target = basis.size + 1
-    pts = measure.points
-    wts = measure.weights.copy()
+    wts = weights.copy()
     idx = np.lexsort(pts.T[::-1])
     while idx.shape[0] > target:
         lifted = basis.evaluate(pts[idx])
@@ -119,25 +121,122 @@ def serial_recombine(measure, basis):
         if glocal.shape[0] > target:
             break
     idx = idx[wts[idx] > 0]
-    return measure.reweighted(idx, wts[idx])
+    return idx, wts[idx]
 
 
 def serial_rmp(measure, localization, basis):
     if measure.size == 0:
         return measure
-    pieces = [serial_recombine(measure.subset(b.indices), basis) for b in localization.balls]
-    prov = None
-    if measure.provenance is not None:
-        prov = tuple(pr for p in pieces for pr in p.provenance)
-    return DiscreteMeasure(
-        np.vstack([p.points for p in pieces]), np.concatenate([p.weights for p in pieces]), prov
+    balls = [b.indices for b in localization.balls]
+    picks = [serial_recombine(measure.points[b], measure.weights[b], basis) for b in balls]
+    return measure.reweighted(
+        np.concatenate([b[idx] for b, (idx, _) in zip(balls, picks)]),
+        np.concatenate([w for _, w in picks]),
     )
 
 
 def assert_measures_equal(out, ref):
     assert np.array_equal(out.points, ref.points)
     assert np.array_equal(out.weights, ref.weights)
-    assert out.provenance == ref.provenance
+    assert (out.provenance is None) == (ref.provenance is None)
+    if out.provenance is not None:
+        for got, want in zip(out.provenance, ref.provenance):
+            assert np.array_equal(got, want)
+
+
+def assert_levels_equal(got, want):
+    assert len(got.levels) == len(want.levels)
+    for got_level, want_level in zip(got.levels, want.levels):
+        for a, b in zip(got_level, want_level):
+            assert np.array_equal(a, b)
+
+
+# Tuple-provenance reference: every point carries its (prefix, share) pairs
+# through propagation, merging and reduction, and each interval's table is a
+# dict keyed by prefix.  The per-level arrays must give the same JSON.
+
+
+def tuple_klv_step(provenance, formula):
+    return tuple(
+        tuple((prefix + (j + 1,), share * formula.weights[j]) for prefix, share in point)
+        for point in provenance
+        for j in range(formula.q)
+    )
+
+
+def tuple_canonicalize(measure, provenance):
+    slots, pts, wts, prov = {}, [], [], []
+    for i in range(measure.size):
+        key = measure.points[i].tobytes()
+        if key in slots:
+            j = slots[key]
+            wts[j] += measure.weights[i]
+            prov[j].extend(provenance[i])
+        else:
+            slots[key] = len(pts)
+            pts.append(measure.points[i])
+            wts.append(float(measure.weights[i]))
+            prov.append(list(provenance[i]))
+    keep = [j for j, w in enumerate(wts) if w > 0.0]
+    points = np.array([pts[j] for j in keep]) if keep else np.zeros((0, measure.dim))
+    merged = DiscreteMeasure(points, np.array([wts[j] for j in keep]))
+    return merged, tuple(tuple(sorted(prov[j])) for j in keep)
+
+
+def tuple_reweighted(measure, provenance, indices, new_weights):
+    scaled = []
+    for i, w_new in zip(indices, new_weights):
+        w_old = measure.weights[i]
+        factor = w_new / w_old if w_old > 0 else 0.0
+        scaled.append(tuple((prefix, share * factor) for prefix, share in provenance[i]))
+    return DiscreteMeasure(measure.points[indices], new_weights), tuple(scaled)
+
+
+def tuple_provenance_json(formula, partition, basis, p_star, radius_mode, manifest, seconds):
+    k = partition.k
+    radii_all = recombination.radius_schedule(partition, p_star)
+    measure = DiscreteMeasure(np.zeros((1, formula.dim)), np.ones(1))
+    prov = ((((), 1.0),),)
+    tables, counts, radii, defects = [], [], [], []
+    for i in range(1, k + 1):
+        stepped = klv_step(measure, formula, partition.lengths[i - 1])
+        measure, prov = tuple_canonicalize(stepped, tuple_klv_step(prov, formula))
+        radius = defect = None
+        if 2 <= i <= k - 1:
+            if radius_mode == "schedule":
+                radius = float(radii_all[i - 1])
+                loc = localize(measure, radius)
+            else:
+                loc = singleton_localization(measure)
+            balls = [b.indices for b in loc.balls]
+            results = recombination._recombine_balls(
+                measure.points, measure.weights, basis.evaluate(measure.points), balls,
+                basis.size + 1,
+            )
+            reduced, prov = tuple_reweighted(
+                measure, prov,
+                np.concatenate([b[idx] for b, (idx, *_) in zip(balls, results)]),
+                np.concatenate([w for _, w, *_ in results]),
+            )
+            defect = recombination.moment_defect(measure, reduced, basis)
+            measure = reduced
+        radii.append(radius)
+        defects.append(defect)
+        table = {}
+        for point in prov:
+            for prefix, share in point:
+                table[prefix] = table.get(prefix, 0.0) + share
+        tables.append(table)
+        counts.append(measure.size)
+    return dumps_17g({
+        "manifest": manifest,
+        "k": k,
+        "seconds": seconds,
+        "survivor_counts": counts,
+        "radii": radii,
+        "moment_defects": defects,
+        "intervals": [[[list(p), w] for p, w in sorted(t.items())] for t in tables],
+    })
 
 
 class TestTestBasis:
@@ -359,13 +458,16 @@ class TestKlvStep:
         assert out.weights.tolist() == [0.25] * 4
 
     def test_merge_combines_provenance(self):
-        m = DiscreteMeasure(np.zeros((1, 1)), np.ones(1), provenance=((((), 1.0),),))
+        root = np.zeros(1, dtype=int)
+        m = DiscreteMeasure(np.zeros((1, 1)), np.ones(1), Provenance(root, root, np.ones(1)))
         out = klv_step(klv_step(m, degree3_formula(1), 1.0), degree3_formula(1), 1.0)
         merged = out.canonicalize()
         assert merged.size == 3
-        by_point = {p[0]: prov for p, prov in zip(merged.points, merged.provenance)}
-        assert {prefix for prefix, _ in by_point[0.0]} == {(1, 2), (2, 1)}
-        assert [share for _, share in by_point[0.0]] == [0.25, 0.25]
+        node, point, share = merged.provenance
+        on_zero = point == int(np.flatnonzero(merged.points[:, 0] == 0.0)[0])
+        # node p * q + j is child j of level-1 row p, which is path p
+        assert {(n // 2 + 1, n % 2 + 1) for n in node[on_zero]} == {(1, 2), (2, 1)}
+        assert share[on_zero].tolist() == [0.25, 0.25]
 
 
 class TestPreprocess:
@@ -373,9 +475,8 @@ class TestPreprocess:
         f = degree3_formula(1)
         part = make_partition(1.0, 2, 1.0)
         table = preprocess(f, part, TestBasis(1, 1))
-        assert table.leaf_weights() == {
-            (1, 1): 0.25, (1, 2): 0.25, (2, 1): 0.25, (2, 2): 0.25
-        }
+        leaves = zip(map(tuple, table.prefixes(2).tolist()), table.levels[-1].weight.tolist())
+        assert dict(leaves) == {(1, 1): 0.25, (1, 2): 0.25, (2, 1): 0.25, (2, 2): 0.25}
 
     def test_interval_masses_one(self):
         f = degree5_formula(1)
@@ -416,8 +517,16 @@ class TestPreprocess:
         back = WeightTable.from_json(table.to_json())
         assert back.k == table.k
         assert back.manifest == table.manifest
-        assert back.leaf_weights() == table.leaf_weights()
+        assert_levels_equal(back, table)
         assert back.moment_defects == table.moment_defects
+        assert back.to_json() == table.to_json()
+
+    def test_unsorted_interval_sorted_on_load(self):
+        table = preprocess(degree5_formula(1), make_partition(1.0, 4, 0.6), TestBasis(1, 4))
+        doc = json.loads(table.to_json())
+        for entries in doc["intervals"]:
+            entries.reverse()
+        assert WeightTable.from_json(json.dumps(doc)).to_json() == table.to_json()
 
     def test_moment_defects_recorded_for_reduced_intervals(self):
         table = preprocess(degree5_formula(1), make_partition(1.0, 6, 0.6), TestBasis(1, 4))
@@ -454,9 +563,31 @@ class TestPreprocess:
         table = preprocess(formula, part, basis, p_star=p_star)
         monkeypatch.setattr(recombination, "rmp", serial_rmp)
         ref = preprocess(formula, part, basis, p_star=p_star)
-        assert [list(t.items()) for t in table.intervals] == [
-            list(t.items()) for t in ref.intervals
-        ]
+        assert_levels_equal(table, ref)
         assert table.survivor_counts == ref.survivor_counts
         # recombination reduced something, so the comparison covers it
         assert table.n_leaves < formula.q**k
+
+    @pytest.mark.parametrize(
+        "formula, k, basis, p_star, radius_mode",
+        [
+            (degree5_formula(1), 8, TestBasis(1, 4), 2, "schedule"),
+            (degree5_formula(1), 12, TestBasis(1, 4), 2, "schedule"),
+            (degree3_formula(2), 5, TestBasis(2, 2), 1, "schedule"),
+            (degree3_formula(2), 5, TestBasis(2, 2), 2, "schedule"),
+            (degree3_formula(2), 8, TestBasis(2, 2), 1, "schedule"),
+            (degree3_formula(2), 8, TestBasis(2, 2), 2, "schedule"),
+            (degree5_formula(1), 6, TestBasis(1, 4), 2, "singleton"),
+        ],
+        ids=[
+            "deg5-d1-k8", "deg5-d1-k12", "deg3-d2-k5-p1", "deg3-d2-k5-p2",
+            "deg3-d2-k8-p1", "deg3-d2-k8-p2", "deg5-d1-k6-singleton",
+        ],
+    )
+    def test_json_equal_to_tuple_provenance(self, formula, k, basis, p_star, radius_mode):
+        part = make_partition(1.0, k, 0.6)
+        table = preprocess(formula, part, basis, p_star=p_star, radius_mode=radius_mode)
+        ref = tuple_provenance_json(
+            formula, part, basis, p_star, radius_mode, table.manifest, table.seconds
+        )
+        assert table.to_json() == ref

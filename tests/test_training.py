@@ -22,7 +22,7 @@ from sdecub import (
     train,
     variational_loss_terms,
 )
-from sdecub.recombination import WeightTable
+from sdecub.recombination import Level, WeightTable
 from sdecub.training import build_tree
 
 
@@ -123,7 +123,10 @@ class TestGradients:
         config, spec, formula, partition, table, nets, theta = small_setup()
         empty = WeightTable(
             k=table.k,
-            intervals=tuple({} for _ in table.intervals),
+            levels=tuple(
+                Level(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+                for _ in table.levels
+            ),
             survivor_counts=(0,) * table.k,
             radii=table.radii,
             moment_defects=table.moment_defects,
@@ -139,9 +142,7 @@ class TestGradients:
         config, spec, formula, partition, table, nets, theta = small_setup()
         doubled = WeightTable(
             k=table.k,
-            intervals=tuple(
-                {p: 2.0 * w for p, w in entries.items()} for entries in table.intervals
-            ),
+            levels=tuple(level._replace(weight=2.0 * level.weight) for level in table.levels),
             survivor_counts=table.survivor_counts,
             radii=table.radii,
             moment_defects=table.moment_defects,
@@ -168,9 +169,8 @@ class TestGradients:
         config, spec, formula, partition, table, nets, theta = small_setup()
         doc = json.loads(table.to_json())
         doc["intervals"][-1][0][0] = list(prefix)
-        bad = WeightTable.from_json(json.dumps(doc))
         with pytest.raises(IndexOutOfRange, match=re.escape(str(prefix))):
-            loss_and_gradient_cubature(nets, theta, bad, formula, partition, spec)
+            WeightTable.from_json(json.dumps(doc))
 
     def test_table_for_other_gamma_rejected(self):
         # the k=3 table is built at gamma 0.6; a gamma-1.0 partition moves the
