@@ -4,7 +4,9 @@ Three two-layer networks share one flat parameter vector: the generative
 drift, the variational drift, and a diagonal diffusion head (softplus plus a
 floor keeps it invertible).  A learned initial state completes the parameter
 set.  The evaluators exist once, on the tape: training differentiates
-through them, and reporting wraps plain arrays with ``tape.const``.
+through them, and reporting wraps plain arrays with ``tape.const``.  Each
+call, diffusion head included, records one fused :func:`sdecub.tape.mlp`
+node.
 """
 
 from __future__ import annotations
@@ -106,12 +108,16 @@ class NetworkFields:
                 grad[sl] = np.asarray(g).ravel()
         return grad
 
-    def _mlp(self, leaves: dict[str, Var], name: str, x: Var, t: float) -> Var:
-        inp = tape.with_time(x, t)
-        h = tape.tanh(
-            tape.add_row(tape.matmul(inp, leaves[f"{name}.hidden.w"]), leaves[f"{name}.hidden.b"])
+    def _mlp(self, leaves: dict[str, Var], name: str, x: Var, t: float, floor=None) -> Var:
+        return tape.mlp(
+            x,
+            leaves[f"{name}.hidden.w"],
+            leaves[f"{name}.hidden.b"],
+            leaves[f"{name}.out.w"],
+            leaves[f"{name}.out.b"],
+            t,
+            floor,
         )
-        return tape.add_row(tape.matmul(h, leaves[f"{name}.out.w"]), leaves[f"{name}.out.b"])
 
     def drift_prior(self, leaves, x: Var, t: float) -> Var:
         return self._mlp(leaves, "prior", x, t)
@@ -123,8 +129,7 @@ class NetworkFields:
         """Diagonal diffusion: softplus(head) + DIFFUSION_FLOOR, or exactly zero."""
         if self.zero_diffusion:
             return tape.const(np.zeros((x.value.shape[0], self.d_x)))
-        head = self._mlp(leaves, "diffusion", x, t)
-        return tape.cadd(tape.softplus(head), DIFFUSION_FLOOR)
+        return self._mlp(leaves, "diffusion", x, t, DIFFUSION_FLOOR)
 
     def initial_state(self, leaves, batch: int) -> Var:
         z0 = leaves["z0"]

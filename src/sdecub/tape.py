@@ -3,8 +3,12 @@
 Each operation records a node with its parents and a vector-Jacobian
 callback; :func:`backward` replays the recorded tape once.  Only the small
 operation set needed by the network fields and the fixed-step solvers is
-provided, all batched over the leading axis.  Tapes are plain object graphs,
-confined to the thread that built them.
+provided, all batched over the leading axis.  A whole network call is one
+node, :func:`mlp`, with one hand-written VJP into its input and its four
+weight tensors, so the tape grows by one node per call, not by one per
+layer operation.  A node keeps the arrays its VJP needs beyond node values
+in ``saved``, and :func:`tape_bytes` counts them.  Tapes are plain object
+graphs, confined to the thread that built them.
 """
 
 from __future__ import annotations
@@ -15,21 +19,23 @@ from .errors import NonFiniteGradient
 
 
 class Var:
-    """A tape node: value, parent nodes, and the VJP into those parents.
+    """A tape node: value, parent nodes, the VJP into those parents, and the
+    arrays other than node values that the VJP keeps (``saved``).
 
     ``+`` and ``*`` record :func:`add`/:func:`mul` against another node and
     :func:`cadd`/:func:`cmul` against a constant, so code written with
     operators runs unchanged on plain arrays and on the tape.
     """
 
-    __slots__ = ("value", "parents", "vjp", "grad")
+    __slots__ = ("value", "parents", "vjp", "saved", "grad")
     # numpy scalars and arrays defer to the reflected operators below
     __array_ufunc__ = None
 
-    def __init__(self, value, parents=(), vjp=None):
+    def __init__(self, value, parents=(), vjp=None, saved=()):
         self.value = value
         self.parents = parents
         self.vjp = vjp
+        self.saved = saved
         self.grad = None
 
     def __add__(self, other):
@@ -65,32 +71,41 @@ def cadd(a: Var, c) -> Var:
 
 def cmul(a: Var, c) -> Var:
     """Multiply by a constant array or scalar."""
-    return Var(a.value * c, (a,), lambda g: (g * c,))
+    saved = (c,) if isinstance(c, np.ndarray) else ()
+    return Var(a.value * c, (a,), lambda g: (g * c,), saved)
 
 
-def matmul(a: Var, b: Var) -> Var:
-    """(B, n) @ (n, m)."""
-    return Var(
-        a.value @ b.value,
-        (a, b),
-        lambda g: (g @ b.value.T, a.value.T @ g),
-    )
+def mlp(
+    x: Var, w1: Var, b1: Var, w2: Var, b2: Var, t: float, softplus_floor: float | None = None
+) -> Var:
+    """One call of a two-layer tanh network as one node.
 
+    The input is ``x`` (B, d) with the time ``t`` prepended as column 0; the
+    output is ``tanh([t, x] @ w1 + b1) @ w2 + b2``, or with a
+    ``softplus_floor`` that head passed through softplus plus the floor.
+    The node keeps the time-augmented input, the hidden activations and,
+    for the softplus head, its sigmoid.
+    """
+    inp = np.concatenate([np.full((x.value.shape[0], 1), t), x.value], axis=1)
+    h = np.tanh(inp @ w1.value + b1.value)
+    head = h @ w2.value + b2.value
+    if softplus_floor is None:
+        y, saved = head, (inp, h)
+    else:
+        soft = np.logaddexp(0.0, head)
+        y = soft + softplus_floor
+        # the sigmoid as exp(head - softplus(head)): 1 / (1 + exp(-head))
+        # overflows for heads below about -709
+        sig = np.exp(head - soft)
+        saved = (inp, h, sig)
 
-def add_row(a: Var, b: Var) -> Var:
-    """(B, n) + (n,) broadcast; the bias gradient sums over the batch."""
-    return Var(a.value + b.value, (a, b), lambda g: (g, g.sum(axis=0)))
+    def vjp(g):
+        if softplus_floor is not None:
+            g = g * sig
+        gh = (g @ w2.value.T) * (1.0 - h * h)
+        return (gh @ w1.value.T)[:, 1:], inp.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
 
-
-def tanh(a: Var) -> Var:
-    y = np.tanh(a.value)
-    return Var(y, (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def softplus(a: Var) -> Var:
-    y = np.logaddexp(0.0, a.value)
-    sig = 1.0 / (1.0 + np.exp(-a.value))
-    return Var(y, (a,), lambda g: (g * sig,))
+    return Var(y, (x, w1, b1, w2, b2), vjp, saved)
 
 
 def reciprocal(a: Var) -> Var:
@@ -100,16 +115,6 @@ def reciprocal(a: Var) -> Var:
 
 def square(a: Var) -> Var:
     return Var(a.value * a.value, (a,), lambda g: (2.0 * g * a.value,))
-
-
-def with_time(x: Var, t: float) -> Var:
-    """Prepend a constant time column: (B, d) -> (B, 1 + d)."""
-    col = np.full((x.value.shape[0], 1), t)
-    return Var(
-        np.concatenate([col, x.value], axis=1),
-        (x,),
-        lambda g: (g[:, 1:],),
-    )
 
 
 def row_sumsq(a: Var) -> Var:
@@ -124,7 +129,7 @@ def row_sumsq(a: Var) -> Var:
 def wsum(a: Var, w) -> Var:
     """Weighted sum of a batch vector with constant weights -> scalar."""
     w = np.asarray(w, dtype=float)
-    return Var(np.float64(a.value @ w), (a,), lambda g: (g * w,))
+    return Var(np.float64(a.value @ w), (a,), lambda g: (g * w,), (w,))
 
 
 def ssum(a: Var) -> Var:
@@ -173,12 +178,19 @@ def backward(root: Var) -> list[Var]:
 
 
 def tape_bytes(order: list[Var]) -> int:
-    """Bytes held by node values: the tape's memory high-water mark."""
+    """Bytes held by node values and saved arrays: the tape's memory high-water mark.
+
+    A saved array kept by several nodes (one segment's path slopes in every
+    RK4 stage) counts once.
+    """
     total = 0
+    saved: dict[int, int] = {}
     for node in order:
         v = node.value
         total += v.nbytes if isinstance(v, np.ndarray) else 8
-    return total
+        for a in node.saved:
+            saved[id(a)] = a.nbytes
+    return total + sum(saved.values())
 
 
 def check_finite_gradient(grad: np.ndarray):

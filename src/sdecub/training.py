@@ -7,7 +7,14 @@ cubature arm solves deterministic controlled ODEs along pre-processed tree
 paths (the same weight table serves every epoch) with the package's one RK4
 core, :func:`sdecub.ode.rk4_steps`, stepping tape nodes; the Monte Carlo arm
 differentiates pathwise through Euler-Maruyama solves with frozen per-epoch
-noise.  Gradients come from the recorded tape in both cases.
+noise.  Gradients come from the recorded tape in both cases, where each
+network call is one fused node.
+
+Each network is evaluated once per state: the variational drift and the
+diffusion that a solver evaluates at a state (RK4's first stage, the Euler
+step) are handed to the loss graph through a per-call dict keyed on
+(state node, t), so the loss graph evaluates only the generative drift there,
+and all three networks only at the last state.
 
 The two arms do not yet integrate the same SDE: RK4 along bounded-variation
 paths gives the Stratonovich reading of ``dz = f dt + g dW``, Euler-Maruyama
@@ -84,6 +91,24 @@ def _trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
+def _posterior_fields(
+    nets: NetworkFields, leaves: dict[str, Var], evaluated: dict, z: Var, t
+) -> tuple[Var, Var]:
+    """(variational drift, diffusion) at state node ``z`` and time ``t``.
+
+    ``evaluated`` belongs to one loss call and maps (state node, t) to the
+    pair, so the solver and the loss graph share each evaluation.
+    """
+    key = (z, t)
+    pair = evaluated.get(key)
+    if pair is None:
+        pair = evaluated[key] = (
+            nets.drift_posterior(leaves, z, t),
+            nets.diffusion_diag(leaves, z, t),
+        )
+    return pair
+
+
 def _loss_graph(
     nets: NetworkFields,
     leaves: dict[str, Var],
@@ -91,6 +116,7 @@ def _loss_graph(
     states: list[Var],
     batch_weights: np.ndarray,
     spec: VariationalLossSpec,
+    evaluated: dict,
 ):
     """Misfit node, drift-mismatch node and the constant part of the loss.
 
@@ -98,7 +124,9 @@ def _loss_graph(
     mismatch K is sum_j w_j int |(f_prior - f_post) / g|^2 / 2 dt, both
     trapezoid integrals on the solver grid; K is ``None`` when the KL weight
     is zero.  The loss is misfit + const + kl_weight * K, and the
-    reconstruction log-density R is -(misfit + const).
+    reconstruction log-density R is -(misfit + const).  The variational
+    drift and the diffusion come from ``evaluated`` where the solver already
+    evaluated them (see :func:`_posterior_fields`).
     """
     ybar, spread = _resampled_stats(spec, times)
     tau = _trapezoid_weights(times)
@@ -112,8 +140,7 @@ def _loss_graph(
         misfit = term if misfit is None else misfit + term
         if spec.kl_weight != 0.0:
             f_prior = nets.drift_prior(leaves, z, t)
-            f_post = nets.drift_posterior(leaves, z, t)
-            g = nets.diffusion_diag(leaves, z, t)
+            f_post, g = _posterior_fields(nets, leaves, evaluated, z, t)
             smallest = float(np.min(np.abs(g.value)))
             if smallest < 1e-10:
                 raise SingularDiffusion(
@@ -141,17 +168,24 @@ def variational_loss_terms(
     ``states`` holds the path's latent state at ``times``, shape (n, d_x).
     """
     nodes = [tape.const(z[None]) for z in states]
-    misfit, mismatch, const = _loss_graph(nets, nets.wrap(theta), times, nodes, np.ones(1), spec)
+    misfit, mismatch, const = _loss_graph(
+        nets, nets.wrap(theta), times, nodes, np.ones(1), spec, {}
+    )
     kl = 0.0 if mismatch is None else float(mismatch.value)
     return -(float(misfit.value) + const), kl
 
 
 @dataclass(frozen=True)
 class GradientReport:
+    """One loss-and-gradient call: the loss is -R + kl_weight * K."""
+
     loss: float
     gradient: np.ndarray
     n_paths: int
     tape_bytes: int
+    reconstruction: float  # R, the weighted reconstruction log-density
+    mismatch: float  # K, the weighted drift-mismatch penalty (0 without KL)
+    grad_norm: float
 
 
 def _gradient_report(
@@ -161,9 +195,12 @@ def _gradient_report(
     states: list[Var],
     batch_weights: np.ndarray,
     spec: VariationalLossSpec,
+    evaluated: dict,
 ) -> GradientReport:
     """Loss graph over the solved states, reverse pass and finite check."""
-    misfit, mismatch, const = _loss_graph(nets, leaves, times, states, batch_weights, spec)
+    misfit, mismatch, const = _loss_graph(
+        nets, leaves, times, states, batch_weights, spec, evaluated
+    )
     root = misfit if mismatch is None else misfit + spec.kl_weight * mismatch
     order = tape.backward(root)
     grad = nets.collect_grad(leaves)
@@ -173,6 +210,9 @@ def _gradient_report(
         gradient=grad,
         n_paths=batch_weights.shape[0],
         tape_bytes=tape.tape_bytes(order),
+        reconstruction=-(float(misfit.value) + const),
+        mismatch=0.0 if mismatch is None else float(mismatch.value),
+        grad_norm=float(np.linalg.norm(grad)),
     )
 
 
@@ -192,20 +232,22 @@ def loss_and_gradient_cubature(
     """
     table.check_inputs(formula, partition)
     if table.n_leaves == 0:
-        return GradientReport(0.0, np.zeros(nets.n_params), 0, 0)
+        return GradientReport(0.0, np.zeros(nets.n_params), 0, 0, 0.0, 0.0, 0.0)
     seg_times, derivs = leaf_derivatives(formula, partition, table.prefixes(table.k))
     weights = table.levels[-1].weight
     leaves = nets.wrap(theta)
+    evaluated: dict = {}
 
     def rhs(t, z, g):
-        return nets.drift_posterior(leaves, z, t) + nets.diffusion_diag(leaves, z, t) * g
+        f_post, diffusion = _posterior_fields(nets, leaves, evaluated, z, t)
+        return f_post + diffusion * g
 
     z0 = nets.initial_state(leaves, batch=derivs.shape[0])
     times, states = [seg_times[0]], [z0]
     for t, z in rk4_steps(rhs, seg_times, derivs, z0, steps_per_segment):
         times.append(t)
         states.append(z)
-    return _gradient_report(nets, leaves, np.array(times), states, weights, spec)
+    return _gradient_report(nets, leaves, np.array(times), states, weights, spec, evaluated)
 
 
 def loss_and_gradient_mc(
@@ -226,17 +268,16 @@ def loss_and_gradient_mc(
     h = T / grid
     noise = rng.standard_normal((grid, n_paths, nets.d_x)) * math.sqrt(h)
     leaves = nets.wrap(theta)
+    evaluated: dict = {}
     z = nets.initial_state(leaves, batch=n_paths)
     times = np.linspace(0.0, T, grid + 1)
     states = [z]
     for step in range(grid):
-        t = times[step]
-        f = nets.drift_posterior(leaves, z, t)
-        g = nets.diffusion_diag(leaves, z, t)
+        f, g = _posterior_fields(nets, leaves, evaluated, z, times[step])
         z = z + (f * h + g * noise[step])
         states.append(z)
     weights = np.full(n_paths, 1.0 / n_paths)
-    return _gradient_report(nets, leaves, times, states, weights, spec)
+    return _gradient_report(nets, leaves, times, states, weights, spec, evaluated)
 
 
 @dataclass
@@ -274,6 +315,16 @@ class TrainRow:
     loss: float
     seconds: float
     peak_bytes: int
+    reconstruction: float
+    mismatch: float
+    grad_norm: float
+
+    @classmethod
+    def of(cls, epoch: int, arm: str, rep: GradientReport, seconds: float) -> "TrainRow":
+        return cls(
+            epoch, arm, rep.loss, seconds, rep.tape_bytes,
+            rep.reconstruction, rep.mismatch, rep.grad_norm,
+        )
 
 
 @dataclass
@@ -293,11 +344,13 @@ class TrainingLog:
         return np.array([r.peak_bytes for r in self.rows if r.arm == arm])
 
     def to_csv(self) -> str:
-        lines = ["epoch,arm,loss,seconds,peak_bytes"]
+        lines = ["epoch,arm,loss,seconds,peak_bytes,reconstruction,mismatch,grad_norm"]
         for r in self.rows:
             lines.append(
                 f"{r.epoch},{r.arm},{format(r.loss, '.17g')},"
-                f"{format(r.seconds, '.6f')},{r.peak_bytes}"
+                f"{format(r.seconds, '.6f')},{r.peak_bytes},"
+                f"{format(r.reconstruction, '.17g')},{format(r.mismatch, '.17g')},"
+                f"{format(r.grad_norm, '.17g')}"
             )
         return "\n".join(lines) + "\n"
 
@@ -362,9 +415,7 @@ def train(config: TrainConfig, spec: VariationalLossSpec | None = None) -> Train
             steps_per_segment=config.steps_per_segment,
         )
         theta_cub -= config.lr * rep.gradient
-        rows.append(
-            TrainRow(epoch, "cubature", rep.loss, time.perf_counter() - start, rep.tape_bytes)
-        )
+        rows.append(TrainRow.of(epoch, "cubature", rep, time.perf_counter() - start))
         if abs(rep.loss) > config.divergence_threshold:
             raise DivergenceDetected(f"cubature loss {rep.loss:.3e} at epoch {epoch}")
         start = time.perf_counter()
@@ -372,9 +423,7 @@ def train(config: TrainConfig, spec: VariationalLossSpec | None = None) -> Train
             nets, theta_mc, n_paths, config.mc_grid, int(mc_seeds[epoch]), spec, T=config.T
         )
         theta_mc -= config.lr * rep.gradient
-        rows.append(
-            TrainRow(epoch, "mc", rep.loss, time.perf_counter() - start, rep.tape_bytes)
-        )
+        rows.append(TrainRow.of(epoch, "mc", rep, time.perf_counter() - start))
         if abs(rep.loss) > config.divergence_threshold:
             raise DivergenceDetected(f"mc loss {rep.loss:.3e} at epoch {epoch}")
     return TrainingLog(rows=rows, n_paths=n_paths, theta_cubature=theta_cub, theta_mc=theta_mc)

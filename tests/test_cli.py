@@ -167,7 +167,7 @@ class TestTrainCommand:
         )
         assert code == EXIT_OK
         lines = (tmp_path / "train_log.csv").read_text().splitlines()
-        assert lines[0] == "epoch,arm,loss,seconds,peak_bytes"
+        assert lines[0] == "epoch,arm,loss,seconds,peak_bytes,reconstruction,mismatch,grad_norm"
         assert len(lines) == 1 + 10  # 5 epochs x 2 arms
         assert (tmp_path / "params.json").exists()
         assert (tmp_path / "data.csv").exists()

@@ -1,10 +1,66 @@
 """Reverse-mode tape primitives and the network field evaluators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from sdecub import NetworkFields
 from sdecub import tape as tp
+from sdecub.tape import Var
+
+# The unfused network composition, one node per layer operation, kept as the
+# reference that the fused ``tape.mlp`` node is checked against.
+
+
+def with_time(x, t):
+    col = np.full((x.value.shape[0], 1), t)
+    return Var(np.concatenate([col, x.value], axis=1), (x,), lambda g: (g[:, 1:],))
+
+
+def matmul(a, b):
+    return Var(a.value @ b.value, (a, b), lambda g: (g @ b.value.T, a.value.T @ g))
+
+
+def add_row(a, b):
+    return Var(a.value + b.value, (a, b), lambda g: (g, g.sum(axis=0)))
+
+
+def tanh(a):
+    y = np.tanh(a.value)
+    return Var(y, (a,), lambda g: (g * (1.0 - y * y),))
+
+
+def softplus(a):
+    y = np.logaddexp(0.0, a.value)
+    sig = 1.0 / (1.0 + np.exp(-a.value))
+    return Var(y, (a,), lambda g: (g * sig,))
+
+
+def unfused_mlp(x, w1, b1, w2, b2, t, softplus_floor=None):
+    """``tape.mlp`` composed from one node per operation."""
+    h = tanh(add_row(matmul(with_time(x, t), w1), b1))
+    head = add_row(matmul(h, w2), b2)
+    return head if softplus_floor is None else tp.cadd(softplus(head), softplus_floor)
+
+
+def mlp_arrays(seed, batch=5, d=2, width=4, d_out=2):
+    """(x, w1, b1, w2, b2) for one network call."""
+    rng = np.random.default_rng(seed)
+    shapes = [(batch, d), (1 + d, width), (width,), (width, d_out), (d_out,)]
+    return [rng.normal(size=s) for s in shapes]
+
+
+_X, *_WEIGHTS = mlp_arrays(5, batch=3)
+
+
+def mlp(a):
+    """The fused network node as a function of its input alone."""
+    return tp.mlp(a, *map(tp.const, _WEIGHTS), 0.3)
+
+
+def mlp_softplus(a):
+    return tp.mlp(a, *map(tp.const, _WEIGHTS), 0.3, softplus_floor=0.05)
 
 
 def reference_mlp(theta, net, x, t):
@@ -30,7 +86,7 @@ def numeric_grad(f, x, h=1e-6):
 class TestTapeOps:
     @pytest.mark.parametrize(
         "op",
-        [tp.tanh, tp.softplus, tp.square, lambda a: tp.cmul(a, 1.7), lambda a: tp.cadd(a, 0.3)],
+        [mlp, mlp_softplus, tp.square, lambda a: tp.cmul(a, 1.7), lambda a: tp.cadd(a, 0.3)],
     )
     def test_unary_ops_against_numeric(self, op):
         rng = np.random.default_rng(0)
@@ -51,20 +107,20 @@ class TestTapeOps:
         assert leaf.grad == pytest.approx(-1.0 / x**2)
 
     def test_matmul_and_bias(self):
-        rng = np.random.default_rng(1)
-        x, w, b = rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)
-        xl, wl, bl = tp.const(x), tp.const(w), tp.const(b)
-        root = tp.ssum(tp.square(tp.add_row(tp.matmul(xl, wl), bl)))
-        tp.backward(root)
+        # the fused node's gradient into its input and all four weight
+        # tensors, for both heads, against central differences
+        arrays = mlp_arrays(1, batch=4, d=2, width=3)
+        for floor in (None, 0.05):
+            leaves = [tp.const(a) for a in arrays]
+            tp.backward(tp.ssum(tp.square(tp.mlp(*leaves, 0.6, floor))))
+            for i, leaf in enumerate(leaves):
 
-        def f_w(arr):
-            return float(np.sum((x @ arr + b) ** 2))
+                def f(arr, i=i):
+                    args = [tp.const(a) for a in arrays]
+                    args[i] = tp.const(arr)
+                    return float(np.sum(tp.mlp(*args, 0.6, floor).value ** 2))
 
-        def f_b(arr):
-            return float(np.sum((x @ w + arr) ** 2))
-
-        assert wl.grad == pytest.approx(numeric_grad(f_w, w), abs=1e-7)
-        assert bl.grad == pytest.approx(numeric_grad(f_b, b), abs=1e-7)
+                assert leaf.grad == pytest.approx(numeric_grad(f, arrays[i]), abs=1e-7)
 
     def test_shared_node_accumulates(self):
         x = tp.const(np.array([2.0]))
@@ -81,12 +137,17 @@ class TestTapeOps:
         assert v.grad == pytest.approx(w)
 
     def test_with_time_column(self):
-        x = tp.const(np.ones((2, 3)))
-        y = tp.with_time(x, 0.7)
-        assert y.value.shape == (2, 4)
-        assert np.all(y.value[:, 0] == 0.7)
+        # only the first-layer row of the time column is nonzero: every
+        # output row is the network of t alone, and x gets no gradient
+        x, w1, b1, w2, b2 = mlp_arrays(2, batch=2, d=3)
+        w1[1:] = 0.0
+        xl = tp.const(x)
+        y = tp.mlp(xl, *map(tp.const, (w1, b1, w2, b2)), 0.7)
+        expected = np.tanh(0.7 * w1[0] + b1) @ w2 + b2
+        assert y.value.shape == (2, 2)
+        assert y.value == pytest.approx(np.tile(expected, (2, 1)), abs=1e-15)
         tp.backward(tp.ssum(y))
-        assert x.grad == pytest.approx(np.ones((2, 3)))
+        assert np.all(xl.grad == 0.0)
 
     def test_operators_with_numpy_operands(self):
         # numpy scalars and arrays on either side still record tape nodes
@@ -110,8 +171,52 @@ class TestTapeOps:
 
     def test_tape_bytes_positive(self):
         x = tp.const(np.ones((5, 2)))
-        order = tp.backward(tp.ssum(tp.tanh(x)))
+        order = tp.backward(tp.ssum(tp.square(x)))
         assert tp.tape_bytes(order) >= 5 * 2 * 8 * 2
+
+    @pytest.mark.parametrize("floor", [None, 0.05], ids=["linear", "softplus"])
+    def test_mlp_tape_bytes_count_saved_arrays(self, floor):
+        batch, d, width = 5, 2, 4
+        node = tp.mlp(*map(tp.const, mlp_arrays(3, batch, d, width)), 0.2, floor)
+        inp, hidden, out = batch * (1 + d), batch * width, batch * 2
+        sig = 0 if floor is None else batch * 2
+        assert tp.tape_bytes([node]) >= 8 * (inp + hidden + out + sig)
+
+    def test_tape_bytes_count_shared_array_once(self):
+        c = np.ones((4, 3))
+        x = tp.const(np.ones((4, 3)))
+        one, two = tp.cmul(x, c), tp.cmul(x, c)
+        assert tp.tape_bytes([one]) == 2 * c.nbytes
+        assert tp.tape_bytes([one, two]) == 3 * c.nbytes
+
+    @pytest.mark.parametrize("floor", [None, 0.05], ids=["linear", "softplus"])
+    def test_mlp_matches_unfused_reference(self, floor):
+        arrays = mlp_arrays(4, batch=6, d=3, width=5, d_out=3)
+        fused = [tp.const(a) for a in arrays]
+        unfused = [tp.const(a) for a in arrays]
+        y = tp.mlp(*fused, 0.4, floor)
+        y_ref = unfused_mlp(*unfused, 0.4, floor)
+        assert np.array_equal(y.value, y_ref.value)
+        weights = np.random.default_rng(9).normal(size=y.value.shape)
+        tp.backward(tp.ssum(tp.cmul(y, weights)))
+        tp.backward(tp.ssum(tp.cmul(y_ref, weights)))
+        for leaf, ref in zip(fused, unfused):
+            assert np.max(np.abs(leaf.grad - ref.grad)) <= 1e-13 * np.max(np.abs(ref.grad))
+
+    def test_softplus_head_far_below_zero(self):
+        # a head of -800 overflowed 1 / (1 + exp(-head)) in the sigmoid
+        x, w1, b1, w2, b2 = mlp_arrays(6)
+        w2[:] = 0.0
+        b2[:] = -800.0
+        leaves = [tp.const(a) for a in (x, w1, b1, w2, b2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = tp.mlp(*leaves, 0.1, softplus_floor=0.05)
+            tp.backward(tp.ssum(y))
+        assert np.all(y.value == 0.05)
+        for leaf in leaves:
+            assert np.all(np.isfinite(leaf.grad))
+        assert np.all(leaves[4].grad == 0.0)
 
 
 class TestNetworkFields:
@@ -131,6 +236,18 @@ class TestNetworkFields:
         on_tape = nets.drift_posterior(leaves, tp.const(x), 0.25).value
         plain = reference_mlp(theta, nets.posterior, x, 0.25)
         assert on_tape == pytest.approx(plain, abs=1e-15)
+
+    def test_one_node_per_call(self):
+        nets = NetworkFields(d_x=2, width=4)
+        leaves = nets.wrap(nets.init_params(1))
+        x = tp.const(np.ones((3, 2)))
+        for name, method in (
+            ("prior", nets.drift_prior),
+            ("posterior", nets.drift_posterior),
+            ("diffusion", nets.diffusion_diag),
+        ):
+            params = [leaves[f"{name}.{p}"] for p in ("hidden.w", "hidden.b", "out.w", "out.b")]
+            assert method(leaves, x, 0.5).parents == (x, *params)
 
     def test_diffusion_positive_with_floor(self):
         nets = NetworkFields(d_x=1, width=4)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,8 +23,13 @@ from sdecub import (
     train,
     variational_loss_terms,
 )
+from sdecub import training
+from sdecub.ode import rk4_steps
+from sdecub.partition import leaf_derivatives
 from sdecub.recombination import Level, WeightTable
 from sdecub.training import build_tree
+
+from test_tape_nets import unfused_mlp
 
 
 def small_setup(d_x=1, k=3, width=4, seed=0, **cfg_kwargs):
@@ -38,6 +44,61 @@ def small_setup(d_x=1, k=3, width=4, seed=0, **cfg_kwargs):
 def flat_path(spec, value=0.0, n=33):
     """(times, states): a constant latent path on a uniform grid."""
     return np.linspace(0.0, 1.0, n), np.full((n, spec.d_x), value)
+
+
+class UnfusedFields(NetworkFields):
+    """The networks recorded as one tape node per layer operation."""
+
+    def _mlp(self, leaves, name, x, t, floor=None):
+        params = [leaves[f"{name}.{p}"] for p in ("hidden.w", "hidden.b", "out.w", "out.b")]
+        return unfused_mlp(x, *params, t, floor)
+
+
+def reference_cubature(nets, theta, table, formula, partition, spec, steps_per_segment):
+    """The cubature arm with every network evaluated afresh in the loss graph."""
+    seg_times, derivs = leaf_derivatives(formula, partition, table.prefixes(table.k))
+    leaves = nets.wrap(theta)
+
+    def rhs(t, z, g):
+        return nets.drift_posterior(leaves, z, t) + nets.diffusion_diag(leaves, z, t) * g
+
+    z0 = nets.initial_state(leaves, batch=derivs.shape[0])
+    times, states = [seg_times[0]], [z0]
+    for t, z in rk4_steps(rhs, seg_times, derivs, z0, steps_per_segment):
+        times.append(t)
+        states.append(z)
+    weights = table.levels[-1].weight
+    return training._gradient_report(nets, leaves, np.array(times), states, weights, spec, {})
+
+
+def reference_mc(nets, theta, n_paths, grid, seed, spec):
+    """The Monte Carlo arm with every network evaluated afresh in the loss graph."""
+    h = 1.0 / grid
+    noise = np.random.default_rng(seed).standard_normal((grid, n_paths, nets.d_x)) * math.sqrt(h)
+    leaves = nets.wrap(theta)
+    z = nets.initial_state(leaves, batch=n_paths)
+    times = np.linspace(0.0, 1.0, grid + 1)
+    states = [z]
+    for step in range(grid):
+        f = nets.drift_posterior(leaves, z, times[step])
+        g = nets.diffusion_diag(leaves, z, times[step])
+        z = z + (f * h + g * noise[step])
+        states.append(z)
+    weights = np.full(n_paths, 1.0 / n_paths)
+    return training._gradient_report(nets, leaves, times, states, weights, spec, {})
+
+
+def count_network_calls(monkeypatch) -> Counter:
+    """Count calls of the three ``NetworkFields`` evaluators from here on."""
+    counts = Counter()
+    for name in ("drift_prior", "drift_posterior", "diffusion_diag"):
+
+        def counted(self, *args, _name=name, _original=getattr(NetworkFields, name)):
+            counts[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(NetworkFields, name, counted)
+    return counts
 
 
 class TestVariationalLoss:
@@ -214,6 +275,81 @@ class TestGradients:
         assert not np.allclose(r1.gradient, r2.gradient)
 
 
+class TestFusedSharedTape:
+    """One fused node per network call and one evaluation per state, against
+    the unfused tape that evaluates every network afresh in the loss graph."""
+
+    CONFIGS = {
+        "small": TrainConfig(d_x=1, k=3, width=4),
+        "train_d8": TrainConfig(d_x=8, k=2, basis_degree=1, width=8),
+    }
+
+    @staticmethod
+    def assert_same(rep, ref):
+        assert rep.loss == ref.loss
+        err = np.linalg.norm(rep.gradient - ref.gradient)
+        assert err <= 1e-13 * np.linalg.norm(ref.gradient)
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_cubature_matches_reference_tape(self, name):
+        config = self.CONFIGS[name]
+        spec = make_training_data(config)
+        formula, partition, table = build_tree(config)
+        nets = NetworkFields(config.d_x, width=config.width)
+        theta = nets.init_params(config.seed)
+        rep = loss_and_gradient_cubature(nets, theta, table, formula, partition, spec)
+        ref = reference_cubature(
+            UnfusedFields(config.d_x, width=config.width),
+            theta, table, formula, partition, spec, config.steps_per_segment,
+        )
+        self.assert_same(rep, ref)
+
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    def test_mc_matches_reference_tape(self, name):
+        config = self.CONFIGS[name]
+        spec = make_training_data(config)
+        nets = NetworkFields(config.d_x, width=config.width)
+        theta = nets.init_params(config.seed)
+        rep = loss_and_gradient_mc(nets, theta, 16, config.mc_grid, 3, spec)
+        ref = reference_mc(
+            UnfusedFields(config.d_x, width=config.width), theta, 16, config.mc_grid, 3, spec
+        )
+        self.assert_same(rep, ref)
+
+    def test_mc_evaluates_each_network_once_per_state(self, monkeypatch):
+        config, spec, _, _, _, nets, theta = small_setup()
+        counts = count_network_calls(monkeypatch)
+        grid = 24
+        loss_and_gradient_mc(nets, theta, 4, grid, 11, spec)
+        # the Euler step's evaluations at states 0..grid-1 serve the loss graph
+        assert counts == {"drift_prior": grid + 1, "drift_posterior": grid + 1,
+                          "diffusion_diag": grid + 1}
+
+    def test_cubature_evaluates_each_network_once_per_state(self, monkeypatch):
+        config, spec, formula, partition, table, nets, theta = small_setup()
+        counts = count_network_calls(monkeypatch)
+        loss_and_gradient_cubature(
+            nets, theta, table, formula, partition, spec, steps_per_segment=4
+        )
+        seg_times, _ = leaf_derivatives(formula, partition, table.prefixes(table.k))
+        n_steps = 4 * (seg_times.shape[0] - 1)
+        # RK4's first stage at every step start serves the loss graph there
+        assert counts == {"drift_prior": n_steps + 1, "drift_posterior": 4 * n_steps + 1,
+                          "diffusion_diag": 4 * n_steps + 1}
+
+    def test_report_carries_loss_terms_and_gradient_norm(self):
+        config, spec, formula, partition, table, nets, theta = small_setup()
+        for rep in (
+            loss_and_gradient_cubature(nets, theta, table, formula, partition, spec),
+            loss_and_gradient_mc(nets, theta, 4, 24, 11, spec),
+        ):
+            assert rep.mismatch > 0.0
+            assert rep.loss == pytest.approx(
+                -rep.reconstruction + spec.kl_weight * rep.mismatch, rel=1e-13
+            )
+            assert rep.grad_norm == np.linalg.norm(rep.gradient)
+
+
 class TestObjectiveAgreement:
     def test_arms_coincide_for_deterministic_dynamics(self):
         # diffusion pinned to zero and KL off: both arms integrate the same
@@ -279,5 +415,5 @@ class TestTrain:
         config = TrainConfig(d_x=1, epochs=2, lr=0.01)
         log = train(config)
         lines = log.to_csv().splitlines()
-        assert lines[0] == "epoch,arm,loss,seconds,peak_bytes"
+        assert lines[0] == "epoch,arm,loss,seconds,peak_bytes,reconstruction,mismatch,grad_norm"
         assert len(lines) == 1 + 2 * config.epochs
