@@ -30,6 +30,8 @@ from .ode import solve_controlled_ode_batch, solve_sde_mc_batch
 from .partition import TimePartition, enumerate_leaves, interval_slopes
 from .recombination import WeightTable
 
+MC_BLOCK_BYTES = 8 << 20  # size of the block mc_estimate evaluates paths in
+
 
 @dataclass(frozen=True)
 class PathFunctional:
@@ -226,19 +228,31 @@ def mc_estimate(
     T: float = 1.0,
     chunk: int = 20000,
 ) -> EstimateReport:
-    """Mean functional value over seeded Euler-Maruyama sample paths."""
+    """Mean functional value over seeded Euler-Maruyama sample paths.
+
+    Reproducible per (seed, chunk): ``chunk`` fixes the Gaussian stream.
+    Memory is one chunk's trajectory plus one reused block (about
+    ``MC_BLOCK_BYTES``) of whole augmented paths; each value comes from its
+    own path's row, so the block size never enters a result.
+    """
+    if n_paths < 1 or chunk < 1:
+        raise InvalidParameter(f"n_paths and chunk must be >= 1, got {n_paths} and {chunk}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     values = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
+    for done in range(0, n_paths, chunk):
         m = min(chunk, n_paths - done)
         times, paths = solve_sde_mc_batch(spec.mu, spec.sigma, spec.x0, T, grid, rng, m)
-        states = np.empty((m, grid + 1, spec.d_x + 1))
-        states[:, :, 0] = times
-        states[:, :, 1:] = paths
-        values[done : done + m] = functional.evaluate_batch(times, states)
-        done += m
+        if done == 0:
+            shape = (times.size, paths.shape[2] + 1)
+            rows = max(1, min(m, MC_BLOCK_BYTES // (8 * shape[0] * shape[1])))
+            block = np.empty((rows, *shape))
+            block[:, :, 0] = times
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            states = block[: hi - lo]
+            states[:, :, 1:] = paths[lo:hi]
+            values[done + lo : done + hi] = functional.evaluate_batch(times, states)
     mean = math.fsum(values) / n_paths
     return EstimateReport(value=mean, n_paths=n_paths, seconds=time.perf_counter() - start)
 

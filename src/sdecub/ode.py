@@ -197,25 +197,28 @@ def solve_sde_mc_batch(
     rng: np.random.Generator,
     n_paths: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maruyama for a batch of paths; returns (times, states (B, n+1, d_x))."""
+    """Euler-Maruyama for a batch of paths; returns (times, states (B, n+1, d_x)).
+
+    The states are a time-major buffer (n+1, B, d_x) seen as (B, n+1, d_x).
+    A step fills its slab with ``drift*h + x``, bitwise ``x + drift*h``
+    since IEEE addition commutes, then adds the noise term.
+    """
     if grid < 1:
         raise InvalidParameter("grid size must be >= 1")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    d_x = x0.shape[0]
     h = T / grid
     root_h = math.sqrt(h)
     times = np.linspace(0.0, T, grid + 1)
-    out = np.empty((n_paths, grid + 1, d_x))
-    state = np.broadcast_to(x0, (n_paths, d_x)).copy()
-    out[:, 0] = state
-    d_b = sigma(np.zeros(1), state[:1]).shape[2]
-    for step in range(grid):
+    out = np.empty((grid + 1, n_paths, x0.shape[0]))
+    out[0] = x0
+    d_b = sigma(np.zeros(1), out[0, :1]).shape[2]
+    for step, (state, nxt) in enumerate(zip(out, out[1:])):
         t = np.full(n_paths, times[step])
         dw = rng.standard_normal((n_paths, d_b)) * root_h
         drift = mu(t, state)
         diff = sigma(t, state)
-        state = state + drift * h + np.einsum("bdi,bi->bd", diff, dw)
-        out[:, step + 1] = state
-    if not np.all(np.isfinite(out[:, -1])):
+        np.add(np.multiply(drift, h, out=nxt), state, out=nxt)
+        nxt += np.einsum("bdi,bi->bd", diff, dw)
+    if not np.all(np.isfinite(out[-1])):
         raise NonFiniteState("Euler-Maruyama state left the finite range")
-    return times, out
+    return times, out.transpose(1, 0, 2)

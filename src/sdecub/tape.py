@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFiniteGradient
-
 
 class Var:
     """A tape node: value, parent nodes, the VJP into those parents, and the
@@ -113,10 +111,6 @@ def reciprocal(a: Var) -> Var:
     return Var(y, (a,), lambda g: (-g * y * y,))
 
 
-def square(a: Var) -> Var:
-    return Var(a.value * a.value, (a,), lambda g: (2.0 * g * a.value,))
-
-
 def row_sumsq(a: Var) -> Var:
     """Sum of squares along axis 1: (B, d) -> (B,)."""
     return Var(
@@ -130,11 +124,6 @@ def wsum(a: Var, w) -> Var:
     """Weighted sum of a batch vector with constant weights -> scalar."""
     w = np.asarray(w, dtype=float)
     return Var(np.float64(a.value @ w), (a,), lambda g: (g * w,), (w,))
-
-
-def ssum(a: Var) -> Var:
-    shape = a.value.shape
-    return Var(np.float64(a.value.sum()), (a,), lambda g: (np.broadcast_to(g, shape),))
 
 
 def topo_order(root: Var) -> list[Var]:
@@ -191,8 +180,3 @@ def tape_bytes(order: list[Var]) -> int:
         for a in node.saved:
             saved[id(a)] = a.nbytes
     return total + sum(saved.values())
-
-
-def check_finite_gradient(grad: np.ndarray):
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteGradient("gradient contains NaN or infinity")

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape
-from .errors import DivergenceDetected, InvalidParameter, SingularDiffusion
+from .errors import DivergenceDetected, InvalidParameter, NonFiniteGradient, SingularDiffusion
+from .fields import ou_field
 from .formulas import CubatureFormula, degree3_formula
 from .nets import NetworkFields
 from .ode import rk4_steps, solve_sde_mc_batch
@@ -204,7 +205,8 @@ def _gradient_report(
     root = misfit if mismatch is None else misfit + spec.kl_weight * mismatch
     order = tape.backward(root)
     grad = nets.collect_grad(leaves)
-    tape.check_finite_gradient(grad)
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteGradient("gradient contains NaN or infinity")
     return GradientReport(
         loss=float(root.value) + const,
         gradient=grad,
@@ -356,21 +358,11 @@ class TrainingLog:
 
 
 def make_training_data(config: TrainConfig) -> VariationalLossSpec:
-    """Seeded mean-reverting data paths stored on a fixed grid."""
-    d = config.d_x
-
-    def mu(t, x):
-        return config.data_rate * (config.data_mean - x)
-
-    def sigma(t, x):
-        out = np.zeros((x.shape[0], d, d))
-        idx = np.arange(d)
-        out[:, idx, idx] = config.data_sigma
-        return out
-
+    """Seeded Ornstein-Uhlenbeck data paths from 0, stored on a fixed grid."""
+    ou = ou_field(config.data_rate, config.data_mean, config.data_sigma, config.d_x)
     rng = np.random.default_rng(config.data_seed)
     times, paths = solve_sde_mc_batch(
-        mu, sigma, np.zeros(d), config.T, config.data_grid, rng, config.n_data
+        ou.mu, ou.sigma, ou.x0, config.T, config.data_grid, rng, config.n_data
     )
     return VariationalLossSpec(
         data_times=times,

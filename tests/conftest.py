@@ -1,5 +1,7 @@
 """Shared test oracles."""
 
+import math
+
 import numpy as np
 from hypothesis import settings
 
@@ -42,3 +44,29 @@ def leaf_path(formula, partition, iv):
     values[:, 0] = seg_times
     values[1:, 1:] = np.cumsum(derivs[0] * np.diff(seg_times)[:, None], axis=0)
     return PiecewisePath(seg_times, values)
+
+
+def reference_em(mu, sigma, x0, T, grid, rng, n_paths):
+    """Path-major Euler-Maruyama: (times, states (B, grid+1, d_x)).
+
+    The straightforward loop that ``solve_sde_mc_batch`` must match bit for
+    bit: one (B, d_b) normal draw per step and ``x + drift*h + noise`` on a
+    fresh state array, stored into the path-major trajectory.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    d_x = x0.shape[0]
+    h = T / grid
+    root_h = math.sqrt(h)
+    times = np.linspace(0.0, T, grid + 1)
+    out = np.empty((n_paths, grid + 1, d_x))
+    state = np.broadcast_to(x0, (n_paths, d_x)).copy()
+    out[:, 0] = state
+    d_b = sigma(np.zeros(1), state[:1]).shape[2]
+    for step in range(grid):
+        t = np.full(n_paths, times[step])
+        dw = rng.standard_normal((n_paths, d_b)) * root_h
+        drift = mu(t, state)
+        diff = sigma(t, state)
+        state = state + drift * h + np.einsum("bdi,bi->bd", diff, dw)
+        out[:, step + 1] = state
+    return times, out

@@ -118,6 +118,14 @@ class TestEstimateCommand:
         assert code == EXIT_CONFIG
         assert "InvalidParameter" in capsys.readouterr().err
 
+    def test_zero_mc_paths_is_config_error(self, tmp_path, capsys):
+        code = main(
+            ["estimate", "--field", "brownian", "--k", "2", "--mc-paths", "0",
+             "--mc-grid", "8", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_CONFIG
+        assert "InvalidParameter: n_paths and chunk must be >= 1, got 0" in capsys.readouterr().err
+
     def test_rerun_reproducible_apart_from_timing(self, tmp_path):
         args = ["estimate", "--field", "brownian", "--k", "4", "--mc-paths", "200",
                 "--mc-grid", "32"]

@@ -1,5 +1,6 @@
 """Cubature/MC estimators and the convergence experiment plumbing."""
 
+import dataclasses
 import json
 import math
 import re
@@ -34,6 +35,7 @@ from sdecub.estimator import fit_slope, interp_loglog, plateau_cut
 from sdecub.ode import solve_controlled_ode_batch
 from sdecub.recombination import WeightTable
 from sdecub.fields import brownian_field, drift_only_field, ou_field, scaled_diffusion_field
+from conftest import reference_em
 
 
 class TestSineTracking:
@@ -367,6 +369,105 @@ class TestMcEstimate:
         r1 = mc_estimate(sine_tracking_functional(), spec, 300, 32, seed=5, chunk=64)
         r2 = mc_estimate(sine_tracking_functional(), spec, 300, 32, seed=5, chunk=64)
         assert r1.value == r2.value
+
+    @pytest.mark.parametrize("n_paths, chunk", [(0, 20000), (-3, 20000), (10, 0), (10, -1)])
+    def test_counts_below_one_raise_before_any_solve(self, n_paths, chunk, monkeypatch):
+        solves = []
+        monkeypatch.setattr(estimator, "solve_sde_mc_batch", lambda *args: solves.append(args))
+        with pytest.raises(InvalidParameter, match="n_paths and chunk must be >= 1"):
+            mc_estimate(
+                sine_tracking_functional(), brownian_field(1.0), n_paths, 8, seed=1, chunk=chunk
+            )
+        assert solves == []
+
+
+def reference_mc(functional, spec, n_paths, grid, seed, T=1.0, chunk=20000):
+    """Path-major Euler-Maruyama with each whole chunk evaluated at once.
+
+    The straightforward Monte Carlo estimate that ``mc_estimate`` must match
+    bit for bit; returns (estimate, per-path values).
+    """
+    rng = np.random.default_rng(seed)
+    values = np.empty(n_paths)
+    done = 0
+    while done < n_paths:
+        m = min(chunk, n_paths - done)
+        times, paths = reference_em(spec.mu, spec.sigma, spec.x0, T, grid, rng, m)
+        states = np.empty((m, grid + 1, spec.d_x + 1))
+        states[:, :, 0] = times
+        states[:, :, 1:] = paths
+        values[done : done + m] = functional.evaluate_batch(times, states)
+        done += m
+    return math.fsum(values) / n_paths, values
+
+
+def capturing(functional):
+    """The functional, plus the per-path values and row counts of its calls."""
+    values, rows = [], []
+
+    def evaluate_batch(times, states):
+        out = functional.evaluate_batch(times, states)
+        values.append(np.array(out))
+        rows.append(states.shape[0])
+        return out
+
+    return dataclasses.replace(functional, evaluate_batch=evaluate_batch), values, rows
+
+
+def running_plus_terminal():
+    return PathFunctional(
+        "sine_plus_terminal",
+        running=sine_tracking_functional().running,
+        terminal=terminal_functional(1).terminal,
+    )
+
+
+class TestMcBlocksBitwise:
+    """``mc_estimate`` against :func:`reference_mc`: the estimate and every
+    per-path value equal, whatever block the paths are evaluated in."""
+
+    # (spec, functional, n_paths, grid, chunk, rows per block or None for
+    # the default byte budget)
+    CASES = {
+        # the benchmark's grid: three blocks under the default budget
+        "scaled_diffusion": (scaled_diffusion_field(0.6), sine_tracking_functional(),
+                             3000, 512, 20000, None),
+        "brownian": (brownian_field(1.0), sine_tracking_functional(), 2000, 64, 20000, None),
+        "ou_2d": (ou_field(2.0, -0.5, 0.8, d=2, x0=0.3), running_plus_terminal(),
+                  2000, 64, 20000, None),
+        "rows_not_multiple_of_block": (brownian_field(0.5), sine_tracking_functional(),
+                                       100, 32, 20000, 7),
+        "below_one_block": (scaled_diffusion_field(0.3), sine_tracking_functional(),
+                            50, 64, 20000, None),
+        "remainder_chunk": (ou_field(1.0, 0.5, 0.5, d=2), running_plus_terminal(),
+                            250, 32, 64, 24),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_whole_chunk_reference(self, case, monkeypatch):
+        spec, functional, n_paths, grid, chunk, rows = self.CASES[case]
+        if rows is not None:
+            row_bytes = 8 * (grid + 1) * (spec.d_x + 1)
+            monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", rows * row_bytes + row_bytes // 2)
+        captured, values, calls = capturing(functional)
+        report = mc_estimate(captured, spec, n_paths, grid, seed=2718, chunk=chunk)
+        ref_value, ref_values = reference_mc(
+            functional, spec, n_paths, grid, seed=2718, chunk=chunk
+        )
+        assert report.value == ref_value
+        assert np.array_equal(np.concatenate(values), ref_values)
+        if rows is not None:
+            assert max(calls) == rows
+            assert len(calls) > math.ceil(n_paths / chunk)
+
+    def test_block_stays_inside_the_byte_budget(self):
+        # a fine grid gets fewer rows per block, not a bigger block
+        spec = brownian_field(1.0)
+        captured, _, calls = capturing(sine_tracking_functional())
+        grid = 4000
+        mc_estimate(captured, spec, 300, grid, seed=3)
+        assert sum(calls) == 300
+        assert max(calls) * 8 * (grid + 1) * 2 <= estimator.MC_BLOCK_BYTES
 
 
 class TestSlopeFitting:

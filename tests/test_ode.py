@@ -17,14 +17,14 @@ from sdecub import (
 )
 from sdecub import tape
 from sdecub.estimator import PathFunctional, cubature_estimate, terminal_functional
-from sdecub.fields import brownian_field, drift_only_field, scaled_diffusion_field
+from sdecub.fields import brownian_field, drift_only_field, ou_field, scaled_diffusion_field
 from sdecub.ode import (
     forward_difference_jacobian,
     rk4_steps,
     solve_controlled_ode_batch,
     solve_sde_mc_batch,
 )
-from conftest import leaf_path
+from conftest import leaf_path, reference_em
 
 
 def line_path(slope=1.0):
@@ -259,3 +259,27 @@ class TestSolveSdeMc:
         times, path = mc_path(spec, 1.0, 16, seed=5)
         assert path[0, 0] == 0.4
         assert times[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [scaled_diffusion_field(0.6), ou_field(2.0, -0.5, 0.8, d=2, x0=0.3)],
+        ids=["scaled_diffusion", "ou_2d"],
+    )
+    def test_paths_equal_path_major_reference(self, spec):
+        times, paths = solve_sde_mc_batch(
+            spec.mu, spec.sigma, spec.x0, 1.0, 48, np.random.default_rng(31), 257
+        )
+        ref_times, ref = reference_em(
+            spec.mu, spec.sigma, spec.x0, 1.0, 48, np.random.default_rng(31), 257
+        )
+        assert np.array_equal(times, ref_times)
+        assert paths.shape == ref.shape
+        assert np.array_equal(paths, ref)
+
+    def test_trajectory_is_time_major(self):
+        # each step writes one contiguous slab of the buffer behind the view
+        spec = ou_field(d=2)
+        _, paths = solve_sde_mc_batch(
+            spec.mu, spec.sigma, spec.x0, 1.0, 8, np.random.default_rng(0), 5
+        )
+        assert paths.transpose(1, 0, 2).flags.c_contiguous

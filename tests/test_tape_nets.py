@@ -9,6 +9,19 @@ from sdecub import NetworkFields
 from sdecub import tape as tp
 from sdecub.tape import Var
 
+# Two nodes the tests build graphs with; the package itself needs neither.
+
+
+def square(a):
+    return Var(a.value * a.value, (a,), lambda g: (2.0 * g * a.value,))
+
+
+def ssum(a):
+    """Sum of every entry -> scalar, the root of a test graph."""
+    shape = a.value.shape
+    return Var(np.float64(a.value.sum()), (a,), lambda g: (np.broadcast_to(g, shape),))
+
+
 # The unfused network composition, one node per layer operation, kept as the
 # reference that the fused ``tape.mlp`` node is checked against.
 
@@ -86,23 +99,23 @@ def numeric_grad(f, x, h=1e-6):
 class TestTapeOps:
     @pytest.mark.parametrize(
         "op",
-        [mlp, mlp_softplus, tp.square, lambda a: tp.cmul(a, 1.7), lambda a: tp.cadd(a, 0.3)],
+        [mlp, mlp_softplus, square, lambda a: tp.cmul(a, 1.7), lambda a: tp.cadd(a, 0.3)],
     )
     def test_unary_ops_against_numeric(self, op):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(3, 2))
 
         def f(arr):
-            return float(tp.ssum(op(tp.const(arr))).value)
+            return float(ssum(op(tp.const(arr))).value)
 
-        root = tp.ssum(op(leaf := tp.const(x)))
+        root = ssum(op(leaf := tp.const(x)))
         tp.backward(root)
         assert leaf.grad == pytest.approx(numeric_grad(f, x), abs=1e-8)
 
     def test_reciprocal(self):
         x = np.array([[0.5, 2.0]])
         leaf = tp.const(x)
-        root = tp.ssum(tp.reciprocal(leaf))
+        root = ssum(tp.reciprocal(leaf))
         tp.backward(root)
         assert leaf.grad == pytest.approx(-1.0 / x**2)
 
@@ -112,7 +125,7 @@ class TestTapeOps:
         arrays = mlp_arrays(1, batch=4, d=2, width=3)
         for floor in (None, 0.05):
             leaves = [tp.const(a) for a in arrays]
-            tp.backward(tp.ssum(tp.square(tp.mlp(*leaves, 0.6, floor))))
+            tp.backward(ssum(square(tp.mlp(*leaves, 0.6, floor))))
             for i, leaf in enumerate(leaves):
 
                 def f(arr, i=i):
@@ -125,7 +138,7 @@ class TestTapeOps:
     def test_shared_node_accumulates(self):
         x = tp.const(np.array([2.0]))
         y = tp.add(tp.mul(x, x), x)  # x^2 + x: d/dx = 2x + 1 = 5
-        tp.backward(tp.ssum(y))
+        tp.backward(ssum(y))
         assert x.grad == pytest.approx(np.array([5.0]))
 
     def test_wsum_weights(self):
@@ -146,7 +159,7 @@ class TestTapeOps:
         expected = np.tanh(0.7 * w1[0] + b1) @ w2 + b2
         assert y.value.shape == (2, 2)
         assert y.value == pytest.approx(np.tile(expected, (2, 1)), abs=1e-15)
-        tp.backward(tp.ssum(y))
+        tp.backward(ssum(y))
         assert np.all(xl.grad == 0.0)
 
     def test_operators_with_numpy_operands(self):
@@ -162,7 +175,7 @@ class TestTapeOps:
         assert np.array_equal(scaled.value, 2.0 * x)
         assert np.array_equal(shifted.value, c + x)
         assert np.array_equal(weighted.value, x * c)
-        tp.backward(tp.ssum(tp.mul(tp.add(scaled, shifted), weighted)))
+        tp.backward(ssum(tp.mul(tp.add(scaled, shifted), weighted)))
 
         def f(arr):
             return float(np.sum((2.0 * arr + c + arr) * (arr * c)))
@@ -171,7 +184,7 @@ class TestTapeOps:
 
     def test_tape_bytes_positive(self):
         x = tp.const(np.ones((5, 2)))
-        order = tp.backward(tp.ssum(tp.square(x)))
+        order = tp.backward(ssum(square(x)))
         assert tp.tape_bytes(order) >= 5 * 2 * 8 * 2
 
     @pytest.mark.parametrize("floor", [None, 0.05], ids=["linear", "softplus"])
@@ -198,8 +211,8 @@ class TestTapeOps:
         y_ref = unfused_mlp(*unfused, 0.4, floor)
         assert np.array_equal(y.value, y_ref.value)
         weights = np.random.default_rng(9).normal(size=y.value.shape)
-        tp.backward(tp.ssum(tp.cmul(y, weights)))
-        tp.backward(tp.ssum(tp.cmul(y_ref, weights)))
+        tp.backward(ssum(tp.cmul(y, weights)))
+        tp.backward(ssum(tp.cmul(y_ref, weights)))
         for leaf, ref in zip(fused, unfused):
             assert np.max(np.abs(leaf.grad - ref.grad)) <= 1e-13 * np.max(np.abs(ref.grad))
 
@@ -212,7 +225,7 @@ class TestTapeOps:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             y = tp.mlp(*leaves, 0.1, softplus_floor=0.05)
-            tp.backward(tp.ssum(y))
+            tp.backward(ssum(y))
         assert np.all(y.value == 0.05)
         for leaf in leaves:
             assert np.all(np.isfinite(leaf.grad))
