@@ -6,14 +6,18 @@ sub-measure is replaced by one supported on at most N_p + 1 of its own points
 while preserving total mass and all moments of a polynomial test basis.
 
 The balls are independent, so :func:`rmp` reduces them together, in
-lockstep.  Each ball runs its own reduction (Litterer & Lyons' hierarchical
-scheme) as a generator that yields every reduction problem, a set of lifted
-points and their weights, and is sent back the survivors.  The driver groups
-the pending problems of all balls by point count and solves each group with
-one stacked complete QR, so the number of QR calls follows the steps and the
-distinct point counts, not the number of balls.  Stacked QR gives every
-matrix bitwise the factors of a call on it alone, so the result is bitwise
-that of reducing ball by ball.  :func:`recombine` is the one-ball case.
+lockstep, by Litterer & Lyons' hierarchical scheme.  Every ball of the call
+lives in flat arrays (:class:`_Lockstep`): its members in lexicographic
+order, their weights, and its pending reduction problem, which is either
+its points or the centres of mass of its chunks.  Each lockstep round
+groups the pending problems by point count and solves each group with one
+stacked complete QR; the chunk masses and centres of mass of all balls that
+start a chunked round are formed at once, grouped by chunk length.  So the
+Python work follows the rounds and the distinct sizes, not the number of
+balls.  Stacked QR gives every matrix bitwise the factors of a call on it
+alone, and each chunk is summed over a contiguous run of exactly its own
+length, so the result is bitwise that of reducing ball by ball.
+:func:`recombine` is the one-ball case.
 
 The pre-processing loop alternates tree propagation steps with this
 compression and ends with a sparse per-interval weight table.  Tree nodes are
@@ -169,17 +173,22 @@ class TestBasis:
         return len(self.exponents)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Monomial values, shape (n_points, N_p)."""
+        """Monomial values, shape (n_points, N_p).
+
+        Column j is the product over the axes, in axis order, of
+        ``points[:, axis] ** power``; a zero power contributes an exact 1.
+        """
         points = np.atleast_2d(points)
-        n = points.shape[0]
-        out = np.empty((n, self.size))
-        for j, exp in enumerate(self.exponents):
-            col = np.ones(n)
-            for axis, power in enumerate(exp):
-                if power:
-                    col = col * points[:, axis] ** power
-            out[:, j] = col
-        return out
+        # powers[:, axis, p] = points[:, axis] ** p
+        powers = np.ones((points.shape[0], self.dim, self.degree + 1))
+        for p in range(1, self.degree + 1):
+            powers[:, :, p] = points**p
+        exps = np.array(self.exponents)
+        out = powers[:, 0, exps[:, 0]]
+        for axis in range(1, self.dim):
+            out = out * powers[:, axis, exps[:, axis]]
+        # row-major, as sums over rows of these values round by the layout
+        return np.ascontiguousarray(out)
 
 
 @dataclass(frozen=True)
@@ -225,16 +234,17 @@ def singleton_localization(measure: DiscreteMeasure) -> Localization:
 
 
 def _reduce_batch(
-    lifted: np.ndarray, weights: np.ndarray
+    constraints: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One reduction step on each of B problems of n pre-lifted points.
+    """One reduction step on each of B problems of n points.
 
-    ``lifted`` has shape (B, n, N_p) and ``weights`` shape (B, n).  One
-    stacked complete QR of the constraint matrices ``[1 | lifted]`` gives
-    every problem a kernel vector, column N_p + 1 of its Q factor; each
-    matrix gets bitwise the factors a call on it alone would give.  The sign
-    is fixed so the first significant entry is positive; the sum-to-zero
-    constraint then guarantees entries of both signs.
+    ``constraints`` has shape (B, n, N_p + 1): each point's row is 1 (its
+    mass) followed by its N_p basis values.  ``weights`` has shape (B, n).
+    One stacked complete QR of the constraint matrices gives every problem a
+    kernel vector, column N_p + 1 of its Q factor; each matrix gets bitwise
+    the factors a call on it alone would give.  The sign is fixed so the
+    first significant entry is positive; the sum-to-zero constraint then
+    guarantees entries of both signs.
 
     Returns (new_weights, keep, usable).  In each usable row at least one
     point is dropped: ties in the ratio test break at the lowest index, and
@@ -242,105 +252,30 @@ def _reduce_batch(
     no positive entry is not usable.  Raises NoNullVector when n <= N_p + 1,
     where the constraints leave no kernel vector to take.
     """
-    n_batch, n, n_basis = lifted.shape
-    if n <= n_basis + 1:
-        raise NoNullVector(
-            f"{n} points under {n_basis + 1} constraints leave no kernel vector"
-        )
-    mats = np.concatenate([np.ones((n_batch, n, 1)), lifted], axis=2)
-    q_full, _ = np.linalg.qr(mats, mode="complete")
-    u = q_full[:, :, n_basis + 1]
+    n_batch, n, n_cols = constraints.shape
+    if n <= n_cols:
+        raise NoNullVector(f"{n} points under {n_cols} constraints leave no kernel vector")
+    q_full, _ = np.linalg.qr(constraints, mode="complete")
+    u = q_full[:, :, n_cols]
     mag = np.abs(u)
-    first = np.argmax(mag > 1e-12 * mag.max(axis=1, keepdims=True), axis=1)
+    first = (mag > 1e-12 * mag.max(axis=1, keepdims=True)).argmax(axis=1)
     rows = np.arange(n_batch)
     u = np.where((u[rows, first] < 0)[:, None], -u, u)
     positive = u > 0
     ratios = np.where(positive, weights / np.where(positive, u, 1.0), np.inf)
-    star = np.argmin(ratios, axis=1)
+    star = ratios.argmin(axis=1)
     alpha = ratios[rows, star]
     new_weights = weights - alpha[:, None] * u
     new_weights[rows, star] = 0.0
     np.maximum(new_weights, 0.0, out=new_weights)
-    keep = new_weights > 0.0
-    keep[rows, star] = False
-    return new_weights, keep, positive.any(axis=1)
+    # the point at the ratio's minimum now weighs 0.0, so it is dropped too
+    return new_weights, new_weights > 0.0, positive.any(axis=1)
 
 
-def _reduce_points(lifted: np.ndarray, weights: np.ndarray, target: int):
-    """Step one point set down to ``target`` points.
-
-    A generator: it yields each step's problem ``(lifted, weights)`` and is
-    sent back the step's ``(new_weights, keep)``, or ``None`` when the step
-    found no usable kernel vector, which ends the reduction early.  Returns
-    (surviving local indices, their weights, steps taken).
-    """
-    local = np.arange(weights.shape[0])
-    steps = 0
-    while local.shape[0] > target:
-        step = yield lifted[local], weights
-        if step is None:
-            break
-        new_weights, keep = step
-        local = local[keep]
-        weights = new_weights[keep]
-        steps += 1
-    return local, weights, steps
-
-
-def _recombine_ball(points: np.ndarray, weights: np.ndarray, lifted: np.ndarray, target: int):
-    """Compress one ball to at most ``target`` of its points; a generator.
-
-    Hierarchical scheme: partition the support into 2*target consecutive
-    chunks, reduce the chunk centers of mass in the lifted monomial space,
-    re-expand surviving chunks, and repeat; small supports are reduced
-    point-by-point.  Every reduction step is yielded as in
-    :func:`_reduce_points`.  Returns (indices into the ball in output order,
-    their new weights, outer rounds, reduction steps).
-    """
-    wts = weights.copy()
-    # lexicographic position order makes the consecutive chunks below
-    # spatially coherent, so a killed chunk moves mass only locally
-    idx = np.lexsort(points.T[::-1])
-    rounds = 0
-    steps = 0
-    while idx.shape[0] > target:
-        rounds += 1
-        n = idx.shape[0]
-        if n <= 2 * target:
-            # chunks would be singletons: reduce the points directly
-            local, w, done = yield from _reduce_points(lifted[idx], wts[idx], target)
-            steps += done
-            wts[idx[local]] = w
-            idx = idx[local]
-            break
-        groups = 2 * target
-        bounds = np.linspace(0, n, groups + 1).astype(int)
-        w_all = wts[idx]
-        lifted_all = lifted[idx]
-        nu = np.array([w_all[a:b].sum() for a, b in zip(bounds[:-1], bounds[1:])])
-        com = np.array(
-            [
-                (w_all[a:b, None] * lifted_all[a:b]).sum(axis=0)
-                for a, b in zip(bounds[:-1], bounds[1:])
-            ]
-        )
-        live = nu > 0
-        com[live] /= nu[live, None]
-        kept, gnu, done = yield from _reduce_points(com[live], nu[live], target)
-        steps += done
-        glocal = np.flatnonzero(live)[kept]
-        new_idx = []
-        new_wts = np.zeros_like(wts)
-        for g, nu_tilde in zip(glocal, gnu):
-            members = idx[bounds[g] : bounds[g + 1]]
-            new_wts[members] = wts[members] * (nu_tilde / nu[g])
-            new_idx.append(members)
-        idx = np.concatenate(new_idx) if new_idx else np.zeros(0, dtype=int)
-        wts = new_wts
-        if glocal.shape[0] > target:
-            break  # kernel exhausted early; support stays above target
-    idx = idx[wts[idx] > 0]
-    return idx, wts[idx], rounds, steps
+def _spans(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Positions ``lo[i] .. lo[i] + n[i] - 1`` of every span, span after span."""
+    ends = np.cumsum(n)
+    return np.repeat(lo - ends + n, n) + np.arange(ends[-1] if n.size else 0)
 
 
 # Upper bound on the entries of one stacked Q factor (8 MB), so that a large
@@ -348,45 +283,241 @@ def _recombine_ball(points: np.ndarray, weights: np.ndarray, lifted: np.ndarray,
 _QR_STACK_ENTRIES = 1 << 20
 
 
-def _recombine_balls(
-    points: np.ndarray, weights: np.ndarray, lifted: np.ndarray, balls, target: int
-) -> list[tuple[np.ndarray, np.ndarray, int, int]]:
-    """Recombine every ball in lockstep; one :func:`_recombine_ball` result per ball.
+class _Lockstep:
+    """The state of recombining many balls at once, as flat arrays.
 
-    ``balls`` holds each ball's indices into ``points``, ``weights`` and
-    ``lifted`` (the basis values of every point).  Each lockstep round groups
-    the balls' pending reduction problems by point count n and takes one
-    batched step per group, so the QR calls grow with the distinct problem
-    sizes, not with the number of balls.
+    Litterer & Lyons' hierarchical scheme, per ball: while the ball holds
+    more than ``target`` points, an outer round either reduces the points
+    directly (at most ``2 * target`` of them) or splits them into
+    ``2 * target`` consecutive chunks, reduces the chunks' centres of mass
+    in the lifted space, and keeps the points of the surviving chunks,
+    rescaled.  A reduction takes one step per lockstep round (:meth:`step`)
+    until it holds at most ``target`` rows or finds no usable kernel vector;
+    in the chunked phase that exhaustion ends the ball above ``target``.
+
+    ``member`` lists every ball's points, ball after ball, each ball in
+    lexicographic order; ball b owns ``member[first[b]:last[b]]`` and its
+    points still in play are those ``alive``.  A ball in its chunked phase
+    keeps each chunk's mass and size in ``nu`` and ``size``.  The pool holds
+    the pending reductions, at most one per ball, grouped by point count n:
+    balls (B,), constraint rows (B, n, N_p + 1) as :func:`_reduce_batch`
+    takes them, weights (B, n) and what each row stands for (B, n), a point
+    or a chunk of its ball.  Every point lies in one ball, so current
+    weights are kept per point.
     """
-    runs = [_recombine_ball(points[b], weights[b], lifted[b], target) for b in balls]
-    results: list = [None] * len(runs)
-    pending: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def advance(i: int, sent) -> None:
-        try:
-            pending[i] = runs[i].send(sent)
-        except StopIteration as done:
-            results[i] = done.value
+    def __init__(self, weights, lifted, target, member, bounds):
+        n_balls = bounds.size - 1
+        self.wts, self.lifted, self.target = weights, lifted, target
+        self.constraints = np.concatenate([np.ones((lifted.shape[0], 1)), lifted], axis=1)
+        self.member, self.first, self.last = member, bounds[:-1], bounds[1:]
+        self.alive = np.ones(member.size, dtype=bool)
+        self.nu = np.zeros((n_balls, 2 * target))
+        self.size = np.zeros((n_balls, 2 * target), dtype=int)
+        self.pool: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.chunked = np.zeros(n_balls, dtype=bool)
+        self.rounds = np.zeros(n_balls, dtype=int)
+        # a ball's steps are the rounds its problems spent in the pool, less
+        # any round that found no usable kernel vector: a problem subtracts
+        # the round clock when posed and adds it back when it ends
+        self.steps = np.zeros(n_balls, dtype=int)
+        self.clock = 0
+        self.out_ball = [np.zeros(0, dtype=int)]
+        self.out_point = [np.zeros(0, dtype=int)]
+        self._round(np.arange(n_balls), np.arange(member.size), bounds[1:] - bounds[:-1])
 
-    for i in range(len(runs)):
-        advance(i, None)
-    while pending:
-        by_size: dict[int, list[int]] = {}
-        for i, (_, w) in pending.items():
-            by_size.setdefault(w.shape[0], []).append(i)
-        problems, pending = pending, {}
-        for n, members in by_size.items():
+    def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Survivors ball by ball, their weights, each ball's rounds and steps."""
+        order = np.argsort(np.concatenate(self.out_ball), kind="stable")
+        point = np.concatenate(self.out_point)[order]
+        return point, self.wts[point], self.rounds, self.steps
+
+    def step(self) -> None:
+        """One reduction step of every pending problem, one stacked QR per
+        point count and stack; then the ended reductions move on."""
+        pool, self.pool = self.pool, {}
+        self.clock += 1
+        ended = []
+        for n, (balls, lift, w, ref) in pool.items():
             per_stack = max(1, _QR_STACK_ENTRIES // (n * n))
-            for lo in range(0, len(members), per_stack):
-                part = members[lo : lo + per_stack]
-                new_weights, keep, usable = _reduce_batch(
-                    np.stack([problems[i][0] for i in part]),
-                    np.stack([problems[i][1] for i in part]),
+            parts = [
+                _reduce_batch(lift[lo : lo + per_stack], w[lo : lo + per_stack])
+                for lo in range(0, balls.size, per_stack)
+            ]
+            new_w, keep, usable = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+            left = keep.sum(axis=1)
+            ends = left <= self.target
+            if not usable.all():
+                # without a usable kernel vector a problem keeps its rows and ends
+                new_w[~usable], keep[~usable], left[~usable] = w[~usable], True, n
+                ends |= ~usable
+            if ends.all():
+                ended.append((balls, left, usable, new_w[keep], ref[keep]))
+                continue
+            if ends.any():
+                rows = keep[ends]
+                ended.append(
+                    (balls[ends], left[ends], usable[ends], new_w[ends][rows], ref[ends][rows])
                 )
-                for row, i in enumerate(part):
-                    advance(i, (new_weights[row], keep[row]) if usable[row] else None)
-    return results
+                stay = ~ends
+                balls, lift, new_w, ref = balls[stay], lift[stay], new_w[stay], ref[stay]
+                keep, left = keep[stay], left[stay]
+            self._add(balls, left, lift[keep], new_w[keep], ref[keep])
+        if ended:
+            self._end(*(map(np.concatenate, zip(*ended)) if ended[1:] else ended[0]))
+
+    def _add(self, balls, counts, lift, w, ref) -> None:
+        """Pool one problem per ball, ``counts`` of the flat rows each."""
+        if not balls.size:
+            return
+        m = counts[0]
+        if (counts == m).all():
+            groups = [(m, balls, lift, w, ref)]
+        else:
+            groups = []
+            for m in np.unique(counts):
+                rows = np.repeat(counts == m, counts)
+                groups.append((m, balls[counts == m], lift[rows], w[rows], ref[rows]))
+        for m, balls, lift, w, ref in groups:
+            part = balls, lift.reshape(-1, m, lift.shape[1]), w.reshape(-1, m), ref.reshape(-1, m)
+            held = self.pool.get(m)
+            self.pool[m] = part if held is None else tuple(map(np.concatenate, zip(held, part)))
+
+    def _pose(self, balls, counts, lift, w, ref) -> None:
+        """Pool new problems, starting their step count."""
+        self.steps[balls] -= self.clock
+        self._add(balls, counts, lift, w, ref)
+
+    def _end(self, balls, counts, usable, w, ref) -> None:
+        """Act on the reductions that ended this round."""
+        self.steps[balls] += self.clock - ~usable
+        chunked = self.chunked[balls]
+        rows = np.repeat(chunked, counts)
+        if not chunked.all():
+            # a direct reduction's survivors end the ball
+            self.wts[ref[~rows]] = w[~rows]
+            self._emit(np.repeat(balls[~chunked], counts[~chunked]), ref[~rows])
+        if chunked.any():
+            self._round(*self._rescale(balls[chunked], counts[chunked], ref[rows], w[rows]))
+
+    def _emit(self, ball: np.ndarray, point: np.ndarray) -> None:
+        """Output the points of positive weight among ``point`` (of ``ball``)."""
+        live = self.wts[point] > 0
+        self.out_ball.append(ball[live])
+        self.out_point.append(point[live])
+
+    def _round(self, balls, pos, n) -> None:
+        """Begin the next outer round of ``balls``, whose points in play sit
+        at ``pos`` in ``member``, ``n`` per ball; end those with at most
+        ``target``."""
+        t = self.target
+        while balls.size:
+            small = n <= t
+            if small.any():
+                rows = np.repeat(small, n)
+                self._emit(np.repeat(balls[small], n[small]), self.member[pos[rows]])
+                balls, pos, n = balls[~small], pos[~rows], n[~small]
+            self.rounds[balls] += 1
+            direct = n <= 2 * t
+            self.chunked[balls] = ~direct
+            if direct.any():
+                rows = np.repeat(direct, n)
+                point = self.member[pos[rows]]
+                self._pose(
+                    balls[direct], n[direct], self.constraints[point], self.wts[point], point
+                )
+                balls, pos, n = balls[~direct], pos[~rows], n[~direct]
+            balls, pos, n = self._chunk(balls, pos, n)
+
+    def _chunk(self, balls, pos, n):
+        """Split ``balls`` into chunks and pose the reductions of their
+        centres of mass.  Balls with at most ``target`` live chunks need no
+        reduction; returns them, rescaled, as :meth:`_rescale` does."""
+        if not balls.size:
+            return balls, pos, n
+        groups = 2 * self.target
+        # chunk bounds int(g * (n / groups)) and n, as np.linspace(0, n, groups + 1)
+        bounds = (np.arange(groups + 1) * (n / groups)[:, None]).astype(int)
+        bounds[:, -1] = n
+        size = bounds[:, 1:] - bounds[:, :-1]
+        start = bounds[:, :-1] + (np.cumsum(n) - n)[:, None]
+        point = self.member[pos]
+        nu = np.empty(size.shape)
+        com = np.ones(size.shape + (self.constraints.shape[1],))
+        for length in np.flatnonzero(np.bincount(size.ravel())):
+            chunks = size == length
+            idx = point[start[chunks][:, None] + np.arange(length)]
+            w = self.wts[idx]
+            # each row sums one contiguous run of exactly the chunk's length,
+            # so it rounds as the chunk's own slice sum would
+            nu[chunks] = w.sum(axis=1)
+            com[chunks, 1:] = (w[:, :, None] * self.lifted[idx]).sum(axis=1)
+        live = nu > 0
+        np.divide(com[..., 1:], nu[..., None], out=com[..., 1:], where=live[..., None])
+        self.nu[balls], self.size[balls] = nu, size
+        n_live = live.sum(axis=1)
+        many = n_live > self.target
+        posed = live & many[:, None]
+        self._pose(balls[many], n_live[many], com[posed], nu[posed], np.nonzero(posed)[1])
+        if many.all():
+            return balls[:0], pos[:0], n[:0]
+        few = live & ~many[:, None]
+        return self._rescale(balls[~many], n_live[~many], np.nonzero(few)[1], nu[few])
+
+    def _rescale(self, balls, counts, chunk, mass):
+        """Keep the points of each ball's surviving chunks (``counts`` per
+        ball: ``chunk``, with new ``mass``), rescaled to the new mass; end
+        the balls whose kernel ran out above ``target``.  Returns the other
+        balls with the positions and counts of their points in play."""
+        if not balls.size:
+            return balls, balls, balls
+        factor = np.zeros((balls.size, 2 * self.target))
+        factor[np.repeat(np.arange(balls.size), counts), chunk] = mass
+        kept = factor > 0  # a surviving chunk has positive mass
+        np.divide(factor, self.nu[balls], out=factor, where=kept)
+        lo = self.first[balls]
+        span = _spans(lo, self.last[balls] - lo)
+        pos = span[self.alive[span]]
+        size = self.size[balls]
+        keep = np.repeat(kept, size.ravel())
+        self.alive[pos[~keep]] = False
+        pos = pos[keep]
+        point = self.member[pos]
+        self.wts[point] = self.wts[point] * np.repeat(factor[kept], size[kept])
+        n = np.where(kept, size, 0).sum(axis=1)
+        exhausted = counts > self.target
+        if exhausted.any():
+            rows = np.repeat(exhausted, n)
+            self._emit(np.repeat(balls[exhausted], n[exhausted]), point[rows])
+            balls, pos, n = balls[~exhausted], pos[~rows], n[~exhausted]
+        return balls, pos, n
+
+
+def _recombine_balls(
+    points: np.ndarray,
+    weights: np.ndarray,
+    lifted: np.ndarray,
+    member: np.ndarray,
+    sizes: np.ndarray,
+    target: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Recombine every ball in lockstep rounds (see :class:`_Lockstep`).
+
+    ``member`` lists each ball's indices into ``points``, ``weights`` and
+    ``lifted`` (the basis values of every point), ball after ball, with
+    ``sizes`` per ball; no point lies in two balls.  Returns the survivors
+    ball by ball, their weights, and each ball's outer rounds and reduction
+    steps.
+    """
+    ball = np.repeat(np.arange(sizes.size), sizes)
+    # lexicographic position order within each ball makes the consecutive
+    # chunks spatially coherent, so a killed chunk moves mass only locally
+    order = np.lexsort((*points[member].T[::-1], ball))
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    run = _Lockstep(weights.copy(), lifted, target, member[order], bounds)
+    while run.pool:
+        run.step()
+    return run.result()
 
 
 @dataclass(frozen=True)
@@ -405,14 +536,15 @@ def recombine(
     """Compress a measure to at most N_p + 1 of its own points.
 
     The one-ball case of :func:`rmp`, by the hierarchical scheme of
-    :func:`_recombine_ball`.  Mass and all basis moments are preserved to
+    :class:`_Lockstep`.  Mass and all basis moments are preserved to
     roundoff and every output point is an input point (index-based pruning).
     """
-    ((idx, weights, rounds, steps),) = _recombine_balls(
+    idx, weights, rounds, steps = _recombine_balls(
         measure.points,
         measure.weights,
         basis.evaluate(measure.points),
-        [np.arange(measure.size)],
+        np.arange(measure.size),
+        np.array([measure.size]),
         basis.size + 1,
     )
     out = measure.reweighted(idx, weights)
@@ -420,11 +552,37 @@ def recombine(
         stats = RecombineStats(
             input_size=measure.size,
             output_size=out.size,
-            outer_rounds=rounds,
-            reduction_steps=steps,
+            outer_rounds=int(rounds[0]),
+            reduction_steps=int(steps[0]),
         )
         return out, stats
     return out
+
+
+def _partition_balls(localization: Localization, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The balls' indices, ball after ball, and each ball's count;
+    ``InvalidParameter`` names the first ball or point at fault unless the
+    balls partition the ``size`` points."""
+    balls = [np.asarray(ball.indices) for ball in localization.balls]
+    sizes = np.array([b.size for b in balls], dtype=int)
+    owner = np.repeat(np.arange(sizes.size), sizes)
+    flat = np.concatenate(balls) if balls else np.zeros(0, dtype=int)
+    outside = (flat < 0) | (flat >= size)
+    if outside.any():
+        at = int(np.argmax(outside))
+        raise InvalidParameter(
+            f"ball {owner[at]} holds index {flat[at]}, outside the measure's {size} points"
+        )
+    count = np.bincount(flat, minlength=size)
+    if np.any(count != 1):
+        point = int(np.argmax(count != 1))
+        if count[point] == 0:
+            raise InvalidParameter(f"point {point} lies in no ball; balls must cover every point")
+        first, second = owner[flat == point][:2]
+        raise InvalidParameter(
+            f"point {point} lies in balls {first} and {second}; balls must be disjoint"
+        )
+    return flat, sizes
 
 
 def rmp(
@@ -432,19 +590,23 @@ def rmp(
 ) -> DiscreteMeasure:
     """Reduce within each ball independently and take the union.
 
-    Per-ball support is at most N_p + 1, so the output has at most
-    l * (N_p + 1) points for l balls.  The balls are reduced together, in
-    lockstep, over one evaluation of the basis; the output lists each
-    ball's survivors in ball order.
+    The balls must partition the measure's points, else ``InvalidParameter``
+    names the first ball or point at fault.  Per-ball support is at most
+    N_p + 1, so the output has at most l * (N_p + 1) points for l balls.  The
+    balls are reduced together, in lockstep, over one evaluation of the
+    basis; the output lists each ball's survivors in ball order.
     """
+    member, sizes = _partition_balls(localization, measure.size)
     if measure.size == 0:
         return measure
-    balls = [ball.indices for ball in localization.balls]
-    results = _recombine_balls(
-        measure.points, measure.weights, basis.evaluate(measure.points), balls, basis.size + 1
+    indices, weights, _, _ = _recombine_balls(
+        measure.points,
+        measure.weights,
+        basis.evaluate(measure.points),
+        member,
+        sizes,
+        basis.size + 1,
     )
-    indices = np.concatenate([b[idx] for b, (idx, _, _, _) in zip(balls, results)])
-    weights = np.concatenate([w for _, w, _, _ in results])
     return measure.reweighted(indices, weights)
 
 

@@ -148,7 +148,11 @@ def topo_order(root: Var) -> list[Var]:
 
 
 def backward(root: Var) -> list[Var]:
-    """Accumulate gradients of a scalar root into every node; returns the tape."""
+    """Accumulate gradients of a scalar root into the leaves; returns the tape.
+
+    An interior node's gradient is dropped once its VJP has run, so only the
+    leaves (nodes without a VJP) hold a gradient afterwards.
+    """
     order = topo_order(root)
     for node in order:
         node.grad = None
@@ -163,6 +167,7 @@ def backward(root: Var) -> list[Var]:
                 parent.grad = g + 0.0
             else:
                 parent.grad += g
+        node.grad = None
     return order
 
 
@@ -170,7 +175,8 @@ def tape_bytes(order: list[Var]) -> int:
     """Bytes held by node values and saved arrays: the tape's memory high-water mark.
 
     A saved array kept by several nodes (one segment's path slopes in every
-    RK4 stage) counts once.
+    RK4 stage) counts once.  Gradients are not counted; :func:`backward`
+    holds those of the leaves and of the nodes whose VJP has not run yet.
     """
     total = 0
     saved: dict[int, int] = {}

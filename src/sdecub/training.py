@@ -343,6 +343,8 @@ class TrainingLog:
         return np.array([r.seconds for r in self.rows if r.arm == arm])
 
     def peak_bytes(self, arm: str) -> np.ndarray:
+        """Each epoch's ``tape_bytes`` (see :func:`tape.tape_bytes`): node
+        values and saved arrays; gradients are not counted."""
         return np.array([r.peak_bytes for r in self.rows if r.arm == arm])
 
     def to_csv(self) -> str:

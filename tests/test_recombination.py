@@ -26,7 +26,14 @@ from sdecub import (
 )
 from sdecub import recombination
 from sdecub.formulas import dumps_17g
-from sdecub.recombination import Level, Provenance, RecombineStats, _reduce_batch
+from sdecub.recombination import (
+    Ball,
+    Level,
+    Localization,
+    Provenance,
+    RecombineStats,
+    _reduce_batch,
+)
 
 
 def random_measure(rng, n, d, provenance=False):
@@ -208,16 +215,16 @@ def tuple_provenance_json(formula, partition, basis, p_star, radius_mode, manife
                 loc = localize(measure, radius)
             else:
                 loc = singleton_localization(measure)
-            balls = [b.indices for b in loc.balls]
-            results = recombination._recombine_balls(
-                measure.points, measure.weights, basis.evaluate(measure.points), balls,
-                basis.size + 1,
+            # each row carries itself as its one node, so the survivors'
+            # nodes name the rows rmp kept
+            rows = np.arange(measure.size)
+            tagged = DiscreteMeasure(
+                measure.points, measure.weights, Provenance(rows, rows, measure.weights)
             )
-            reduced, prov = tuple_reweighted(
-                measure, prov,
-                np.concatenate([b[idx] for b, (idx, *_) in zip(balls, results)]),
-                np.concatenate([w for _, w, *_ in results]),
-            )
+            out = rmp(tagged, loc, basis)
+            kept = np.empty(out.size, dtype=int)
+            kept[out.provenance.point] = out.provenance.node
+            reduced, prov = tuple_reweighted(measure, prov, kept, out.weights)
             defect = recombination.moment_defect(measure, reduced, basis)
             measure = reduced
         radii.append(radius)
@@ -286,7 +293,8 @@ class TestLocalize:
 
 def reduce_once(points, weights, basis):
     """One batched reduction step, as a batch of one; the survivors and their weights."""
-    new_weights, keep, usable = _reduce_batch(basis.evaluate(points)[None], weights[None])
+    constraints = np.concatenate([np.ones((points.shape[0], 1)), basis.evaluate(points)], axis=1)
+    new_weights, keep, usable = _reduce_batch(constraints[None], weights[None])
     assert usable[0]
     return points[keep[0]], new_weights[0][keep[0]]
 
@@ -358,6 +366,26 @@ class TestRecombine:
         assert isinstance(stats, RecombineStats)
         bound = math.ceil(math.log2(700 / basis.size)) + 1
         assert stats.outer_rounds <= bound
+        # 700 > 2 * (N_p + 1) points go through the chunked rounds first
+        assert stats.outer_rounds >= 2
+
+    def test_direct_reduction_stats(self):
+        # 8 <= 2 * (N_p + 1) points: one direct round, one step per dropped point
+        m = DiscreteMeasure(np.arange(8.0)[:, None], np.full(8, 1.0 / 8))
+        out, stats = recombine(m, TestBasis(1, 4), with_stats=True)
+        assert out.size == 5
+        assert stats.reduction_steps == 3
+        assert stats.outer_rounds == 1
+
+
+def clustered_measure(rng, sizes):
+    """1-d measure with provenance: ``sizes[c]`` points in [2c, 2c + 1), one
+    grid cell apiece at radius 0.5."""
+    points = np.concatenate([2.0 * c + rng.uniform(size=n) for c, n in enumerate(sizes)])
+    weights = rng.uniform(0.1, 1.0, size=points.size)
+    weights /= weights.sum()
+    rows = np.arange(points.size)
+    return DiscreteMeasure(points[:, None], weights, Provenance(rows, rows, weights.copy()))
 
 
 class TestRmp:
@@ -394,11 +422,45 @@ class TestRmp:
         assert out.size == 0
 
     @pytest.mark.parametrize(
-        "case", ["localized_1d", "split_stacks", "hierarchical_2d", "singletons"]
+        "balls, fault",
+        [
+            ([range(0, 9), range(3, 12)], "point 3 lies in balls 0 and 1"),
+            ([range(0, 6)], "point 6 lies in no ball"),
+            ([range(0, 12), [12]], "ball 1 holds index 12"),
+        ],
+        ids=["overlapping", "point_left_out", "index_out_of_range"],
+    )
+    def test_localization_must_partition_the_points(self, balls, fault):
+        m = DiscreteMeasure(np.arange(12.0)[:, None], np.full(12, 1.0 / 12))
+        loc = Localization(
+            balls=tuple(Ball(center=np.zeros(1), indices=np.array(b)) for b in balls),
+            radius=1.0,
+        )
+        with pytest.raises(InvalidParameter, match=fault):
+            rmp(m, loc, TestBasis(1, 1))
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "localized_1d", "split_stacks", "hierarchical_2d", "singletons",
+            "wide_chunks", "mixed_phases",
+        ],
     )
     def test_bitwise_equal_to_serial_reference(self, monkeypatch, case):
         rng = np.random.default_rng(24)
-        if case in ("localized_1d", "split_stacks"):
+        if case == "wide_chunks":
+            # 10 chunks a round: 9, 20 and 150 points in the first, so the
+            # chunk sums run numpy's pairwise summation, blocked past 128
+            m, basis = clustered_measure(rng, [90, 200, 1500]), TestBasis(1, 4)
+            loc = localize(m, 0.5)
+            assert sorted(b.indices.shape[0] for b in loc.balls) == [90, 200, 1500]
+        elif case == "mixed_phases":
+            # at most N_p + 1 = 5 points (no round), at most 10 (direct
+            # reduction) and more (chunked rounds) in one call
+            m, basis = clustered_measure(rng, [3, 8, 40, 5, 300, 10, 11]), TestBasis(1, 4)
+            loc = localize(m, 0.5)
+            assert len(loc.balls) == 7
+        elif case in ("localized_1d", "split_stacks"):
             m = random_measure(rng, 3000, 1, provenance=True)
             loc, basis = localize(m, 0.02), TestBasis(1, 4)
             assert len(loc.balls) >= 100

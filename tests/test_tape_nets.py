@@ -141,6 +141,16 @@ class TestTapeOps:
         tp.backward(ssum(y))
         assert x.grad == pytest.approx(np.array([5.0]))
 
+    def test_interior_gradients_dropped(self):
+        arrays = mlp_arrays(4, batch=3, d=2)
+        leaves = [tp.const(a) for a in arrays]
+        y = tp.mlp(*leaves, 0.3, 0.05)
+        order = tp.backward(ssum(square(y) + y))
+        interior = [node for node in order if node.vjp is not None]
+        assert len(interior) == 4
+        assert all(node.grad is None for node in interior)
+        assert all(leaf.grad is not None for leaf in leaves)
+
     def test_wsum_weights(self):
         v = tp.const(np.array([1.0, 2.0, 3.0]))
         w = np.array([0.2, 0.3, 0.5])
