@@ -81,7 +81,6 @@ from .training import (
     loss_and_gradient_mc,
     make_training_data,
     train,
-    variational_loss_terms,
 )
 
 __version__ = "0.1.0"

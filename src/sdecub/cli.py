@@ -27,13 +27,7 @@ from .estimator import (
     sine_tracking_functional,
 )
 from .fields import make_field
-from .formulas import (
-    CubatureFormula,
-    degree3_formula,
-    degree5_formula,
-    dumps_17g,
-    verify_cubature,
-)
+from .formulas import CubatureFormula, cubature_formula, dumps_17g, verify_cubature
 from .partition import make_partition
 from .recombination import TestBasis, preprocess
 from .training import TrainConfig, make_training_data, train
@@ -97,13 +91,9 @@ def _write_manifest(out: Path, stage: str, settings: dict, results: dict):
     _write(out / "manifest.json", dumps_17g(doc))
 
 
-def _build_formula(degree: int, dim: int) -> CubatureFormula:
-    return degree5_formula(dim) if degree == 5 else degree3_formula(dim)
-
-
 def cmd_formula(args) -> int:
     out = _out_dir(args)
-    formula = _build_formula(args.degree, args.dim)
+    formula = cubature_formula(args.degree, args.dim)
     report = verify_cubature(formula, m=args.degree, tol=args.tol)
     _write(out / "formula.json", formula.to_json())
     _write(
@@ -206,7 +196,7 @@ def cmd_estimate(args) -> int:
     kwargs = {} if settings["field"] == "drift_only" else {"sigma": settings["sigma"]}
     spec = make_field(settings["field"], **kwargs)
     functional = sine_tracking_functional()
-    formula = _build_formula(int(settings["degree"]), spec.d_b)
+    formula = cubature_formula(int(settings["degree"]), spec.d_b)
     partition = make_partition(settings["T"], int(settings["k"]), settings["gamma"])
     table = None
     if partition.k >= 2:

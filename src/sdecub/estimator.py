@@ -253,6 +253,7 @@ def mc_estimate(
             states = block[: hi - lo]
             states[:, :, 1:] = paths[lo:hi]
             values[done + lo : done + hi] = functional.evaluate_batch(times, states)
+        del paths  # free this chunk's trajectory before the next one is allocated
     mean = math.fsum(values) / n_paths
     return EstimateReport(value=mean, n_paths=n_paths, seconds=time.perf_counter() - start)
 
@@ -356,10 +357,11 @@ def convergence_experiment(config: BenchConfig):
     Monte Carlo points report the RMS error over seeded replicates; cubature
     is deterministic and needs no replication.  Returns (rows, summary).
     """
-    from .formulas import degree3_formula, degree5_formula
+    from .formulas import cubature_formula
     from .partition import make_partition
     from .recombination import TestBasis, preprocess
 
+    formula = cubature_formula(config.degree, config.spec.d_b)
     oracle, oracle_band = _resolve_oracle(config)
     rows: list[BenchRow] = []
     seeds = np.random.SeedSequence(config.seed).generate_state(
@@ -387,11 +389,6 @@ def convergence_experiment(config: BenchConfig):
         mc_ns.append(n)
         mc_rms.append(rms)
 
-    formula = (
-        degree5_formula(config.spec.d_b)
-        if config.degree == 5
-        else degree3_formula(config.spec.d_b)
-    )
     basis = TestBasis(dim=config.spec.d_b, degree=config.basis_degree)
     strat = config.spec.stratonovich()
     cub_ns, cub_errors, preprocess_seconds = [], [], []

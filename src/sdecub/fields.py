@@ -17,10 +17,16 @@ import numpy as np
 from .errors import InvalidParameter
 from .ode import VectorFieldSet, ito_to_stratonovich
 
+_ZERO = np.zeros(())
+
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """An Ito SDE preset: coefficients, start point, and optional oracle."""
+    """An Ito SDE preset: coefficients, start point, and optional oracle.
+
+    A constant ``sigma`` or ``sigma_jacobian`` returns a read-only broadcast
+    view of one small array, not a fresh (B, ...) array per call.
+    """
 
     name: str
     d_x: int
@@ -42,15 +48,16 @@ def brownian_field(sigma: float = 1.0, x0: float = 0.0) -> FieldSpec:
 
     Exact sine-tracking value: x0**2 + 1/2 + sigma**2/2 on [0, 1].
     """
+    sigma_row = np.full((1, 1), float(sigma))
 
     def mu(t, x):
         return np.zeros_like(x)
 
     def sig(t, x):
-        return np.full((x.shape[0], 1, 1), sigma)
+        return np.broadcast_to(sigma_row, (x.shape[0], 1, 1))
 
     def jac(t, x):
-        return np.zeros((x.shape[0], 1, 1, 1))
+        return np.broadcast_to(_ZERO, (x.shape[0], 1, 1, 1))
 
     return FieldSpec(
         name="brownian",
@@ -72,6 +79,7 @@ def scaled_diffusion_field(sigma: float = 1.0, x0: float = 1.0) -> FieldSpec:
     """
     if sigma == 0:
         raise InvalidParameter("sigma must be nonzero for the scaled preset")
+    jac_row = np.full((1, 1, 1), float(sigma))
 
     def mu(t, x):
         return np.zeros_like(x)
@@ -80,7 +88,7 @@ def scaled_diffusion_field(sigma: float = 1.0, x0: float = 1.0) -> FieldSpec:
         return (sigma * x)[:, :, None]
 
     def jac(t, x):
-        return np.full((x.shape[0], 1, 1, 1), sigma)
+        return np.broadcast_to(jac_row, (x.shape[0], 1, 1, 1))
 
     value = x0 * x0 * (math.exp(sigma * sigma) - 1.0) / (sigma * sigma) + 0.5
     return FieldSpec(
@@ -103,18 +111,16 @@ def ou_field(
     x0: float | np.ndarray = 0.0,
 ) -> FieldSpec:
     """dX = rate * (mean - X) dt + sigma dB, independent per coordinate."""
+    sigma_rows = np.diag(np.full(d, float(sigma)))
 
     def mu(t, x):
         return rate * (mean - x)
 
     def sig(t, x):
-        out = np.zeros((x.shape[0], d, d))
-        idx = np.arange(d)
-        out[:, idx, idx] = sigma
-        return out
+        return np.broadcast_to(sigma_rows, (x.shape[0], d, d))
 
     def jac(t, x):
-        return np.zeros((x.shape[0], d, d, d))
+        return np.broadcast_to(_ZERO, (x.shape[0], d, d, d))
 
     start = np.full(d, x0, dtype=float) if np.isscalar(x0) else np.asarray(x0, float)
     return FieldSpec(
@@ -135,10 +141,10 @@ def drift_only_field(rate: float = 1.0, d: int = 1, x0: float = 1.0) -> FieldSpe
         return -rate * x
 
     def sig(t, x):
-        return np.zeros((x.shape[0], d, d))
+        return np.broadcast_to(_ZERO, (x.shape[0], d, d))
 
     def jac(t, x):
-        return np.zeros((x.shape[0], d, d, d))
+        return np.broadcast_to(_ZERO, (x.shape[0], d, d, d))
 
     return FieldSpec(
         name="drift_only",

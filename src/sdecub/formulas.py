@@ -340,6 +340,14 @@ def degree5_formula(d_b: int) -> CubatureFormula:
     return CubatureFormula(5, 1, (plus, minus, zero), (1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0))
 
 
+def cubature_formula(degree: int, d_b: int) -> CubatureFormula:
+    """The degree-3 or degree-5 formula; no other degree is built."""
+    builders = {3: degree3_formula, 5: degree5_formula}
+    if degree not in builders:
+        raise InvalidParameter(f"cubature degree must be 3 or 5, got {degree}")
+    return builders[degree](d_b)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of checking a formula against the Brownian expected signature."""

@@ -1,12 +1,14 @@
 """Controlled ODE solves along piecewise-linear paths and the MC baseline.
 
-States are time-augmented: component 0 is physical time, so drift fields have
-a constant 1 there and diffusion fields a constant 0.  Controlled equations
+States are time-augmented: component 0 is physical time, which the drift
+advances at rate 1 and the diffusion leaves alone.  Controlled equations
 ``dphi = sum_i V_i(phi) domega^i`` driven by piecewise-linear paths reduce to
-classical ODEs with piecewise-constant path derivatives.  :func:`rk4_steps`
-is the package's one fourth-order integrator: it steps numpy arrays for the
-batched estimator here and tape nodes for the training arm in
-:mod:`sdecub.training`.
+classical ODEs with piecewise-constant path derivatives.  Each RK4 stage
+evaluates sigma's body once and hands it to the corrected drift, so mu,
+sigma and the sigma-Jacobian are each evaluated once per stage.
+:func:`rk4_steps` is the package's one fourth-order integrator: it steps
+numpy arrays for the batched estimator here and tape nodes for the training
+arm in :mod:`sdecub.training`.
 """
 
 from __future__ import annotations
@@ -24,37 +26,17 @@ from .errors import DimensionMismatch, InvalidParameter, NonFiniteState
 class VectorFieldSet:
     """Stratonovich fields on the augmented state R^{d_x+1}.
 
-    ``drift(x)`` maps (B, d_x+1) -> (B, d_x+1) with component 0 equal to 1;
-    ``diffusion(x)`` maps (B, d_x+1) -> (B, d_x+1, d_b) with component 0 rows
-    equal to 0.  Evaluators must be pure and safe to call concurrently.
+    ``diffusion(x)`` maps (B, d_x+1) -> (B, d_x, d_b), sigma's body: the time
+    component has no diffusion row.  ``drift(x, s)`` takes that body and
+    returns a fresh (B, d_x+1) array, component 0 equal to 1, which the
+    caller may update in place.  Evaluators must be pure and safe to call
+    concurrently.
     """
 
     state_dim: int
     driving_dim: int
-    drift: Callable[[np.ndarray], np.ndarray]
+    drift: Callable[[np.ndarray, np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray], np.ndarray]
-
-
-def _augment_drift(mu):
-    def drift(x):
-        t = x[:, 0]
-        out = np.empty_like(x)
-        out[:, 0] = 1.0
-        out[:, 1:] = mu(t, x[:, 1:])
-        return out
-
-    return drift
-
-
-def _augment_diffusion(sigma, d_b):
-    def diffusion(x):
-        t = x[:, 0]
-        body = sigma(t, x[:, 1:])
-        out = np.zeros((x.shape[0], x.shape[1], d_b))
-        out[:, 1:, :] = body
-        return out
-
-    return diffusion
 
 
 def forward_difference_jacobian(sigma, t, x):
@@ -88,8 +70,10 @@ def ito_to_stratonovich(
     ``mu(t, x)`` returns (B, d_x), ``sigma(t, x)`` returns (B, d_x, d_b).
     The corrected drift is ``mu - (1/2) sum_i J_{sigma_i} sigma_i``; the time
     derivative of sigma drops out because the diffusion fields carry no time
-    component.  Without an analytic ``sigma_jacobian(t, x)`` the Jacobian is
-    taken by forward differences.
+    component.  The drift reads sigma from the body ``diffusion`` returned
+    for the same state, so sigma is not evaluated twice.  Without an
+    analytic ``sigma_jacobian(t, x)`` the Jacobian is taken by forward
+    differences.
     """
     probe_t = np.zeros(1)
     probe_x = np.zeros((1, d_x))
@@ -105,18 +89,17 @@ def ito_to_stratonovich(
     if jac is None:
         jac = lambda t, x: forward_difference_jacobian(sigma, t, x)
 
-    def corrected(t, x):
-        j = jac(t, x)  # (B, d_x, d_b, d_x)
-        s = sigma(t, x)  # (B, d_x, d_b)
-        correction = 0.5 * np.einsum("bjid,bdi->bj", j, s)
-        return mu(t, x) - correction
+    def diffusion(x):
+        return sigma(x[:, 0], x[:, 1:])
 
-    return VectorFieldSet(
-        state_dim=d_x,
-        driving_dim=d_b,
-        drift=_augment_drift(corrected),
-        diffusion=_augment_diffusion(sigma, d_b),
-    )
+    def drift(x, s):
+        t, body = x[:, 0], x[:, 1:]
+        out = np.empty_like(x)
+        out[:, 0] = 1.0
+        out[:, 1:] = mu(t, body) - 0.5 * np.einsum("bjid,bdi->bj", jac(t, body), s)
+        return out
+
+    return VectorFieldSet(state_dim=d_x, driving_dim=d_b, drift=drift, diffusion=diffusion)
 
 
 def rk4_steps(rhs, seg_times, derivs, x0, steps_per_segment: int):
@@ -168,7 +151,10 @@ def solve_controlled_ode_batch(
     """
 
     def rhs(t, x, g):
-        return fields.drift(x) + np.einsum("bdi,bi->bd", fields.diffusion(x), g)
+        s = fields.diffusion(x)
+        v = fields.drift(x, s)
+        v[:, 1:] += np.einsum("bdi,bi->bd", s, g)
+        return v
 
     x0 = np.asarray(x0, float)
     batch, d_aug = derivs.shape[0], x0.shape[-1]

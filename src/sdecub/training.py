@@ -157,25 +157,6 @@ def _loss_graph(
     return misfit, mismatch, const
 
 
-def variational_loss_terms(
-    nets: NetworkFields,
-    theta: np.ndarray,
-    times: np.ndarray,
-    states: np.ndarray,
-    spec: VariationalLossSpec,
-) -> tuple[float, float]:
-    """(reconstruction log-density R, drift-mismatch penalty K) of one path.
-
-    ``states`` holds the path's latent state at ``times``, shape (n, d_x).
-    """
-    nodes = [tape.const(z[None]) for z in states]
-    misfit, mismatch, const = _loss_graph(
-        nets, nets.wrap(theta), times, nodes, np.ones(1), spec, {}
-    )
-    kl = 0.0 if mismatch is None else float(mismatch.value)
-    return -(float(misfit.value) + const), kl
-
-
 @dataclass(frozen=True)
 class GradientReport:
     """One loss-and-gradient call: the loss is -R + kl_weight * K."""
@@ -308,6 +289,10 @@ class TrainConfig:
     data_sigma: float = 0.3
     data_seed: int = 1234
     divergence_threshold: float = 1e6
+
+    def __post_init__(self):
+        if self.degree != 3:
+            raise InvalidParameter(f"training builds the degree-3 formula only, got {self.degree}")
 
 
 @dataclass(frozen=True)

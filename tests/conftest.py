@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import settings
 
 from sdecub import PiecewisePath, leaf_derivatives
+from sdecub.ode import forward_difference_jacobian, rk4_steps
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -70,3 +71,35 @@ def reference_em(mu, sigma, x0, T, grid, rng, n_paths):
         state = state + drift * h + np.einsum("bdi,bi->bd", diff, dw)
         out[:, step + 1] = state
     return times, out
+
+
+def reference_stage_solve(spec, seg_times, derivs, x0, steps_per_segment):
+    """Two-call RK4 stage: augmented states (B, n_steps+1, d_x+1).
+
+    The stage that ``solve_controlled_ode_batch`` must match bit for bit:
+    ``drift(x) + diffusion(x) . g``, where the corrected drift evaluates
+    sigma itself and the diffusion is sigma padded with a zero time row.
+    """
+    jac = spec.sigma_jacobian
+    if jac is None:
+        jac = lambda t, x: forward_difference_jacobian(spec.sigma, t, x)
+
+    def drift(x):
+        t, body = x[:, 0], x[:, 1:]
+        correction = 0.5 * np.einsum("bjid,bdi->bj", jac(t, body), spec.sigma(t, body))
+        out = np.empty_like(x)
+        out[:, 0] = 1.0
+        out[:, 1:] = spec.mu(t, body) - correction
+        return out
+
+    def diffusion(x):
+        out = np.zeros((x.shape[0], x.shape[1], spec.d_b))
+        out[:, 1:, :] = spec.sigma(x[:, 0], x[:, 1:])
+        return out
+
+    def rhs(t, x, g):
+        return drift(x) + np.einsum("bdi,bi->bd", diffusion(x), g)
+
+    state = np.broadcast_to(x0, (derivs.shape[0], x0.shape[-1])).copy()
+    steps = rk4_steps(rhs, seg_times, derivs, state, steps_per_segment)
+    return np.stack([state] + [x for _, x in steps], axis=1)

@@ -221,3 +221,45 @@ class TestBenchCommand:
         assert len(rows) == 1 + 2 + 3
         manifest = read_manifest(tmp_path / "b")
         assert "mc_slope" in manifest["results"]
+
+
+class TestUnbuiltDegreeRejected:
+    """A config file may not ask for a degree no formula is built for: the
+    run would solve a degree-3 tree and record the degree asked for."""
+
+    def run(self, tmp_path, command, config, flags=()):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        return main([command, "--config", str(cfg), *flags, "--out", str(out)]), out
+
+    @pytest.mark.parametrize("degree", [1, 4, 7])
+    def test_estimate(self, tmp_path, capsys, degree):
+        config = {"degree": degree, "k": 2, "mc_paths": 4, "mc_grid": 8, "field": "brownian"}
+        code, out = self.run(tmp_path, "estimate", config)
+        assert code == EXIT_CONFIG
+        assert f"cubature degree must be 3 or 5, got {degree}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_bench(self, tmp_path, capsys):
+        config = {"degree": 4, "mc_ns": [10], "mc_replicates": 1, "mc_grid": 8,
+                  "cub_ks": [1], "field": "brownian", "sigma": 1.0}
+        code, out = self.run(tmp_path, "bench", config)
+        assert code == EXIT_CONFIG
+        assert "cubature degree must be 3 or 5, got 4" in capsys.readouterr().err
+        assert not (out / "bench.csv").exists()
+
+    @pytest.mark.parametrize("degree", [4, 5])
+    def test_train(self, tmp_path, capsys, degree):
+        code, out = self.run(tmp_path, "train", {"degree": degree, "k": 2, "epochs": 1})
+        assert code == EXIT_CONFIG
+        assert f"degree-3 formula only, got {degree}" in capsys.readouterr().err
+        assert not (out / "train_log.csv").exists()
+
+    def test_estimate_degree3_config_runs(self, tmp_path):
+        config = {"degree": 3, "k": 2, "mc_paths": 4, "mc_grid": 8, "field": "brownian"}
+        code, out = self.run(tmp_path, "estimate", config)
+        assert code == EXIT_OK
+        manifest = read_manifest(out)
+        assert manifest["settings"]["degree"] == 3
+        assert manifest["results"]["n_leaves"] == 4  # 2 paths per interval, k=2

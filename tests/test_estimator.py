@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -379,6 +380,22 @@ class TestMcEstimate:
                 sine_tracking_functional(), brownian_field(1.0), n_paths, 8, seed=1, chunk=chunk
             )
         assert solves == []
+
+    def test_each_chunk_released_before_the_next_solve(self, monkeypatch):
+        # one chunk's trajectory at a time: the previous one is dead when the
+        # next solve allocates its buffer
+        solve = estimator.solve_sde_mc_batch
+        refs, alive_at_call = [], []
+
+        def tracking(*args):
+            alive_at_call.append(sum(ref() is not None for ref in refs))
+            times, paths = solve(*args)
+            refs.extend([weakref.ref(paths), weakref.ref(paths.base)])
+            return times, paths
+
+        monkeypatch.setattr(estimator, "solve_sde_mc_batch", tracking)
+        mc_estimate(sine_tracking_functional(), brownian_field(1.0), 250, 16, seed=4, chunk=64)
+        assert alive_at_call == [0, 0, 0, 0]
 
 
 def reference_mc(functional, spec, n_paths, grid, seed, T=1.0, chunk=20000):

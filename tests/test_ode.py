@@ -1,5 +1,6 @@
 """Stratonovich conversion, controlled ODE solves, and the MC baseline."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from sdecub.ode import (
     solve_controlled_ode_batch,
     solve_sde_mc_batch,
 )
-from conftest import leaf_path, reference_em
+from conftest import leaf_path, reference_em, reference_stage_solve
 
 
 def line_path(slope=1.0):
@@ -57,7 +58,7 @@ class TestItoToStratonovich:
         spec = brownian_field(1.0)
         fields = spec.stratonovich()
         x = np.array([[0.3, 0.7]])
-        drift = fields.drift(x)
+        drift = fields.drift(x, fields.diffusion(x))
         assert drift[0, 0] == 1.0  # time component
         assert drift[0, 1] == 0.0  # mu = 0, no correction
 
@@ -66,7 +67,7 @@ class TestItoToStratonovich:
         spec = scaled_diffusion_field(1.0)
         fields = spec.stratonovich()
         x = np.array([[0.0, 2.0]])
-        assert fields.drift(x)[0, 1] == pytest.approx(-1.0)
+        assert fields.drift(x, fields.diffusion(x))[0, 1] == pytest.approx(-1.0)
 
     def test_correction_independent_of_mu(self):
         def mu_a(t, x):
@@ -81,7 +82,8 @@ class TestItoToStratonovich:
         fa = ito_to_stratonovich(mu_a, sig, 1, 1)
         fb = ito_to_stratonovich(mu_b, sig, 1, 1)
         x = np.array([[0.2, 1.3]])
-        assert fb.drift(x)[0, 1] - fa.drift(x)[0, 1] == pytest.approx(0.7, rel=1e-7)
+        s = fa.diffusion(x)
+        assert fb.drift(x, s)[0, 1] - fa.drift(x, s)[0, 1] == pytest.approx(0.7, rel=1e-7)
 
     def test_forward_difference_matches_analytic(self):
         spec = scaled_diffusion_field(0.8)
@@ -176,6 +178,60 @@ class TestSolveControlledOde:
         fields = brownian_field(1.0).stratonovich()
         with pytest.raises(InvalidParameter):
             solve_path(fields, line_path(), np.zeros(2), steps_per_segment=steps)
+
+
+STAGE_FIELDS = {
+    "scaled_diffusion": scaled_diffusion_field(0.6),
+    "brownian": brownian_field(0.8, x0=0.2),
+    "ou_2d": ou_field(2.0, -0.5, 0.8, d=2, x0=0.3),
+    # sigma_jacobian=None: the corrected drift takes forward differences
+    "forward_difference": dataclasses.replace(scaled_diffusion_field(0.9), sigma_jacobian=None),
+}
+
+
+@pytest.mark.parametrize("spec", list(STAGE_FIELDS.values()), ids=list(STAGE_FIELDS))
+class TestOneCallStage:
+    def test_diffusion_is_sigma_body(self, spec):
+        fields = spec.stratonovich()
+        x = np.random.default_rng(2).normal(size=(6, spec.d_x + 1))
+        s = fields.diffusion(x)
+        assert s.shape == (6, spec.d_x, spec.d_b)
+        drift = fields.drift(x, s)
+        assert drift.shape == (6, spec.d_x + 1)
+        assert np.all(drift[:, 0] == 1.0)
+
+    def test_states_equal_two_call_reference(self, spec):
+        rng = np.random.default_rng(9)
+        seg_times = np.array([0.0, 0.3, 0.55, 1.0])
+        derivs = rng.normal(size=(7, 3, spec.d_b))
+        x0 = np.concatenate([[0.0], spec.x0])
+        _, states = solve_controlled_ode_batch(spec.stratonovich(), seg_times, derivs, x0, 3)
+        ref = reference_stage_solve(spec, seg_times, derivs, x0, 3)
+        assert states.shape == ref.shape == (7, 10, spec.d_x + 1)
+        assert np.array_equal(states, ref)
+
+
+CONSTANT_COEFFICIENTS = {
+    "brownian": (brownian_field(0.7), ("sigma", "sigma_jacobian")),
+    "ou_3d": (ou_field(sigma=0.4, d=3), ("sigma", "sigma_jacobian")),
+    "drift_only": (drift_only_field(d=2), ("sigma", "sigma_jacobian")),
+    "scaled_diffusion": (scaled_diffusion_field(0.5), ("sigma_jacobian",)),
+}
+
+
+@pytest.mark.parametrize("case", list(CONSTANT_COEFFICIENTS))
+def test_constant_coefficients_are_one_read_only_view(case):
+    spec, names = CONSTANT_COEFFICIENTS[case]
+    x = np.linspace(-1.0, 1.0, 5 * spec.d_x).reshape(5, spec.d_x)
+    t = np.zeros(5)
+    for name in names:
+        coefficient = getattr(spec, name)
+        a, b = coefficient(t, x), coefficient(t[:2], x[:2])
+        assert a.shape[0] == 5 and b.shape[0] == 2
+        assert not a.flags.writeable
+        assert np.shares_memory(a, b)
+    if case == "ou_3d":
+        assert np.array_equal(spec.sigma(t, x), np.broadcast_to(0.4 * np.eye(3), (5, 3, 3)))
 
 
 class TestRk4Steps:

@@ -21,9 +21,8 @@ from sdecub import (
     make_partition,
     make_training_data,
     train,
-    variational_loss_terms,
 )
-from sdecub import training
+from sdecub import tape, training
 from sdecub.ode import rk4_steps
 from sdecub.partition import leaf_derivatives
 from sdecub.recombination import Level, WeightTable
@@ -39,6 +38,19 @@ def small_setup(d_x=1, k=3, width=4, seed=0, **cfg_kwargs):
     nets = NetworkFields(d_x, width=width)
     theta = nets.init_params(seed)
     return config, spec, formula, partition, table, nets, theta
+
+
+def variational_loss_terms(nets, theta, times, states, spec):
+    """(reconstruction log-density R, drift-mismatch penalty K) of one path.
+
+    ``states`` holds the path's latent state at ``times``, shape (n, d_x).
+    """
+    nodes = [tape.const(z[None]) for z in states]
+    misfit, mismatch, const = training._loss_graph(
+        nets, nets.wrap(theta), times, nodes, np.ones(1), spec, {}
+    )
+    kl = 0.0 if mismatch is None else float(mismatch.value)
+    return -(float(misfit.value) + const), kl
 
 
 def flat_path(spec, value=0.0, n=33):
