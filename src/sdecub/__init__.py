@@ -38,7 +38,6 @@ from .estimator import (
     cubature_estimate,
     mc_estimate,
     sine_tracking_functional,
-    terminal_functional,
 )
 from .fields import FieldSpec, make_field
 from .formulas import (
@@ -55,12 +54,7 @@ from .formulas import (
 )
 from .nets import NetworkFields
 from .ode import VectorFieldSet, ito_to_stratonovich
-from .partition import (
-    TimePartition,
-    enumerate_leaves,
-    leaf_derivatives,
-    make_partition,
-)
+from .partition import TimePartition, enumerate_leaves, make_partition
 from .recombination import (
     DiscreteMeasure,
     Localization,

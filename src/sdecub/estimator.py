@@ -6,9 +6,13 @@ the children (p, j) of the prefixes the weight table keeps at knot i-1,
 each solved over interval i from p's end state, and its running cost over
 the interval is weighted by p's table weight times formula weight j.
 Recombination keeps moments at the knots only, so no whole leaf path is
-ever weighted.  The Monte Carlo estimator averages whole-path values over
-seeded Euler-Maruyama paths.  The convergence experiment sweeps both
-against an oracle and fits log-log error slopes.
+ever weighted.  :meth:`WeightTable.walk` defines the levels (row weights
+and the parent end states each row starts from), and the training arm's
+:func:`sdecub.training.loss_and_gradient_cubature` walks the same ones; the
+raw tree's levels come in the same form.  The Monte Carlo estimator
+averages whole-path values over seeded Euler-Maruyama paths.  The
+convergence experiment sweeps both against an oracle and fits log-log
+error slopes.
 """
 
 from __future__ import annotations
@@ -80,15 +84,6 @@ def sine_tracking_functional() -> PathFunctional:
     return PathFunctional(name="sine_tracking", running=running)
 
 
-def terminal_functional(component: int = 0) -> PathFunctional:
-    """Value of one spatial component at the final time (linear functional)."""
-
-    def terminal(values):
-        return values[:, 1 + component]
-
-    return PathFunctional(name=f"terminal_x{component}", terminal=terminal)
-
-
 @dataclass(frozen=True)
 class EstimateReport:
     """A single estimate with its path count and wall time.
@@ -110,29 +105,18 @@ class EstimateReport:
 
 
 def _raw_levels(formula: CubatureFormula, partition: TimePartition):
-    """Row weights of the full tree's levels; every row is kept."""
+    """The full tree's levels in the form of :meth:`WeightTable.walk`, and the
+    leaf count: every row is kept, so level i starts each parent's q children
+    from its end state."""
     # the leaves give the guard, the count and the last level's weights
     leaves = np.array([w for _, w in enumerate_leaves(formula, partition)])
-    w = np.asarray(formula.weights)
-    weights, level = [], np.ones(1)
-    for _ in range(partition.k - 1):
-        level = np.multiply.outer(level, w).ravel()
-        weights.append(level)
-    return weights + [leaves], [None] * (partition.k - 1), leaves.size
-
-
-def _table_levels(table: WeightTable, formula: CubatureFormula):
-    """Row weights of each level and the rows the table keeps at each knot.
-
-    Level i's rows are the q children of each row of T_{i-1} (the table's
-    interval i-1) in order, weighted by the parent's weight times w_j, and
-    T_i's rows are its rows ``parent * q + j``.  Keys were checked on load.
-    """
-    w = np.asarray(formula.weights)
-    parents = [np.ones(1)] + [level.weight for level in table.levels[:-1]]
-    weights = [np.multiply.outer(p, w).ravel() for p in parents]
-    keeps = [level.parent * formula.q + level.j for level in table.levels[:-1]]
-    return weights, keeps, table.n_leaves
+    q, w = formula.q, np.asarray(formula.weights)
+    levels, weights = [], np.ones(1)
+    for i in range(partition.k):
+        rows = np.repeat(np.arange(weights.size), q)
+        weights = leaves if i == partition.k - 1 else np.multiply.outer(weights, w).ravel()
+        levels.append((weights, rows))
+    return levels, leaves.size
 
 
 def cubature_estimate(
@@ -156,9 +140,9 @@ def cubature_estimate(
     start = time.perf_counter()
     if table is not None:
         table.check_inputs(formula, partition)
-        level_weights, keeps, n_paths = _table_levels(table, formula)
+        levels, n_paths = table.walk(formula), table.n_leaves
     else:
-        level_weights, keeps, n_paths = _raw_levels(formula, partition)
+        levels, n_paths = _raw_levels(formula, partition)
     if n_paths == 0:
         return EstimateReport(value=0.0, n_paths=0, seconds=time.perf_counter() - start)
     k, q = partition.k, formula.q
@@ -186,10 +170,10 @@ def cubature_estimate(
     terms, interval_costs, weight_range = [], [], []
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
-        for i, weights in enumerate(level_weights):
-            # rows are sorted by (parent, j): row r is child r % q of parent r // q
-            x_start = np.repeat(ends, q, axis=0)
-            derivs = np.tile(slopes[i], (ends.shape[0], 1, 1))
+        for i, (weights, rows) in enumerate(levels):
+            # row r is child r % q of the parent whose end state row rows[r] holds
+            x_start = ends[rows]
+            derivs = np.tile(slopes[i], (weights.size // q, 1, 1))
             chunks = max(1, min(workers, weights.size))
             bounds = np.linspace(0, weights.size, chunks + 1).astype(int)
             parts = list(
@@ -201,10 +185,7 @@ def cubature_estimate(
             )
             level = weights * np.concatenate([c for c, _ in parts])
             ends = np.concatenate([e for _, e in parts])
-            if i < k - 1:
-                if keeps[i] is not None:
-                    ends = ends[keeps[i]]
-            elif functional.terminal is not None:
+            if i == k - 1 and functional.terminal is not None:
                 level = np.concatenate([level, weights * functional.terminal(ends)])
             terms.append(level.tolist())
             interval_costs.append(math.fsum(terms[-1]))
@@ -213,7 +194,7 @@ def cubature_estimate(
         value=math.fsum(chain.from_iterable(terms)),
         n_paths=n_paths,
         seconds=time.perf_counter() - start,
-        interval_solves=sum(w.size for w in level_weights),
+        interval_solves=sum(w.size for w, _ in levels),
         interval_costs=tuple(interval_costs),
         interval_weight_range=tuple(weight_range),
     )

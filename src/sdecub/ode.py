@@ -39,13 +39,13 @@ class VectorFieldSet:
     diffusion: Callable[[np.ndarray], np.ndarray]
 
 
-def forward_difference_jacobian(sigma, t, x):
+def forward_difference_jacobian(sigma, t, x, base):
     """Forward-difference Jacobian of sigma in the state, shape (B, d_x, d_b, d_x).
 
-    Step sqrt(machine eps) * (1 + |x_j|) per coordinate.
+    ``base`` is ``sigma(t, x)``, which the caller already holds.  Step
+    sqrt(machine eps) * (1 + |x_j|) per coordinate.
     """
     x = np.atleast_2d(x)
-    base = sigma(t, x)
     d_x = x.shape[1]
     d_b = base.shape[2]
     jac = np.empty((x.shape[0], base.shape[1], d_b, d_x))
@@ -73,7 +73,7 @@ def ito_to_stratonovich(
     component.  The drift reads sigma from the body ``diffusion`` returned
     for the same state, so sigma is not evaluated twice.  Without an
     analytic ``sigma_jacobian(t, x)`` the Jacobian is taken by forward
-    differences.
+    differences from that body.
     """
     probe_t = np.zeros(1)
     probe_x = np.zeros((1, d_x))
@@ -85,9 +85,10 @@ def ito_to_stratonovich(
         raise DimensionMismatch(
             f"sigma returned shape {sig_shape}, expected (1, {d_x}, {d_b})"
         )
-    jac = sigma_jacobian
-    if jac is None:
-        jac = lambda t, x: forward_difference_jacobian(sigma, t, x)
+    if sigma_jacobian is None:
+        jac = lambda t, x, s: forward_difference_jacobian(sigma, t, x, s)
+    else:
+        jac = lambda t, x, s: sigma_jacobian(t, x)
 
     def diffusion(x):
         return sigma(x[:, 0], x[:, 1:])
@@ -96,7 +97,7 @@ def ito_to_stratonovich(
         t, body = x[:, 0], x[:, 1:]
         out = np.empty_like(x)
         out[:, 0] = 1.0
-        out[:, 1:] = mu(t, body) - 0.5 * np.einsum("bjid,bdi->bj", jac(t, body), s)
+        out[:, 1:] = mu(t, body) - 0.5 * np.einsum("bjid,bdi->bj", jac(t, body, s), s)
         return out
 
     return VectorFieldSet(state_dim=d_x, driving_dim=d_b, drift=drift, diffusion=diffusion)

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidParameter, TreeTooLarge
+from .errors import InvalidParameter, TreeTooLarge
 from .formulas import CubatureFormula
 
 IndexVector = tuple[int, ...]
@@ -78,31 +78,6 @@ def interval_slopes(
     increments = np.array([np.diff(path.values[:, 1:], axis=0) for path in aligned])
     scale = np.sqrt(lengths)[:, None, None, None] * du[None, None, :, None]
     return seg_times, increments[None] / scale
-
-
-def leaf_derivatives(
-    formula: CubatureFormula, partition: TimePartition, ivs: Sequence[IndexVector]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Shared segment grid and per-leaf path slopes for a batch of tree leaves.
-
-    ``ivs`` holds one index vector per leaf (a sequence or an (n_leaves, k)
-    array), each with one 1-based formula path index per subinterval.
-    Returns the grid of :func:`interval_slopes` and each leaf's slopes
-    ``derivs`` (n_leaves, S, d_b), gathered from its per-interval slopes.
-    """
-    k = partition.k
-    for iv in ivs:
-        if len(iv) != k:
-            raise IndexOutOfRange(f"index vector {tuple(iv)} has {len(iv)} entries, not {k}")
-    idx = np.asarray(ivs, dtype=int).reshape(len(ivs), k) - 1
-    bad = (idx < 0) | (idx >= formula.q)
-    if bad.any():
-        iv = tuple((idx[int(np.argmax(bad.any(axis=1)))] + 1).tolist())
-        raise IndexOutOfRange(f"index vector {iv} has an entry outside 1..{formula.q}")
-    seg_times, slopes = interval_slopes(formula, partition)
-    n_segments = k * slopes.shape[2]
-    derivs = slopes[np.arange(k)[None, :], idx].reshape(idx.shape[0], n_segments, formula.dim)
-    return seg_times, derivs
 
 
 def enumerate_leaves(

@@ -192,16 +192,15 @@ class TestBasis:
 
 
 @dataclass(frozen=True)
-class Ball:
-    center: np.ndarray
-    indices: np.ndarray
-
-
-@dataclass(frozen=True)
 class Localization:
-    """Disjoint cover of a measure's support by balls of a common radius."""
+    """Disjoint cover of a measure's support by balls of a common radius.
 
-    balls: tuple[Ball, ...]
+    ``members`` lists the point indices ball after ball; ``balls`` holds
+    each ball's count.
+    """
+
+    members: np.ndarray
+    balls: np.ndarray
     radius: float
 
 
@@ -210,27 +209,19 @@ def localize(measure: DiscreteMeasure, radius: float) -> Localization:
 
     Each point goes to exactly one cell, and the cell half-diagonal equals
     the radius, so every member lies within ``radius`` of its cell center.
+    Balls are the cells in first-seen order, members in index order.
     """
     if radius <= 0:
         raise InvalidParameter(f"radius must be positive, got {radius}")
-    if measure.size == 0:
-        return Localization(balls=(), radius=radius)
     width = 2.0 * radius / math.sqrt(measure.dim)
     keys = np.floor(measure.points / width).astype(np.int64)
-    cell, first = _first_seen_groups(keys)
-    members = np.split(np.argsort(cell, kind="stable"), np.cumsum(np.bincount(cell))[:-1])
-    centers = (keys[first] + 0.5) * width
-    balls = tuple(Ball(center=c, indices=m) for c, m in zip(centers, members))
-    return Localization(balls=balls, radius=radius)
+    cell, _ = _first_seen_groups(keys)
+    return Localization(np.argsort(cell, kind="stable"), np.bincount(cell), radius)
 
 
 def singleton_localization(measure: DiscreteMeasure) -> Localization:
     """One ball per support point: localization that blocks all reduction."""
-    balls = tuple(
-        Ball(center=measure.points[i].copy(), indices=np.array([i]))
-        for i in range(measure.size)
-    )
-    return Localization(balls=balls, radius=0.0)
+    return Localization(np.arange(measure.size), np.ones(measure.size, dtype=int), 0.0)
 
 
 def _reduce_batch(
@@ -563,10 +554,9 @@ def _partition_balls(localization: Localization, size: int) -> tuple[np.ndarray,
     """The balls' indices, ball after ball, and each ball's count;
     ``InvalidParameter`` names the first ball or point at fault unless the
     balls partition the ``size`` points."""
-    balls = [np.asarray(ball.indices) for ball in localization.balls]
-    sizes = np.array([b.size for b in balls], dtype=int)
+    flat = np.asarray(localization.members, dtype=int)
+    sizes = np.asarray(localization.balls, dtype=int)
     owner = np.repeat(np.arange(sizes.size), sizes)
-    flat = np.concatenate(balls) if balls else np.zeros(0, dtype=int)
     outside = (flat < 0) | (flat >= size)
     if outside.any():
         at = int(np.argmax(outside))
@@ -699,6 +689,24 @@ class WeightTable:
     def interval_mass(self, i: int) -> float:
         """Total weight at interval i (1-based)."""
         return float(math.fsum(self.levels[i - 1].weight))
+
+    def walk(self, formula: CubatureFormula) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each level's ``(weights, rows)``: its row weights, and for each row
+        the row of the level before whose end state starts it.
+
+        Level i's rows are the q children of each row of T_{i-1} (interval
+        i-1; the root, one row, for i=1) in order, weighted by the parent's
+        weight times w_j.  T_{i-1}'s rows are level i-1's rows
+        ``parent * q + j``, so ``rows`` repeats each of them q times.  The
+        estimator and the training arm both walk these levels.  Keys were
+        checked on load.
+        """
+        q, w = formula.q, np.asarray(formula.weights)
+        levels = [(w.copy(), np.zeros(q, dtype=int))]
+        for level in self.levels[:-1]:
+            kept = level.parent * q + level.j
+            levels.append((np.multiply.outer(level.weight, w).ravel(), np.repeat(kept, q)))
+        return levels
 
     def prefixes(self, i: int) -> np.ndarray:
         """Interval i's prefixes (1-based), read back along the parents; (n_i, i)."""

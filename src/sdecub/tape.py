@@ -21,8 +21,9 @@ class Var:
     arrays other than node values that the VJP keeps (``saved``).
 
     ``+`` and ``*`` record :func:`add`/:func:`mul` against another node and
-    :func:`cadd`/:func:`cmul` against a constant, so code written with
-    operators runs unchanged on plain arrays and on the tape.
+    :func:`cadd`/:func:`cmul` against a constant, and indexing records
+    :func:`take`, so code written with operators and indexing runs unchanged
+    on plain arrays and on the tape.
     """
 
     __slots__ = ("value", "parents", "vjp", "saved", "grad")
@@ -44,6 +45,9 @@ class Var:
 
     __radd__ = __add__
     __rmul__ = __mul__
+
+    def __getitem__(self, key):
+        return take(self, key)
 
 
 def const(value) -> Var:
@@ -71,6 +75,19 @@ def cmul(a: Var, c) -> Var:
     """Multiply by a constant array or scalar."""
     saved = (c,) if isinstance(c, np.ndarray) else ()
     return Var(a.value * c, (a,), lambda g: (g * c,), saved)
+
+
+def take(a: Var, key) -> Var:
+    """``a.value[key]``; the VJP scatters back with ``np.add.at``, so rows
+    taken more than once (one parent state for q children) sum their gradients."""
+
+    def vjp(g):
+        out = np.zeros_like(a.value)
+        np.add.at(out, key, g)
+        return (out,)
+
+    saved = (key,) if isinstance(key, np.ndarray) else ()
+    return Var(a.value[key], (a,), vjp, saved)
 
 
 def mlp(

@@ -3,22 +3,25 @@
 Both arms minimise the same variational objective: a Gaussian reconstruction
 log-density against data paths plus a drift-mismatch penalty between the
 generative and variational drifts sharing one diagonal diffusion.  The
-cubature arm solves deterministic controlled ODEs along pre-processed tree
-paths (the same weight table serves every epoch) with the package's one RK4
-core, :func:`sdecub.ode.rk4_steps`, stepping tape nodes; the Monte Carlo arm
-differentiates pathwise through Euler-Maruyama solves with frozen per-epoch
-noise.  Gradients come from the recorded tape in both cases, where each
-network call is one fused node.
+cubature arm walks the pre-processed tree level by level, as the estimator
+does (the same weight table serves every epoch): level i gathers its rows'
+start states from the parents' end states with one tape node, solves
+interval i along each row's formula path with the package's one RK4 core,
+:func:`sdecub.ode.rk4_steps`, stepping tape nodes, and adds the interval's
+misfit and mismatch weighted by the level's row weights.  The Monte Carlo
+arm differentiates pathwise through Euler-Maruyama solves with frozen
+per-epoch noise.  Gradients come from the recorded tape in both cases,
+where each network call is one fused node.
 
 Each network is evaluated once per state: the variational drift and the
 diffusion that a solver evaluates at a state (RK4's first stage, the Euler
 step) are handed to the loss graph through a per-call dict keyed on
 (state node, t), so the loss graph evaluates only the generative drift there,
-and all three networks only at the last state.
+and all three networks only at the last state of each level or path.
 
 The two arms do not yet integrate the same SDE: RK4 along bounded-variation
 paths gives the Stratonovich reading of ``dz = f dt + g dW``, Euler-Maruyama
-the Ito one, and no drift correction bridges them (ROADMAP item 2).
+the Ito one, and no drift correction bridges them (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .fields import ou_field
 from .formulas import CubatureFormula, degree3_formula
 from .nets import NetworkFields
 from .ode import rk4_steps, solve_sde_mc_batch
-from .partition import TimePartition, leaf_derivatives, make_partition
+from .partition import TimePartition, interval_slopes, make_partition
 from .recombination import TestBasis, WeightTable, preprocess
 from .tape import Var
 
@@ -113,47 +116,46 @@ def _posterior_fields(
 def _loss_graph(
     nets: NetworkFields,
     leaves: dict[str, Var],
-    times: np.ndarray,
-    states: list[Var],
-    batch_weights: np.ndarray,
+    pieces: list[tuple[np.ndarray, list[Var], np.ndarray]],
     spec: VariationalLossSpec,
     evaluated: dict,
 ):
     """Misfit node, drift-mismatch node and the constant part of the loss.
 
-    The misfit is sum_j w_j int |z_j - ybar|^2 / (2 obs_noise^2) dt and the
-    mismatch K is sum_j w_j int |(f_prior - f_post) / g|^2 / 2 dt, both
-    trapezoid integrals on the solver grid; K is ``None`` when the KL weight
-    is zero.  The loss is misfit + const + kl_weight * K, and the
-    reconstruction log-density R is -(misfit + const).  The variational
-    drift and the diffusion come from ``evaluated`` where the solver already
-    evaluated them (see :func:`_posterior_fields`).
+    A piece is (times, states, batch weights w): one level of the cubature
+    walk over its interval, or the whole Monte Carlo grid.  The misfit is
+    sum_j w_j int |z_j - ybar|^2 / (2 obs_noise^2) dt and the mismatch K is
+    sum_j w_j int |(f_prior - f_post) / g|^2 / 2 dt, both trapezoid
+    integrals on each piece's grid, summed over the pieces; K is ``None``
+    when the KL weight is zero.  The loss is misfit + const + kl_weight * K,
+    and the reconstruction log-density R is -(misfit + const).  The
+    variational drift and the diffusion come from ``evaluated`` where the
+    solver already evaluated them (see :func:`_posterior_fields`).
     """
-    ybar, spread = _resampled_stats(spec, times)
-    tau = _trapezoid_weights(times)
     inv_two_var = 1.0 / (2.0 * spec.obs_noise**2)
-    d = nets.d_x
+    log_norm = 0.5 * nets.d_x * math.log(2.0 * math.pi * spec.obs_noise**2)
     misfit: Var | None = None
     mismatch: Var | None = None
-    for i, (t, z) in enumerate(zip(times, states)):
-        w = tau[i] * batch_weights
-        term = tape.wsum(tape.row_sumsq(tape.cadd(z, -ybar[i])), w * inv_two_var)
-        misfit = term if misfit is None else misfit + term
-        if spec.kl_weight != 0.0:
-            f_prior = nets.drift_prior(leaves, z, t)
-            f_post, g = _posterior_fields(nets, leaves, evaluated, z, t)
-            smallest = float(np.min(np.abs(g.value)))
-            if smallest < 1e-10:
-                raise SingularDiffusion(
-                    f"diffusion magnitude {smallest:.2e} below 1e-10 at t={t:.6g}"
-                )
-            diff = tape.mul(tape.sub(f_prior, f_post), tape.reciprocal(g))
-            term = tape.wsum(tape.row_sumsq(diff), 0.5 * w)
-            mismatch = term if mismatch is None else mismatch + term
-    mass = float(batch_weights.sum())
-    const = mass * float(
-        np.dot(tau, 0.5 * d * math.log(2.0 * math.pi * spec.obs_noise**2) + spread * inv_two_var)
-    )
+    const = 0.0
+    for times, states, batch_weights in pieces:
+        ybar, spread = _resampled_stats(spec, times)
+        tau = _trapezoid_weights(times)
+        for i, (t, z) in enumerate(zip(times, states)):
+            w = tau[i] * batch_weights
+            term = tape.wsum(tape.row_sumsq(tape.cadd(z, -ybar[i])), w * inv_two_var)
+            misfit = term if misfit is None else misfit + term
+            if spec.kl_weight != 0.0:
+                f_prior = nets.drift_prior(leaves, z, t)
+                f_post, g = _posterior_fields(nets, leaves, evaluated, z, t)
+                smallest = float(np.min(np.abs(g.value)))
+                if smallest < 1e-10:
+                    raise SingularDiffusion(
+                        f"diffusion magnitude {smallest:.2e} below 1e-10 at t={t:.6g}"
+                    )
+                diff = tape.mul(tape.sub(f_prior, f_post), tape.reciprocal(g))
+                term = tape.wsum(tape.row_sumsq(diff), 0.5 * w)
+                mismatch = term if mismatch is None else mismatch + term
+        const += float(batch_weights.sum()) * float(np.dot(tau, log_norm + spread * inv_two_var))
     return misfit, mismatch, const
 
 
@@ -173,16 +175,13 @@ class GradientReport:
 def _gradient_report(
     nets: NetworkFields,
     leaves: dict[str, Var],
-    times: np.ndarray,
-    states: list[Var],
-    batch_weights: np.ndarray,
+    pieces: list[tuple[np.ndarray, list[Var], np.ndarray]],
     spec: VariationalLossSpec,
     evaluated: dict,
+    n_paths: int,
 ) -> GradientReport:
-    """Loss graph over the solved states, reverse pass and finite check."""
-    misfit, mismatch, const = _loss_graph(
-        nets, leaves, times, states, batch_weights, spec, evaluated
-    )
+    """Loss graph over the solved pieces, reverse pass and finite check."""
+    misfit, mismatch, const = _loss_graph(nets, leaves, pieces, spec, evaluated)
     root = misfit if mismatch is None else misfit + spec.kl_weight * mismatch
     order = tape.backward(root)
     grad = nets.collect_grad(leaves)
@@ -191,7 +190,7 @@ def _gradient_report(
     return GradientReport(
         loss=float(root.value) + const,
         gradient=grad,
-        n_paths=batch_weights.shape[0],
+        n_paths=n_paths,
         tape_bytes=tape.tape_bytes(order),
         reconstruction=-(float(misfit.value) + const),
         mismatch=0.0 if mismatch is None else float(mismatch.value),
@@ -208,16 +207,18 @@ def loss_and_gradient_cubature(
     spec: VariationalLossSpec,
     steps_per_segment: int = 8,
 ) -> GradientReport:
-    """Reverse-mode gradient of the weighted per-leaf variational loss.
+    """Reverse-mode gradient of the variational loss over the tree's levels.
 
-    One controlled ODE per surviving leaf, batched; the gradient is the
-    weighted sum of per-leaf gradients by linearity of the tape.
+    The estimator's level walk on the tape (see :meth:`WeightTable.walk`):
+    level i solves interval i for every child row from its parent's end
+    state, one batch, and its misfit and mismatch over the interval are
+    weighted by the level's row weights.
     """
     table.check_inputs(formula, partition)
     if table.n_leaves == 0:
         return GradientReport(0.0, np.zeros(nets.n_params), 0, 0, 0.0, 0.0, 0.0)
-    seg_times, derivs = leaf_derivatives(formula, partition, table.prefixes(table.k))
-    weights = table.levels[-1].weight
+    seg_times, slopes = interval_slopes(formula, partition)
+    n_seg = slopes.shape[2]
     leaves = nets.wrap(theta)
     evaluated: dict = {}
 
@@ -225,12 +226,18 @@ def loss_and_gradient_cubature(
         f_post, diffusion = _posterior_fields(nets, leaves, evaluated, z, t)
         return f_post + diffusion * g
 
-    z0 = nets.initial_state(leaves, batch=derivs.shape[0])
-    times, states = [seg_times[0]], [z0]
-    for t, z in rk4_steps(rhs, seg_times, derivs, z0, steps_per_segment):
-        times.append(t)
-        states.append(z)
-    return _gradient_report(nets, leaves, np.array(times), states, weights, spec, evaluated)
+    z = nets.initial_state(leaves, batch=1)
+    pieces = []
+    for i, (weights, rows) in enumerate(table.walk(formula)):
+        interval = seg_times[i * n_seg : (i + 1) * n_seg + 1]
+        derivs = np.tile(slopes[i], (weights.size // formula.q, 1, 1))
+        z = z[rows]
+        times, states = [interval[0]], [z]
+        for t, z in rk4_steps(rhs, interval, derivs, z, steps_per_segment):
+            times.append(t)
+            states.append(z)
+        pieces.append((np.array(times), states, weights))
+    return _gradient_report(nets, leaves, pieces, spec, evaluated, table.n_leaves)
 
 
 def loss_and_gradient_mc(
@@ -260,7 +267,7 @@ def loss_and_gradient_mc(
         z = z + (f * h + g * noise[step])
         states.append(z)
     weights = np.full(n_paths, 1.0 / n_paths)
-    return _gradient_report(nets, leaves, times, states, weights, spec, evaluated)
+    return _gradient_report(nets, leaves, [(times, states, weights)], spec, evaluated, n_paths)
 
 
 @dataclass

@@ -5,8 +5,9 @@ import math
 import numpy as np
 from hypothesis import settings
 
-from sdecub import PiecewisePath, leaf_derivatives
+from sdecub import PathFunctional, PiecewisePath
 from sdecub.ode import forward_difference_jacobian, rk4_steps
+from sdecub.partition import interval_slopes
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -32,6 +33,31 @@ def grid_iterated_integral(path, word, resolution=2**16):
         midpoints = 0.5 * (level[1:] + level[:-1])
         level = np.concatenate([[0.0], np.cumsum(midpoints * increments)])
     return level[-1]
+
+
+def leaf_derivatives(formula, partition, ivs):
+    """Shared segment grid and per-leaf path slopes for a batch of tree leaves.
+
+    ``ivs`` holds one index vector per leaf (a sequence or an (n_leaves, k)
+    array), each with one 1-based formula path index per subinterval.
+    Returns the grid of ``interval_slopes`` and each leaf's slopes
+    ``derivs`` (n_leaves, S, d_b), gathered from its per-interval slopes:
+    the whole-leaf form that the level walk is checked against.
+    """
+    k = partition.k
+    idx = np.asarray(ivs, dtype=int).reshape(len(ivs), k) - 1
+    seg_times, slopes = interval_slopes(formula, partition)
+    derivs = slopes[np.arange(k)[None, :], idx].reshape(idx.shape[0], -1, formula.dim)
+    return seg_times, derivs
+
+
+def terminal_functional(component=0):
+    """Value of one spatial component at the final time (linear functional)."""
+
+    def terminal(values):
+        return values[:, 1 + component]
+
+    return PathFunctional(name=f"terminal_x{component}", terminal=terminal)
 
 
 def leaf_path(formula, partition, iv):
@@ -82,7 +108,7 @@ def reference_stage_solve(spec, seg_times, derivs, x0, steps_per_segment):
     """
     jac = spec.sigma_jacobian
     if jac is None:
-        jac = lambda t, x: forward_difference_jacobian(spec.sigma, t, x)
+        jac = lambda t, x: forward_difference_jacobian(spec.sigma, t, x, spec.sigma(t, x))
 
     def drift(x):
         t, body = x[:, 0], x[:, 1:]

@@ -1,0 +1,44 @@
+"""The public API serves the pipeline: no name is exported for the tests alone."""
+
+import ast
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sdecub"
+PROGRAM = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def exported_names() -> list[str]:
+    """Every name that ``sdecub/__init__.py`` imports."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+@cache
+def used_names() -> frozenset[str]:
+    """Names the program's code reads, as a name or an attribute.
+
+    Import statements, the names that ``def`` and ``class`` bind, strings
+    and comments are no use of a name.
+    """
+    used = set()
+    for path in PROGRAM:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return frozenset(used)
+
+
+@pytest.mark.parametrize("name", exported_names())
+def test_exported_name_is_used_by_the_program(name):
+    assert name in used_names(), f"sdecub.{name} is used only outside src/sdecub and perfbench"

@@ -24,19 +24,17 @@ from sdecub import (
     degree5_formula,
     enumerate_leaves,
     ito_to_stratonovich,
-    leaf_derivatives,
     make_partition,
     mc_estimate,
     preprocess,
     sine_tracking_functional,
-    terminal_functional,
 )
 from sdecub import estimator
 from sdecub.estimator import fit_slope, interp_loglog, plateau_cut
 from sdecub.ode import solve_controlled_ode_batch
 from sdecub.recombination import WeightTable
 from sdecub.fields import brownian_field, drift_only_field, ou_field, scaled_diffusion_field
-from conftest import reference_em
+from conftest import leaf_derivatives, reference_em, terminal_functional
 
 
 class TestSineTracking:
@@ -282,6 +280,24 @@ def ou_degree3_2d_table():
 
 
 class TestTrieSolve:
+    @pytest.mark.parametrize(
+        "formula, basis",
+        [(degree5_formula(1), TestBasis(1, 4)), (degree3_formula(2), TestBasis(2, 2))],
+        ids=["deg5-d1", "deg3-d2"],
+    )
+    def test_unreduced_table_walks_the_raw_levels(self, formula, basis):
+        # a table and the raw tree give their levels in one form: row
+        # weights and the rows of the level before that start each row
+        part = make_partition(1.0, 5, 0.6)
+        table = preprocess(formula, part, basis, p_star=2, radius_mode="singleton")
+        raw, n_paths = estimator._raw_levels(formula, part)
+        assert n_paths == table.n_leaves == formula.q**5
+        walk = table.walk(formula)
+        assert len(walk) == len(raw) == 5
+        for (weights, rows), (raw_weights, raw_rows) in zip(walk, raw):
+            assert np.array_equal(weights, raw_weights)
+            assert np.array_equal(rows, raw_rows)
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", [raw_degree5_k5, ou_degree3_2d_table])
     def test_bitwise_equal_to_whole_leaf_solve(self, case, workers):

@@ -17,7 +17,7 @@ from sdecub import (
     make_partition,
 )
 from sdecub import tape
-from sdecub.estimator import PathFunctional, cubature_estimate, terminal_functional
+from sdecub.estimator import PathFunctional, cubature_estimate
 from sdecub.fields import brownian_field, drift_only_field, ou_field, scaled_diffusion_field
 from sdecub.ode import (
     forward_difference_jacobian,
@@ -25,7 +25,7 @@ from sdecub.ode import (
     solve_controlled_ode_batch,
     solve_sde_mc_batch,
 )
-from conftest import leaf_path, reference_em, reference_stage_solve
+from conftest import leaf_path, reference_em, reference_stage_solve, terminal_functional
 
 
 def line_path(slope=1.0):
@@ -88,7 +88,7 @@ class TestItoToStratonovich:
     def test_forward_difference_matches_analytic(self):
         spec = scaled_diffusion_field(0.8)
         x = np.array([[1.7]])
-        fd = forward_difference_jacobian(spec.sigma, np.zeros(1), x)
+        fd = forward_difference_jacobian(spec.sigma, np.zeros(1), x, spec.sigma(np.zeros(1), x))
         exact = spec.sigma_jacobian(np.zeros(1), x)
         assert fd == pytest.approx(exact, abs=1e-6)
 
@@ -209,6 +209,23 @@ class TestOneCallStage:
         ref = reference_stage_solve(spec, seg_times, derivs, x0, 3)
         assert states.shape == ref.shape == (7, 10, spec.d_x + 1)
         assert np.array_equal(states, ref)
+
+
+def test_forward_difference_reuses_the_stage_body():
+    # per stage: sigma's body once, then one shifted call per state
+    # coordinate; the Jacobian's base is that body, not a third call
+    spec = scaled_diffusion_field(0.9)
+    calls = []
+
+    def sigma(t, x):
+        calls.append(x.shape[0])
+        return spec.sigma(t, x)
+
+    fields = ito_to_stratonovich(spec.mu, sigma, 1, 1)
+    calls.clear()
+    seg_times = np.array([0.0, 1.0])
+    solve_controlled_ode_batch(fields, seg_times, np.ones((3, 1, 1)), np.zeros(2), 2)
+    assert len(calls) == 2 * 8  # two RK4 steps of four stages
 
 
 CONSTANT_COEFFICIENTS = {

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sdecub import (
     CubatureFormula,
-    IndexOutOfRange,
     InvalidParameter,
     PiecewisePath,
     TimePartition,
@@ -19,11 +18,10 @@ from sdecub import (
     degree5_formula,
     enumerate_leaves,
     iterated_integral,
-    leaf_derivatives,
     make_partition,
     word_degree,
 )
-from conftest import grid_iterated_integral, leaf_path
+from conftest import grid_iterated_integral, leaf_derivatives, leaf_path
 
 
 def scaled(unit, s, offset=0.0):
@@ -148,19 +146,6 @@ class TestConcatPath:
         diffs = np.diff(cp.breakpoints)
         assert np.all(diffs > 0)  # no duplicated nodes, single-valued
         assert set(part.knots).issubset(cp.breakpoints)
-
-    def test_index_out_of_range(self):
-        f = degree3_formula(1)
-        part = make_partition(1.0, 2, 1.0)
-        with pytest.raises(IndexOutOfRange):
-            leaf_derivatives(f, part, [(1, 3)])
-        with pytest.raises(IndexOutOfRange):
-            leaf_derivatives(f, part, [(1,)])
-        with pytest.raises(IndexOutOfRange):
-            leaf_derivatives(f, part, [(1, 2), (0, 1)])
-        # training passes an (n_leaves, k) array; the message names plain ints
-        with pytest.raises(IndexOutOfRange, match=r"\(0, 1\)"):
-            leaf_derivatives(f, part, np.array([[1, 2], [0, 1]]))
 
     def test_chen_composition_against_quadrature(self):
         f = degree5_formula(1)

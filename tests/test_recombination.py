@@ -27,7 +27,6 @@ from sdecub import (
 from sdecub import recombination
 from sdecub.formulas import dumps_17g
 from sdecub.recombination import (
-    Ball,
     Level,
     Localization,
     Provenance,
@@ -131,10 +130,15 @@ def serial_recombine(pts, weights, basis):
     return idx, wts[idx]
 
 
+def ball_members(localization):
+    """Each ball's point indices, one array per ball."""
+    return np.split(localization.members, np.cumsum(localization.balls)[:-1])
+
+
 def serial_rmp(measure, localization, basis):
     if measure.size == 0:
         return measure
-    balls = [b.indices for b in localization.balls]
+    balls = ball_members(localization)
     picks = [serial_recombine(measure.points[b], measure.weights[b], basis) for b in balls]
     return measure.reweighted(
         np.concatenate([b[idx] for b, (idx, _) in zip(balls, picks)]),
@@ -284,10 +288,13 @@ class TestLocalize:
         rng = np.random.default_rng(1)
         m = random_measure(rng, 60, 3)
         loc = localize(m, 0.8)
-        seen = np.concatenate([b.indices for b in loc.balls])
-        assert sorted(seen) == list(range(60))
-        for ball in loc.balls:
-            dist = np.linalg.norm(m.points[ball.indices] - ball.center, axis=1)
+        assert sorted(loc.members) == list(range(60))
+        for members in ball_members(loc):
+            # a ball's bounding box fits in its cell, so the box centre is
+            # within the cell's half-diagonal, the radius, of every member
+            box = m.points[members]
+            center = 0.5 * (box.min(axis=0) + box.max(axis=0))
+            dist = np.linalg.norm(box - center, axis=1)
             assert np.all(dist <= 0.8 + 1e-12)
 
 
@@ -433,7 +440,8 @@ class TestRmp:
     def test_localization_must_partition_the_points(self, balls, fault):
         m = DiscreteMeasure(np.arange(12.0)[:, None], np.full(12, 1.0 / 12))
         loc = Localization(
-            balls=tuple(Ball(center=np.zeros(1), indices=np.array(b)) for b in balls),
+            members=np.concatenate([np.array(b) for b in balls]),
+            balls=np.array([len(b) for b in balls]),
             radius=1.0,
         )
         with pytest.raises(InvalidParameter, match=fault):
@@ -453,7 +461,7 @@ class TestRmp:
             # chunk sums run numpy's pairwise summation, blocked past 128
             m, basis = clustered_measure(rng, [90, 200, 1500]), TestBasis(1, 4)
             loc = localize(m, 0.5)
-            assert sorted(b.indices.shape[0] for b in loc.balls) == [90, 200, 1500]
+            assert sorted(loc.balls.tolist()) == [90, 200, 1500]
         elif case == "mixed_phases":
             # at most N_p + 1 = 5 points (no round), at most 10 (direct
             # reduction) and more (chunked rounds) in one call
@@ -471,7 +479,7 @@ class TestRmp:
             m = random_measure(rng, 2000, 2, provenance=True)
             loc, basis = localize(m, 0.3), TestBasis(2, 2)
             # such balls go through the chunked rounds
-            assert max(b.indices.shape[0] for b in loc.balls) > 2 * (basis.size + 1)
+            assert loc.balls.max() > 2 * (basis.size + 1)
         else:
             m = random_measure(rng, 300, 2, provenance=True)
             loc, basis = singleton_localization(m), TestBasis(2, 2)

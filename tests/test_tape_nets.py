@@ -76,6 +76,11 @@ def mlp_softplus(a):
     return tp.mlp(a, *map(tp.const, _WEIGHTS), 0.3, softplus_floor=0.05)
 
 
+def take_rows(a):
+    """Indexing on the tape: row 2 taken three times, row 1 never."""
+    return a[np.array([2, 0, 2, 2])]
+
+
 def reference_mlp(theta, net, x, t):
     """Independent numpy evaluation of one two-layer tanh network."""
     inp = np.concatenate([np.full((x.shape[0], 1), t), x], axis=1)
@@ -99,7 +104,10 @@ def numeric_grad(f, x, h=1e-6):
 class TestTapeOps:
     @pytest.mark.parametrize(
         "op",
-        [mlp, mlp_softplus, square, lambda a: tp.cmul(a, 1.7), lambda a: tp.cadd(a, 0.3)],
+        [
+            mlp, mlp_softplus, square, lambda a: tp.cmul(a, 1.7), lambda a: tp.cadd(a, 0.3),
+            take_rows,
+        ],
     )
     def test_unary_ops_against_numeric(self, op):
         rng = np.random.default_rng(0)

@@ -1,5 +1,6 @@
 """Variational loss, both gradient arms, and the training loop."""
 
+import dataclasses
 import json
 import math
 import re
@@ -22,12 +23,13 @@ from sdecub import (
     make_training_data,
     train,
 )
-from sdecub import tape, training
+from sdecub import TestBasis, preprocess, tape, training
 from sdecub.ode import rk4_steps
-from sdecub.partition import leaf_derivatives
+from sdecub.partition import interval_slopes
 from sdecub.recombination import Level, WeightTable
 from sdecub.training import build_tree
 
+from conftest import leaf_derivatives
 from test_tape_nets import unfused_mlp
 
 
@@ -47,7 +49,7 @@ def variational_loss_terms(nets, theta, times, states, spec):
     """
     nodes = [tape.const(z[None]) for z in states]
     misfit, mismatch, const = training._loss_graph(
-        nets, nets.wrap(theta), times, nodes, np.ones(1), spec, {}
+        nets, nets.wrap(theta), [(times, nodes, np.ones(1))], spec, {}
     )
     kl = 0.0 if mismatch is None else float(mismatch.value)
     return -(float(misfit.value) + const), kl
@@ -67,7 +69,32 @@ class UnfusedFields(NetworkFields):
 
 
 def reference_cubature(nets, theta, table, formula, partition, spec, steps_per_segment):
-    """The cubature arm with every network evaluated afresh in the loss graph."""
+    """The cubature arm's level walk with every network evaluated afresh in
+    the loss graph."""
+    seg_times, slopes = interval_slopes(formula, partition)
+    n_seg = slopes.shape[2]
+    leaves = nets.wrap(theta)
+
+    def rhs(t, z, g):
+        return nets.drift_posterior(leaves, z, t) + nets.diffusion_diag(leaves, z, t) * g
+
+    z = nets.initial_state(leaves, batch=1)
+    pieces = []
+    for i, (weights, rows) in enumerate(table.walk(formula)):
+        interval = seg_times[i * n_seg : (i + 1) * n_seg + 1]
+        derivs = np.tile(slopes[i], (weights.size // formula.q, 1, 1))
+        z = tape.take(z, rows)
+        times, states = [interval[0]], [z]
+        for t, z in rk4_steps(rhs, interval, derivs, z, steps_per_segment):
+            times.append(t)
+            states.append(z)
+        pieces.append((np.array(times), states, weights))
+    return training._gradient_report(nets, leaves, pieces, spec, {}, table.n_leaves)
+
+
+def whole_leaf_cubature(nets, theta, table, formula, partition, spec, steps_per_segment):
+    """The whole-leaf route: every surviving leaf solved from t=0 and its
+    whole-path loss weighted by the table's leaf weight."""
     seg_times, derivs = leaf_derivatives(formula, partition, table.prefixes(table.k))
     leaves = nets.wrap(theta)
 
@@ -79,8 +106,22 @@ def reference_cubature(nets, theta, table, formula, partition, spec, steps_per_s
     for t, z in rk4_steps(rhs, seg_times, derivs, z0, steps_per_segment):
         times.append(t)
         states.append(z)
-    weights = table.levels[-1].weight
-    return training._gradient_report(nets, leaves, np.array(times), states, weights, spec, {})
+    piece = (np.array(times), states, table.levels[-1].weight)
+    return training._gradient_report(nets, leaves, [piece], spec, {}, table.n_leaves)
+
+
+def scaled_table(table, factor):
+    """The table with every level's weights multiplied by ``factor``."""
+    return dataclasses.replace(
+        table, levels=tuple(level._replace(weight=factor * level.weight) for level in table.levels)
+    )
+
+
+def relative_errors(rep, ref):
+    """(relative loss error, relative gradient error in norm) of ``rep``."""
+    loss = abs(rep.loss - ref.loss) / abs(ref.loss)
+    grad = np.linalg.norm(rep.gradient - ref.gradient) / np.linalg.norm(ref.gradient)
+    return loss, grad
 
 
 def reference_mc(nets, theta, n_paths, grid, seed, spec):
@@ -97,7 +138,7 @@ def reference_mc(nets, theta, n_paths, grid, seed, spec):
         z = z + (f * h + g * noise[step])
         states.append(z)
     weights = np.full(n_paths, 1.0 / n_paths)
-    return training._gradient_report(nets, leaves, times, states, weights, spec, {})
+    return training._gradient_report(nets, leaves, [(times, states, weights)], spec, {}, n_paths)
 
 
 def count_network_calls(monkeypatch) -> Counter:
@@ -211,21 +252,19 @@ class TestGradients:
         assert np.all(rep.gradient == 0.0)
         assert rep.n_paths == 0
 
-    def test_gradient_linear_in_leaf_weights(self):
+    def test_gradient_affine_in_table_weights(self):
+        # level 1 is weighted by the formula, every later level by the table,
+        # so L(2T) - 2 L(T) + L(0 T) vanishes for the loss and the gradient
         config, spec, formula, partition, table, nets, theta = small_setup()
-        doubled = WeightTable(
-            k=table.k,
-            levels=tuple(level._replace(weight=2.0 * level.weight) for level in table.levels),
-            survivor_counts=table.survivor_counts,
-            radii=table.radii,
-            moment_defects=table.moment_defects,
-            seconds=table.seconds,
-            manifest=table.manifest,
+        r1, r2, r0 = (
+            loss_and_gradient_cubature(
+                nets, theta, scaled_table(table, c), formula, partition, spec
+            )
+            for c in (1.0, 2.0, 0.0)
         )
-        r1 = loss_and_gradient_cubature(nets, theta, table, formula, partition, spec)
-        r2 = loss_and_gradient_cubature(nets, theta, doubled, formula, partition, spec)
-        assert r2.loss == pytest.approx(2.0 * r1.loss, rel=1e-12)
-        assert r2.gradient == pytest.approx(2.0 * r1.gradient, rel=1e-9, abs=1e-12)
+        assert r2.loss - 2.0 * r1.loss + r0.loss == pytest.approx(0.0, abs=1e-12 * abs(r1.loss))
+        second = r2.gradient - 2.0 * r1.gradient + r0.gradient
+        assert np.all(np.abs(second) <= 1e-9 * np.abs(r1.gradient) + 1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_singular_diffusion_raises_before_dividing(self):
@@ -343,11 +382,13 @@ class TestFusedSharedTape:
         loss_and_gradient_cubature(
             nets, theta, table, formula, partition, spec, steps_per_segment=4
         )
-        seg_times, _ = leaf_derivatives(formula, partition, table.prefixes(table.k))
+        seg_times, _ = interval_slopes(formula, partition)
         n_steps = 4 * (seg_times.shape[0] - 1)
-        # RK4's first stage at every step start serves the loss graph there
-        assert counts == {"drift_prior": n_steps + 1, "drift_posterior": 4 * n_steps + 1,
-                          "diffusion_diag": 4 * n_steps + 1}
+        k = partition.k
+        # RK4's first stage at every step start serves the loss graph there;
+        # each level's last state is evaluated afresh
+        assert counts == {"drift_prior": n_steps + k, "drift_posterior": 4 * n_steps + k,
+                          "diffusion_diag": 4 * n_steps + k}
 
     def test_report_carries_loss_terms_and_gradient_norm(self):
         config, spec, formula, partition, table, nets, theta = small_setup()
@@ -360,6 +401,60 @@ class TestFusedSharedTape:
                 -rep.reconstruction + spec.kl_weight * rep.mismatch, rel=1e-13
             )
             assert rep.grad_norm == np.linalg.norm(rep.gradient)
+
+
+class TestLevelWalk:
+    """The cubature arm walks the estimator's levels; thresholds were fixed
+    before either test was run."""
+
+    UNREDUCED = {
+        "small": TrainConfig(d_x=1, k=3, width=4),
+        "train_d8": TrainConfig(d_x=8, k=2, basis_degree=1, width=8),
+        "c8_1d": TrainConfig(d_x=1, k=5, epochs=200, lr=1e-2),
+    }
+
+    @pytest.mark.parametrize("name", list(UNREDUCED))
+    def test_equals_whole_leaf_route_on_unreduced_tables(self, name):
+        # without reduction each level's weights sum its leaves' weights, so
+        # both routes weight the same paths and differ by rounding only
+        config = self.UNREDUCED[name]
+        spec = make_training_data(config)
+        formula, partition, table = build_tree(config)
+        assert table.n_leaves == formula.q**config.k
+        nets = NetworkFields(config.d_x, width=config.width)
+        theta = nets.init_params(config.seed)
+        rep = loss_and_gradient_cubature(nets, theta, table, formula, partition, spec)
+        ref = whole_leaf_cubature(
+            nets, theta, table, formula, partition, spec, config.steps_per_segment
+        )
+        loss_err, grad_err = relative_errors(rep, ref)
+        assert loss_err <= 1e-13
+        assert grad_err <= 1e-13
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_recombined_k10_close_to_raw_tree(self, seed):
+        # recombination keeps moments at the knots only: weighting whole
+        # leaves by the k=10 table misses the raw tree's gradient by 2%,
+        # weighting each interval by the level before it does not
+        config = TrainConfig(k=10)
+        spec = make_training_data(config)
+        formula, partition, table = build_tree(config)
+        raw = preprocess(
+            formula, partition, TestBasis(config.d_x, config.basis_degree),
+            p_star=config.p_star, radius_mode="singleton",
+        )
+        assert table.n_leaves < raw.n_leaves == formula.q**config.k
+        nets = NetworkFields(config.d_x, width=config.width)
+        theta = nets.init_params(seed)
+        ref = loss_and_gradient_cubature(nets, theta, raw, formula, partition, spec)
+        rep = loss_and_gradient_cubature(nets, theta, table, formula, partition, spec)
+        loss_err, grad_err = relative_errors(rep, ref)
+        assert grad_err <= 1e-2
+        assert loss_err <= 5e-3
+        whole = whole_leaf_cubature(
+            nets, theta, table, formula, partition, spec, config.steps_per_segment
+        )
+        assert relative_errors(whole, ref)[1] > 1e-2
 
 
 class TestObjectiveAgreement:
