@@ -242,46 +242,35 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-_BENCH_DEFAULTS = {
-    "field": "scaled_diffusion",
-    "sigma": 0.6,
-    "T": 1.0,
-    "oracle": "analytic",
-    "mc_ns": (10, 32, 100, 316, 1000, 3162, 10000, 31623, 100000),
-    "mc_replicates": 20,
-    "mc_grid": 512,
-    "cub_ks": (1, 2, 3, 4, 5, 6, 8),
-    "degree": 5,
-    "gamma": 0.6,
-    "basis_degree": 4,
-    "p_star": 2,
-    "steps_per_segment": 32,
-    "seed": 2024,
-    "workers": 0,
-}
+# the field and its sigma, then every BenchConfig field the sweep takes from
+# the command line, in declaration order; workers 0 means all cores
+_BENCH_DEFAULTS = {"field": "scaled_diffusion", "sigma": 0.6} | {
+    f.name: f.default
+    for f in dataclasses.fields(BenchConfig)
+    if f.name not in ("spec", "functional", "mc_fit_range", "oracle_mc_paths", "oracle_mc_grid")
+} | {"workers": 0}
+
+
+def _bench_value(default, value):
+    """A setting as BenchConfig takes it: ints and int tuples are coerced,
+    the floats and the oracle pass as given."""
+    if isinstance(default, tuple):
+        return tuple(int(v) for v in value)
+    return int(value) if isinstance(default, int) else value
 
 
 def cmd_bench(args) -> int:
     out = _out_dir(args)
     settings = _merge(_BENCH_DEFAULTS, _load_config(args.config), args)
     spec = make_field(settings["field"], sigma=settings["sigma"])
-    config = BenchConfig(
-        spec=spec,
-        functional=sine_tracking_functional(),
-        oracle=settings["oracle"],
-        T=settings["T"],
-        mc_ns=tuple(int(n) for n in settings["mc_ns"]),
-        mc_replicates=int(settings["mc_replicates"]),
-        mc_grid=int(settings["mc_grid"]),
-        cub_ks=tuple(int(k) for k in settings["cub_ks"]),
-        degree=int(settings["degree"]),
-        gamma=settings["gamma"],
-        basis_degree=int(settings["basis_degree"]),
-        p_star=int(settings["p_star"]),
-        steps_per_segment=int(settings["steps_per_segment"]),
-        seed=_stage_seed(int(settings["seed"]), "bench"),
-        workers=_resolve_workers(settings["workers"]),
-    )
+    values = {
+        k: _bench_value(_BENCH_DEFAULTS[k], v)
+        for k, v in settings.items()
+        if k not in ("field", "sigma")
+    }
+    values["seed"] = _stage_seed(values["seed"], "bench")
+    values["workers"] = _resolve_workers(values["workers"])
+    config = BenchConfig(spec=spec, functional=sine_tracking_functional(), **values)
     rows, summary = convergence_experiment(config)
     lines = ["method,n,error,seconds"]
     for r in rows:

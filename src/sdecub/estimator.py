@@ -6,13 +6,13 @@ the children (p, j) of the prefixes the weight table keeps at knot i-1,
 each solved over interval i from p's end state, and its running cost over
 the interval is weighted by p's table weight times formula weight j.
 Recombination keeps moments at the knots only, so no whole leaf path is
-ever weighted.  :meth:`WeightTable.walk` defines the levels (row weights
-and the parent end states each row starts from), and the training arm's
-:func:`sdecub.training.loss_and_gradient_cubature` walks the same ones; the
-raw tree's levels come in the same form.  The Monte Carlo estimator
-averages whole-path values over seeded Euler-Maruyama paths.  The
-convergence experiment sweeps both against an oracle and fits log-log
-error slopes.
+ever weighted.  :func:`tree_levels` is the one definition of the levels
+(each row's interval grid and path slopes, its weight, and the parent row
+whose end state starts it), for a table and for the raw tree alike; the
+training arm's :func:`sdecub.training.loss_and_gradient_cubature` walks the
+same ones on the tape.  The Monte Carlo estimator averages whole-path
+values over seeded Euler-Maruyama paths.  The convergence experiment sweeps
+both against an oracle and fits log-log error slopes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParameter, NonFiniteState, OracleUnavailable
+from .errors import DimensionMismatch, InvalidParameter, NonFiniteState, OracleUnavailable
 from .fields import FieldSpec
 from .formulas import CubatureFormula
 from .ode import solve_controlled_ode_batch, solve_sde_mc_batch
@@ -104,19 +104,43 @@ class EstimateReport:
     interval_weight_range: tuple[tuple[float, float], ...] = ()
 
 
-def _raw_levels(formula: CubatureFormula, partition: TimePartition):
-    """The full tree's levels in the form of :meth:`WeightTable.walk`, and the
-    leaf count: every row is kept, so level i starts each parent's q children
-    from its end state."""
-    # the leaves give the guard, the count and the last level's weights
-    leaves = np.array([w for _, w in enumerate_leaves(formula, partition)])
-    q, w = formula.q, np.asarray(formula.weights)
-    levels, weights = [], np.ones(1)
-    for i in range(partition.k):
-        rows = np.repeat(np.arange(weights.size), q)
-        weights = leaves if i == partition.k - 1 else np.multiply.outer(weights, w).ravel()
-        levels.append((weights, rows))
-    return levels, leaves.size
+def tree_levels(
+    formula: CubatureFormula, partition: TimePartition, table: WeightTable | None = None
+):
+    """The cubature tree's leaf count, and its levels one at a time.
+
+    Level i, for interval i, is ``(times, slopes, weights, rows)``: the
+    interval's segment grid, each row's formula path slopes on it
+    (n_rows, n_seg, d_b), the row weights, and each row's parent row in the
+    level before, whose end state starts it.  The rows are the q children
+    of each row of T_{i-1} (the prefixes kept at knot i-1; the root for
+    i=1), weighted by the parent's weight times w_j.  A table keeps its
+    level i-1, rows ``parent * q + j`` of walk level i-1, and is checked
+    against the formula and partition first; without one every row is kept.
+    A table without leaves has no levels.
+    """
+    if table is None:
+        # draining the leaves guards the tree size and counts it
+        n_leaves = sum(1 for _ in enumerate_leaves(formula, partition))
+    else:
+        table.check_inputs(formula, partition)
+        n_leaves = table.n_leaves
+
+    def walk():
+        seg_times, slopes = interval_slopes(formula, partition)
+        n_seg, q, w = slopes.shape[2], formula.q, np.asarray(formula.weights)
+        kept, weights = np.zeros(1, dtype=int), np.ones(1)  # T_0, the root
+        for i in range(partition.k):
+            if i and table is None:
+                kept = np.arange(weights.size)
+            elif i:
+                level = table.levels[i - 1]
+                kept, weights = level.parent * q + level.j, level.weight
+            weights = np.multiply.outer(weights, w).ravel()
+            times = seg_times[i * n_seg : (i + 1) * n_seg + 1]
+            yield times, np.tile(slopes[i], (kept.size, 1, 1)), weights, np.repeat(kept, q)
+
+    return n_leaves, walk() if n_leaves else iter(())
 
 
 def cubature_estimate(
@@ -129,72 +153,66 @@ def cubature_estimate(
     steps_per_segment: int = 32,
     workers: int = 1,
 ) -> EstimateReport:
-    """Weighted sum of interval costs over the levels of the cubature tree.
+    """Weighted sum of interval costs over the levels of :func:`tree_levels`.
 
     With a weight table, level i solves the children of the table's
     interval i-1; without one, the full q**i level.  Each level is one
     batched solve per worker chunk of its rows, started from the parents'
     end states.  The value is one compensated sum over every weighted row
-    cost, so it does not depend on the worker count.
+    cost, so it does not depend on the worker count.  ``DimensionMismatch``
+    is raised before any solve if the formula's driving dimension or
+    ``x0``'s length does not match the fields.
     """
     start = time.perf_counter()
-    if table is not None:
-        table.check_inputs(formula, partition)
-        levels, n_paths = table.walk(formula), table.n_leaves
-    else:
-        levels, n_paths = _raw_levels(formula, partition)
-    if n_paths == 0:
-        return EstimateReport(value=0.0, n_paths=0, seconds=time.perf_counter() - start)
-    k, q = partition.k, formula.q
-    seg_times, slopes = interval_slopes(formula, partition)
-    n_seg = slopes.shape[2]
-    if x0 is None:
-        x0 = np.zeros(fields.state_dim)
+    if formula.dim != fields.driving_dim:
+        raise DimensionMismatch(f"formula dim {formula.dim} != driving dim {fields.driving_dim}")
+    x0 = np.zeros(fields.state_dim) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (fields.state_dim,):
+        raise DimensionMismatch(f"x0 has shape {x0.shape}, the state is {fields.state_dim}-d")
+    n_paths, levels = tree_levels(formula, partition, table)
     ends = np.zeros((1, fields.state_dim + 1))
-    ends[0, 1:] = np.asarray(x0, dtype=float)
+    ends[0, 1:] = x0
 
-    def solve_rows(i, x_start, derivs):
-        lo = i * n_seg
+    def solve_rows(i, times, x_start, derivs):
         try:
-            times, states = solve_controlled_ode_batch(
-                fields, seg_times[lo : lo + n_seg + 1], derivs, x_start, steps_per_segment
+            out_times, states = solve_controlled_ode_batch(
+                fields, times, derivs, x_start, steps_per_segment
             )
         except NonFiniteState as err:
-            seg = lo + err.segment
+            seg = i * (times.size - 1) + err.segment
             raise NonFiniteState(
-                f"state left the finite range in interval {i + 1} of {k}, segment {seg}",
+                f"state left the finite range in interval {i + 1} of {partition.k}, segment {seg}",
                 segment=seg,
             ) from err
-        return functional.running_integral(times, states), states[:, -1]
+        return functional.running_integral(out_times, states), states[:, -1]
 
-    terms, interval_costs, weight_range = [], [], []
+    terms, interval_costs, weight_range, solves = [], [], [], 0
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
-        for i, (weights, rows) in enumerate(levels):
-            # row r is child r % q of the parent whose end state row rows[r] holds
+        for i, (times, derivs, weights, rows) in enumerate(levels):
             x_start = ends[rows]
-            derivs = np.tile(slopes[i], (weights.size // q, 1, 1))
             chunks = max(1, min(workers, weights.size))
             bounds = np.linspace(0, weights.size, chunks + 1).astype(int)
             parts = list(
                 run(
-                    lambda lo, hi: solve_rows(i, x_start[lo:hi], derivs[lo:hi]),
+                    lambda lo, hi: solve_rows(i, times, x_start[lo:hi], derivs[lo:hi]),
                     bounds[:-1],
                     bounds[1:],
                 )
             )
             level = weights * np.concatenate([c for c, _ in parts])
             ends = np.concatenate([e for _, e in parts])
-            if i == k - 1 and functional.terminal is not None:
+            if i == partition.k - 1 and functional.terminal is not None:
                 level = np.concatenate([level, weights * functional.terminal(ends)])
             terms.append(level.tolist())
             interval_costs.append(math.fsum(terms[-1]))
             weight_range.append((float(weights.min()), float(weights.max())))
+            solves += weights.size
     return EstimateReport(
         value=math.fsum(chain.from_iterable(terms)),
         n_paths=n_paths,
         seconds=time.perf_counter() - start,
-        interval_solves=sum(w.size for w, _ in levels),
+        interval_solves=solves,
         interval_costs=tuple(interval_costs),
         interval_weight_range=tuple(weight_range),
     )
@@ -245,8 +263,8 @@ class BenchConfig:
 
     spec: FieldSpec
     functional: PathFunctional
-    oracle: float | str = "analytic"
     T: float = 1.0
+    oracle: float | str = "analytic"
     mc_ns: tuple[int, ...] = (10, 32, 100, 316, 1000, 3162, 10000, 31623, 100000)
     mc_replicates: int = 20
     mc_grid: int = 512

@@ -201,7 +201,6 @@ class Localization:
 
     members: np.ndarray
     balls: np.ndarray
-    radius: float
 
 
 def localize(measure: DiscreteMeasure, radius: float) -> Localization:
@@ -216,12 +215,12 @@ def localize(measure: DiscreteMeasure, radius: float) -> Localization:
     width = 2.0 * radius / math.sqrt(measure.dim)
     keys = np.floor(measure.points / width).astype(np.int64)
     cell, _ = _first_seen_groups(keys)
-    return Localization(np.argsort(cell, kind="stable"), np.bincount(cell), radius)
+    return Localization(np.argsort(cell, kind="stable"), np.bincount(cell))
 
 
 def singleton_localization(measure: DiscreteMeasure) -> Localization:
     """One ball per support point: localization that blocks all reduction."""
-    return Localization(np.arange(measure.size), np.ones(measure.size, dtype=int), 0.0)
+    return Localization(np.arange(measure.size), np.ones(measure.size, dtype=int))
 
 
 def _reduce_batch(
@@ -655,6 +654,8 @@ class WeightTable:
     wherever no reduction occurred.  ``moment_defects[i-1]`` is the relative
     mass and moment defect that recombination left at interval i (see
     :func:`moment_defect`), ``None`` where the interval was not reduced.
+    :func:`sdecub.estimator.tree_levels` walks the tree through the kept
+    levels; it reads only their leaf count from the last one.
 
     JSON lists each interval's ``[prefix, weight]`` pairs in prefix order,
     1-based; :meth:`from_json` checks every prefix.
@@ -689,24 +690,6 @@ class WeightTable:
     def interval_mass(self, i: int) -> float:
         """Total weight at interval i (1-based)."""
         return float(math.fsum(self.levels[i - 1].weight))
-
-    def walk(self, formula: CubatureFormula) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each level's ``(weights, rows)``: its row weights, and for each row
-        the row of the level before whose end state starts it.
-
-        Level i's rows are the q children of each row of T_{i-1} (interval
-        i-1; the root, one row, for i=1) in order, weighted by the parent's
-        weight times w_j.  T_{i-1}'s rows are level i-1's rows
-        ``parent * q + j``, so ``rows`` repeats each of them q times.  The
-        estimator and the training arm both walk these levels.  Keys were
-        checked on load.
-        """
-        q, w = formula.q, np.asarray(formula.weights)
-        levels = [(w.copy(), np.zeros(q, dtype=int))]
-        for level in self.levels[:-1]:
-            kept = level.parent * q + level.j
-            levels.append((np.multiply.outer(level.weight, w).ravel(), np.repeat(kept, q)))
-        return levels
 
     def prefixes(self, i: int) -> np.ndarray:
         """Interval i's prefixes (1-based), read back along the parents; (n_i, i)."""

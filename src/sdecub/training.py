@@ -3,15 +3,16 @@
 Both arms minimise the same variational objective: a Gaussian reconstruction
 log-density against data paths plus a drift-mismatch penalty between the
 generative and variational drifts sharing one diagonal diffusion.  The
-cubature arm walks the pre-processed tree level by level, as the estimator
-does (the same weight table serves every epoch): level i gathers its rows'
-start states from the parents' end states with one tape node, solves
-interval i along each row's formula path with the package's one RK4 core,
-:func:`sdecub.ode.rk4_steps`, stepping tape nodes, and adds the interval's
-misfit and mismatch weighted by the level's row weights.  The Monte Carlo
-arm differentiates pathwise through Euler-Maruyama solves with frozen
-per-epoch noise.  Gradients come from the recorded tape in both cases,
-where each network call is one fused node.
+cubature arm walks the pre-processed tree level by level through the
+estimator's :func:`sdecub.estimator.tree_levels` (the same weight table
+serves every epoch): level i gathers its rows' start states from the
+parents' end states with one tape node, solves interval i along each row's
+formula path with the package's one RK4 core, :func:`sdecub.ode.rk4_steps`,
+stepping tape nodes, and adds the interval's misfit and mismatch weighted
+by the level's row weights.  The Monte Carlo arm differentiates pathwise
+through Euler-Maruyama solves with frozen per-epoch noise.  Gradients come
+from the recorded tape in both cases, where each network call is one fused
+node.
 
 Each network is evaluated once per state: the variational drift and the
 diffusion that a solver evaluates at a state (RK4's first stage, the Euler
@@ -33,12 +34,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tape
-from .errors import DivergenceDetected, InvalidParameter, NonFiniteGradient, SingularDiffusion
+from .errors import (
+    DimensionMismatch,
+    DivergenceDetected,
+    InvalidParameter,
+    NonFiniteGradient,
+    SingularDiffusion,
+)
+from .estimator import tree_levels
 from .fields import ou_field
 from .formulas import CubatureFormula, degree3_formula
 from .nets import NetworkFields
 from .ode import rk4_steps, solve_sde_mc_batch
-from .partition import TimePartition, interval_slopes, make_partition
+from .partition import TimePartition, make_partition
 from .recombination import TestBasis, WeightTable, preprocess
 from .tape import Var
 
@@ -180,8 +188,11 @@ def _gradient_report(
     evaluated: dict,
     n_paths: int,
 ) -> GradientReport:
-    """Loss graph over the solved pieces, reverse pass and finite check."""
+    """Loss graph over the solved pieces, reverse pass and finite check;
+    no pieces (an empty table) give zero loss and gradient."""
     misfit, mismatch, const = _loss_graph(nets, leaves, pieces, spec, evaluated)
+    if misfit is None:
+        return GradientReport(0.0, np.zeros(nets.n_params), n_paths, 0, 0.0, 0.0, 0.0)
     root = misfit if mismatch is None else misfit + spec.kl_weight * mismatch
     order = tape.backward(root)
     grad = nets.collect_grad(leaves)
@@ -209,16 +220,16 @@ def loss_and_gradient_cubature(
 ) -> GradientReport:
     """Reverse-mode gradient of the variational loss over the tree's levels.
 
-    The estimator's level walk on the tape (see :meth:`WeightTable.walk`):
-    level i solves interval i for every child row from its parent's end
-    state, one batch, and its misfit and mismatch over the interval are
-    weighted by the level's row weights.
+    The estimator's level walk on the tape (see
+    :func:`sdecub.estimator.tree_levels`): level i solves interval i for
+    every child row from its parent's end state, one batch, and its misfit
+    and mismatch over the interval are weighted by the level's row weights.
     """
-    table.check_inputs(formula, partition)
-    if table.n_leaves == 0:
-        return GradientReport(0.0, np.zeros(nets.n_params), 0, 0, 0.0, 0.0, 0.0)
-    seg_times, slopes = interval_slopes(formula, partition)
-    n_seg = slopes.shape[2]
+    if nets.d_b != formula.dim:
+        raise DimensionMismatch(f"formula dim {formula.dim} != driving dim {nets.d_b}")
+    if spec.d_x != nets.d_x:
+        raise DimensionMismatch(f"data dim {spec.d_x} != state dim {nets.d_x}")
+    n_paths, levels = tree_levels(formula, partition, table)
     leaves = nets.wrap(theta)
     evaluated: dict = {}
 
@@ -228,16 +239,14 @@ def loss_and_gradient_cubature(
 
     z = nets.initial_state(leaves, batch=1)
     pieces = []
-    for i, (weights, rows) in enumerate(table.walk(formula)):
-        interval = seg_times[i * n_seg : (i + 1) * n_seg + 1]
-        derivs = np.tile(slopes[i], (weights.size // formula.q, 1, 1))
+    for interval, derivs, weights, rows in levels:
         z = z[rows]
         times, states = [interval[0]], [z]
         for t, z in rk4_steps(rhs, interval, derivs, z, steps_per_segment):
             times.append(t)
             states.append(z)
         pieces.append((np.array(times), states, weights))
-    return _gradient_report(nets, leaves, pieces, spec, evaluated, table.n_leaves)
+    return _gradient_report(nets, leaves, pieces, spec, evaluated, n_paths)
 
 
 def loss_and_gradient_mc(
@@ -254,6 +263,8 @@ def loss_and_gradient_mc(
         raise InvalidParameter("n_paths must be >= 1")
     if grid < 1:
         raise InvalidParameter("grid size must be >= 1")
+    if spec.d_x != nets.d_x:
+        raise DimensionMismatch(f"data dim {spec.d_x} != state dim {nets.d_x}")
     rng = np.random.default_rng(seed)
     h = T / grid
     noise = rng.standard_normal((grid, n_paths, nets.d_x)) * math.sqrt(h)

@@ -11,6 +11,7 @@ import pytest
 
 from sdecub import (
     BenchConfig,
+    DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
     ManifestMismatch,
@@ -32,7 +33,8 @@ from sdecub import (
 from sdecub import estimator
 from sdecub.estimator import fit_slope, interp_loglog, plateau_cut
 from sdecub.ode import solve_controlled_ode_batch
-from sdecub.recombination import WeightTable
+from sdecub.partition import interval_slopes
+from sdecub.recombination import Level, WeightTable
 from sdecub.fields import brownian_field, drift_only_field, ou_field, scaled_diffusion_field
 from conftest import leaf_derivatives, reference_em, terminal_functional
 
@@ -77,6 +79,30 @@ class TestCubatureEstimate:
         contributions = [w * v for (_, w), v in zip(leaves, values)]
         assert rep.n_paths == 27
         assert rep.value == pytest.approx(math.fsum(contributions), abs=1e-14)
+
+    @pytest.mark.parametrize("k, table", [(3, True), (2, False)], ids=["table", "raw"])
+    def test_driving_dimension_mismatch_raises(self, monkeypatch, k, table):
+        # a 1-d field on a 2-d formula broadcast the slopes and gave 1.3717
+        # (table) and 1.3166 (raw) for an exact 1.0
+        formula, part = degree3_formula(2), make_partition(1.0, k, 0.6)
+        table = preprocess(formula, part, TestBasis(2, 2), p_star=2) if table else None
+        spec = brownian_field(1.0)
+        monkeypatch.setattr(estimator, "solve_controlled_ode_batch", None)  # no solve may run
+        with pytest.raises(DimensionMismatch, match="formula dim 2 != driving dim 1"):
+            cubature_estimate(
+                sine_tracking_functional(), spec.stratonovich(), formula, part, table,
+                x0=spec.x0,
+            )
+
+    @pytest.mark.parametrize("x0", [np.zeros(2), np.zeros((1, 1)), np.float64(0.0)])
+    def test_x0_length_mismatch_raises(self, monkeypatch, x0):
+        spec = scaled_diffusion_field(0.6)
+        monkeypatch.setattr(estimator, "solve_controlled_ode_batch", None)
+        with pytest.raises(DimensionMismatch, match=re.escape(f"{x0.shape}, the state is 1-d")):
+            cubature_estimate(
+                sine_tracking_functional(), spec.stratonovich(), degree5_formula(1),
+                make_partition(1.0, 2, 0.6), None, x0=x0,
+            )
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("prefix", [(0, 1, 1, 1), (4, 1, 1, 1), (1, 1, 1)])
@@ -286,17 +312,43 @@ class TestTrieSolve:
         ids=["deg5-d1", "deg3-d2"],
     )
     def test_unreduced_table_walks_the_raw_levels(self, formula, basis):
-        # a table and the raw tree give their levels in one form: row
-        # weights and the rows of the level before that start each row
+        # the one walk gives a table and the raw tree in one form: the
+        # interval grid, row slopes, row weights and the rows of the level
+        # before that start each row
         part = make_partition(1.0, 5, 0.6)
         table = preprocess(formula, part, basis, p_star=2, radius_mode="singleton")
-        raw, n_paths = estimator._raw_levels(formula, part)
-        assert n_paths == table.n_leaves == formula.q**5
-        walk = table.walk(formula)
+        n_paths, walk = estimator.tree_levels(formula, part, table)
+        n_raw, raw = estimator.tree_levels(formula, part)
+        assert n_paths == n_raw == formula.q**5
+        walk, raw = list(walk), list(raw)
         assert len(walk) == len(raw) == 5
-        for (weights, rows), (raw_weights, raw_rows) in zip(walk, raw):
-            assert np.array_equal(weights, raw_weights)
-            assert np.array_equal(rows, raw_rows)
+        seg_times, all_slopes = interval_slopes(formula, part)
+        n_seg = all_slopes.shape[2]
+        for i, (level, raw_level) in enumerate(zip(walk, raw)):
+            assert len(level) == len(raw_level) == 4
+            for ours, theirs in zip(level, raw_level):
+                assert ours.dtype == theirs.dtype
+                assert np.array_equal(ours, theirs)
+            # row r is child r % q of row r // q of the level before
+            times, slopes, weights, rows = level
+            r = np.arange(formula.q ** (i + 1))
+            assert np.array_equal(times, seg_times[i * n_seg : (i + 1) * n_seg + 1])
+            assert np.array_equal(slopes, all_slopes[i, r % formula.q])
+            assert np.array_equal(rows, r // formula.q)
+            assert math.fsum(weights) == pytest.approx(1.0, abs=1e-14)
+
+    def test_table_without_leaves_has_no_levels(self):
+        formula, part = degree5_formula(1), make_partition(1.0, 3, 0.6)
+        table = preprocess(formula, part, TestBasis(1, 4), p_star=2)
+        nothing = Level(np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0))
+        empty = dataclasses.replace(table, levels=(nothing,) * table.k)
+        n_paths, levels = estimator.tree_levels(formula, part, empty)
+        assert n_paths == 0 and list(levels) == []
+        spec = scaled_diffusion_field(0.6)
+        rep = cubature_estimate(
+            sine_tracking_functional(), spec.stratonovich(), formula, part, empty, x0=spec.x0
+        )
+        assert (rep.value, rep.n_paths, rep.interval_solves, rep.interval_costs) == (0.0, 0, 0, ())
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", [raw_degree5_k5, ou_degree3_2d_table])

@@ -442,7 +442,6 @@ class TestRmp:
         loc = Localization(
             members=np.concatenate([np.array(b) for b in balls]),
             balls=np.array([len(b) for b in balls]),
-            radius=1.0,
         )
         with pytest.raises(InvalidParameter, match=fault):
             rmp(m, loc, TestBasis(1, 1))

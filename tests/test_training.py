@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sdecub import (
+    DimensionMismatch,
     IndexOutOfRange,
     InvalidParameter,
     ManifestMismatch,
@@ -24,6 +25,7 @@ from sdecub import (
     train,
 )
 from sdecub import TestBasis, preprocess, tape, training
+from sdecub.estimator import tree_levels
 from sdecub.ode import rk4_steps
 from sdecub.partition import interval_slopes
 from sdecub.recombination import Level, WeightTable
@@ -71,8 +73,7 @@ class UnfusedFields(NetworkFields):
 def reference_cubature(nets, theta, table, formula, partition, spec, steps_per_segment):
     """The cubature arm's level walk with every network evaluated afresh in
     the loss graph."""
-    seg_times, slopes = interval_slopes(formula, partition)
-    n_seg = slopes.shape[2]
+    n_paths, levels = tree_levels(formula, partition, table)
     leaves = nets.wrap(theta)
 
     def rhs(t, z, g):
@@ -80,16 +81,14 @@ def reference_cubature(nets, theta, table, formula, partition, spec, steps_per_s
 
     z = nets.initial_state(leaves, batch=1)
     pieces = []
-    for i, (weights, rows) in enumerate(table.walk(formula)):
-        interval = seg_times[i * n_seg : (i + 1) * n_seg + 1]
-        derivs = np.tile(slopes[i], (weights.size // formula.q, 1, 1))
+    for interval, derivs, weights, rows in levels:
         z = tape.take(z, rows)
         times, states = [interval[0]], [z]
         for t, z in rk4_steps(rhs, interval, derivs, z, steps_per_segment):
             times.append(t)
             states.append(z)
         pieces.append((np.array(times), states, weights))
-    return training._gradient_report(nets, leaves, pieces, spec, {}, table.n_leaves)
+    return training._gradient_report(nets, leaves, pieces, spec, {}, n_paths)
 
 
 def whole_leaf_cubature(nets, theta, table, formula, partition, spec, steps_per_segment):
@@ -232,6 +231,22 @@ class TestGradients:
             tm[i] -= h
             fd = (loss(tp) - loss(tm)) / (2 * h)
             assert rep.gradient[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+    def test_networks_of_another_dimension_raise(self):
+        # 2-d networks on a 1-d table and 1-d data gave a loss, no error
+        config, spec, formula, partition, table, _, _ = small_setup()
+        nets = NetworkFields(2, width=4)
+        theta = nets.init_params(0)
+        with pytest.raises(DimensionMismatch, match="formula dim 1 != driving dim 2"):
+            loss_and_gradient_cubature(nets, theta, table, formula, partition, spec)
+        with pytest.raises(DimensionMismatch, match="data dim 1 != state dim 2"):
+            loss_and_gradient_mc(nets, theta, 4, 24, 11, spec)
+
+    def test_data_of_another_dimension_raises(self):
+        config, _, formula, partition, table, nets, theta = small_setup(d_x=2, k=2)
+        spec = make_training_data(TrainConfig(d_x=1))
+        with pytest.raises(DimensionMismatch, match="data dim 1 != state dim 2"):
+            loss_and_gradient_cubature(nets, theta, table, formula, partition, spec)
 
     def test_empty_table_zero_gradient(self):
         config, spec, formula, partition, table, nets, theta = small_setup()
