@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     DivergenceDetected,
-    IndexOutOfRange,
     InvalidParameter,
     LevelTooLarge,
     ManifestMismatch,

@@ -30,10 +30,6 @@ class InvalidParameter(ConfigError):
     """A scalar parameter is outside its admissible range."""
 
 
-class IndexOutOfRange(ConfigError):
-    """An index vector entry does not address a formula path."""
-
-
 class TreeTooLarge(ConfigError):
     """The q**k leaf tree exceeds the enumeration guard."""
 

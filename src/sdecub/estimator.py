@@ -35,6 +35,7 @@ from .partition import TimePartition, enumerate_leaves, interval_slopes
 from .recombination import WeightTable
 
 MC_BLOCK_BYTES = 8 << 20  # size of the block mc_estimate evaluates paths in
+MC_CHUNK_PATHS = 20000  # paths per Euler-Maruyama solve in mc_estimate
 
 
 @dataclass(frozen=True)
@@ -225,22 +226,22 @@ def mc_estimate(
     grid: int,
     seed: int,
     T: float = 1.0,
-    chunk: int = 20000,
 ) -> EstimateReport:
     """Mean functional value over seeded Euler-Maruyama sample paths.
 
-    Reproducible per (seed, chunk): ``chunk`` fixes the Gaussian stream.
+    The paths are solved in chunks of ``MC_CHUNK_PATHS``, which fixes the
+    Gaussian stream, so a result is reproducible per seed and chunk size.
     Memory is one chunk's trajectory plus one reused block (about
     ``MC_BLOCK_BYTES``) of whole augmented paths; each value comes from its
     own path's row, so the block size never enters a result.
     """
-    if n_paths < 1 or chunk < 1:
-        raise InvalidParameter(f"n_paths and chunk must be >= 1, got {n_paths} and {chunk}")
+    if n_paths < 1:
+        raise InvalidParameter(f"n_paths must be >= 1, got {n_paths}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     values = np.empty(n_paths)
-    for done in range(0, n_paths, chunk):
-        m = min(chunk, n_paths - done)
+    for done in range(0, n_paths, MC_CHUNK_PATHS):
+        m = min(MC_CHUNK_PATHS, n_paths - done)
         times, paths = solve_sde_mc_batch(spec.mu, spec.sigma, spec.x0, T, grid, rng, m)
         if done == 0:
             shape = (times.size, paths.shape[2] + 1)
@@ -279,6 +280,10 @@ class BenchConfig:
     oracle_mc_paths: int = 100000
     oracle_mc_grid: int = 4000
     workers: int = 1
+
+    def __post_init__(self):
+        if self.mc_replicates < 1:
+            raise InvalidParameter(f"mc_replicates must be >= 1, got {self.mc_replicates}")
 
 
 @dataclass(frozen=True)

@@ -35,12 +35,11 @@ def word_degree(word: Word) -> int:
     return len(word) + sum(1 for letter in word if letter == 0)
 
 
-def moment_words(m: int, dim: int, include_time_word: bool = False) -> list[Word]:
+def moment_words(m: int, dim: int) -> list[Word]:
     """All words of degree <= m over {0..dim} in graded-lexicographic order.
 
     The empty word and the bare time word ``(0,)`` are excluded from the
-    moment set proper; pass ``include_time_word=True`` to prepend ``(0,)``
-    (any time-consistent path matches it exactly, so checking it is free).
+    moment set proper.
     """
     if m < 1:
         raise InvalidParameter(f"degree must be >= 1, got {m}")
@@ -54,8 +53,6 @@ def moment_words(m: int, dim: int, include_time_word: bool = False) -> list[Word
             if word_degree(word) <= m:
                 words.append(word)
     words.sort(key=lambda w: (word_degree(w), len(w), w))
-    if include_time_word:
-        words.insert(0, (0,))
     return words
 
 
@@ -381,7 +378,7 @@ def verify_cubature(
     """
     if m is None:
         m = formula.degree
-    words = moment_words(m, formula.dim, include_time_word=True)
+    words = [(0,), *moment_words(m, formula.dim)]
     reference = expected_signature(level=m, dim=formula.dim, horizon=1.0)
     defects: dict[Word, float] = {}
     max_defect = 0.0

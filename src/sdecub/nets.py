@@ -51,22 +51,15 @@ class NetworkFields:
     """Parameter layout and evaluators for the three field networks.
 
     ``d_b`` equals ``d_x`` so the diagonal diffusion is invertible wherever
-    the KL penalty needs its inverse.  ``zero_diffusion=True`` pins the
-    diffusion to exactly zero for deterministic-dynamics tests.
+    the KL penalty needs its inverse.
     """
 
-    def __init__(
-        self,
-        d_x: int,
-        width: int = 8,
-        zero_diffusion: bool = False,
-    ):
+    def __init__(self, d_x: int, width: int = 8):
         if d_x < 1 or width < 1:
             raise InvalidParameter("d_x and width must be >= 1")
         self.d_x = d_x
         self.d_b = d_x
         self.width = width
-        self.zero_diffusion = zero_diffusion
         offset = 0
         self.prior, offset = _mlp_layout(offset, d_x + 1, width, d_x)
         self.posterior, offset = _mlp_layout(offset, d_x + 1, width, d_x)
@@ -126,9 +119,7 @@ class NetworkFields:
         return self._mlp(leaves, "posterior", x, t)
 
     def diffusion_diag(self, leaves, x: Var, t: float) -> Var:
-        """Diagonal diffusion: softplus(head) + DIFFUSION_FLOOR, or exactly zero."""
-        if self.zero_diffusion:
-            return tape.const(np.zeros((x.value.shape[0], self.d_x)))
+        """Diagonal diffusion: softplus(head) + DIFFUSION_FLOOR."""
         return self._mlp(leaves, "diffusion", x, t, DIFFUSION_FLOOR)
 
     def initial_state(self, leaves, batch: int) -> Var:

@@ -192,6 +192,8 @@ def solve_sde_mc_batch(
     """
     if grid < 1:
         raise InvalidParameter("grid size must be >= 1")
+    if T <= 0:
+        raise InvalidParameter(f"horizon T must be positive, got {T}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     h = T / grid
     root_h = math.sqrt(h)

@@ -31,7 +31,6 @@ dynamics sharing the driving dimension.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -41,7 +40,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    IndexOutOfRange,
     InvalidParameter,
     ManifestMismatch,
     MatchFailure,
@@ -657,8 +655,9 @@ class WeightTable:
     :func:`sdecub.estimator.tree_levels` walks the tree through the kept
     levels; it reads only their leaf count from the last one.
 
-    JSON lists each interval's ``[prefix, weight]`` pairs in prefix order,
-    1-based; :meth:`from_json` checks every prefix.
+    A table is used in the process that built it.  :meth:`to_json` writes it
+    as an artifact, each interval's ``[prefix, weight]`` pairs in prefix
+    order, 1-based; nothing reads it back.
     """
 
     k: int
@@ -670,8 +669,7 @@ class WeightTable:
     manifest: dict
 
     def check_inputs(self, formula: CubatureFormula, partition: TimePartition) -> None:
-        """Raise ``ManifestMismatch`` unless the table was built for these inputs,
-        and ``IndexOutOfRange`` if interval 1, which bounds every entry, exceeds q."""
+        """Raise ``ManifestMismatch`` unless the table was built for these inputs."""
         manifest = self.manifest
         if manifest.get("formula_hash") != formula.formula_hash():
             raise ManifestMismatch("weight table was built from a different formula")
@@ -679,9 +677,6 @@ class WeightTable:
             raise ManifestMismatch("weight table was built from a different partition")
         if manifest.get("gamma") != partition.gamma:
             raise ManifestMismatch("weight table was built with a different gamma")
-        if self.levels and self.levels[0].j.size > formula.q:
-            n = self.levels[0].j.size
-            raise IndexOutOfRange(f"weight table interval 1 holds {n} prefixes, q is {formula.q}")
 
     @property
     def n_leaves(self) -> int:
@@ -714,51 +709,6 @@ class WeightTable:
             ],
         }
         return dumps_17g(doc)
-
-    @staticmethod
-    def from_json(text: str) -> "WeightTable":
-        doc = json.loads(text)
-        return WeightTable(
-            k=int(doc["k"]),
-            levels=_read_levels(doc["intervals"], int(doc["k"])),
-            survivor_counts=tuple(int(c) for c in doc["survivor_counts"]),
-            radii=tuple(None if r is None else float(r) for r in doc["radii"]),
-            moment_defects=tuple(
-                None if d is None else float(d) for d in doc["moment_defects"]
-            ),
-            seconds=float(doc["seconds"]),
-            manifest=doc["manifest"],
-        )
-
-
-def _read_levels(intervals: list, k: int) -> tuple[Level, ...]:
-    """Levels from the JSON intervals, each sorted; the first bad prefix raises.
-
-    A prefix of interval i has i entries, each from 1 to the size of interval 1
-    (never reduced, so q, which ``check_inputs`` checks), extends a prefix of
-    interval i-1 and appears once; else ``IndexOutOfRange`` names it.
-    """
-    top = len(intervals[0]) if intervals else 0
-    levels, rows = [], {(): 0}  # rows: interval i-1's prefixes and their rows
-    for i, entries in enumerate(intervals, 1):
-        kept: dict[tuple[int, ...], float] = {}
-        for prefix, w in sorted((tuple(int(e) for e in p), float(w)) for p, w in entries):
-            if len(prefix) != i:
-                why = f"does not have {i} entries"
-            elif not all(1 <= e <= top for e in prefix):
-                why = f"has an entry outside 1..{top}"
-            elif prefix[:-1] not in rows:
-                why = f"extends no prefix of interval {i - 1}"
-            elif prefix in kept:
-                why = "appears twice"
-            else:
-                kept[prefix] = w
-                continue
-            raise IndexOutOfRange(f"weight table interval {i} of {k}: prefix {prefix} {why}")
-        parent, j = np.array([(rows[p[:-1]], p[-1] - 1) for p in kept], dtype=int).reshape(-1, 2).T
-        levels.append(Level(parent, j, np.array(list(kept.values()))))
-        rows = {prefix: row for row, prefix in enumerate(kept)}
-    return tuple(levels)
 
 
 MOMENT_DEFECT_TOL = 1e-10

@@ -263,6 +263,8 @@ def loss_and_gradient_mc(
         raise InvalidParameter("n_paths must be >= 1")
     if grid < 1:
         raise InvalidParameter("grid size must be >= 1")
+    if T <= 0:
+        raise InvalidParameter(f"horizon T must be positive, got {T}")
     if spec.d_x != nets.d_x:
         raise DimensionMismatch(f"data dim {spec.d_x} != state dim {nets.d_x}")
     rng = np.random.default_rng(seed)
@@ -311,6 +313,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.degree != 3:
             raise InvalidParameter(f"training builds the degree-3 formula only, got {self.degree}")
+        for name in ("d_x", "epochs", "n_data"):
+            if getattr(self, name) < 1:
+                raise InvalidParameter(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -319,7 +324,7 @@ class TrainRow:
     arm: str
     loss: float
     seconds: float
-    peak_bytes: int
+    peak_bytes: int  # the call's tape.tape_bytes: node values and saved arrays, not gradients
     reconstruction: float
     mismatch: float
     grad_norm: float
@@ -344,11 +349,6 @@ class TrainingLog:
 
     def seconds(self, arm: str) -> np.ndarray:
         return np.array([r.seconds for r in self.rows if r.arm == arm])
-
-    def peak_bytes(self, arm: str) -> np.ndarray:
-        """Each epoch's ``tape_bytes`` (see :func:`tape.tape_bytes`): node
-        values and saved arrays; gradients are not counted."""
-        return np.array([r.peak_bytes for r in self.rows if r.arm == arm])
 
     def to_csv(self) -> str:
         lines = ["epoch,arm,loss,seconds,peak_bytes,reconstruction,mismatch,grad_norm"]
@@ -396,7 +396,7 @@ def train(config: TrainConfig, spec: VariationalLossSpec | None = None) -> Train
     if spec is None:
         spec = make_training_data(config)
     if spec.d_x != config.d_x:
-        raise InvalidParameter("data dimension does not match config")
+        raise DimensionMismatch(f"data dim {spec.d_x} != config d_x {config.d_x}")
     formula, partition, table = build_tree(config)
     n_paths = table.n_leaves
     nets = NetworkFields(config.d_x, width=config.width)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 from hypothesis import settings
 
-from sdecub import PathFunctional, PiecewisePath
+from sdecub import NetworkFields, PathFunctional, PiecewisePath, tape
 from sdecub.ode import forward_difference_jacobian, rk4_steps
 from sdecub.partition import interval_slopes
 
@@ -49,6 +49,13 @@ def leaf_derivatives(formula, partition, ivs):
     seg_times, slopes = interval_slopes(formula, partition)
     derivs = slopes[np.arange(k)[None, :], idx].reshape(idx.shape[0], -1, formula.dim)
     return seg_times, derivs
+
+
+class ZeroDiffusionFields(NetworkFields):
+    """Networks whose diffusion is exactly zero: deterministic dynamics."""
+
+    def diffusion_diag(self, leaves, x, t):
+        return tape.const(np.zeros((x.value.shape[0], self.d_x)))
 
 
 def terminal_functional(component=0):

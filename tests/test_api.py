@@ -1,4 +1,5 @@
-"""The public API serves the pipeline: no name is exported for the tests alone."""
+"""The public API serves the pipeline: no name is exported for the tests
+alone, and every error type is raised by the package."""
 
 import ast
 from functools import cache
@@ -42,3 +43,31 @@ def used_names() -> frozenset[str]:
 @pytest.mark.parametrize("name", exported_names())
 def test_exported_name_is_used_by_the_program(name):
     assert name in used_names(), f"sdecub.{name} is used only outside src/sdecub and perfbench"
+
+
+def leaf_error_types() -> list[str]:
+    """Every class in ``errors.py`` that no other class there subclasses."""
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases if isinstance(base, ast.Name)}
+    return [node.name for node in classes if node.name not in bases]
+
+
+@cache
+def raised_names() -> frozenset[str]:
+    """Names that ``raise`` statements in ``src/sdecub`` raise, called or bare."""
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return frozenset(raised)
+
+
+@pytest.mark.parametrize("name", leaf_error_types())
+def test_error_type_is_raised_by_the_package(name):
+    assert name in raised_names(), f"sdecub.errors.{name} is raised nowhere in src/sdecub"

@@ -124,7 +124,7 @@ class TestEstimateCommand:
              "--mc-grid", "8", "--out", str(tmp_path)]
         )
         assert code == EXIT_CONFIG
-        assert "InvalidParameter: n_paths and chunk must be >= 1, got 0" in capsys.readouterr().err
+        assert "InvalidParameter: n_paths must be >= 1, got 0" in capsys.readouterr().err
 
     def test_rerun_reproducible_apart_from_timing(self, tmp_path):
         args = ["estimate", "--field", "brownian", "--k", "4", "--mc-paths", "200",
@@ -221,6 +221,42 @@ class TestBenchCommand:
         assert len(rows) == 1 + 2 + 3
         manifest = read_manifest(tmp_path / "b")
         assert "mc_slope" in manifest["results"]
+
+
+class TestNonPositiveSizesRejected:
+    """A size below one or a horizon at or below zero is a config error,
+    raised before the first output is written."""
+
+    TRAIN = {"k": 2, "width": 2, "epochs": 1, "n_data": 2, "mc_grid": 8, "data_grid": 8}
+    BENCH = {"mc_ns": [10], "mc_replicates": 1, "mc_grid": 8, "cub_ks": [1],
+             "field": "brownian", "sigma": 1.0, "steps_per_segment": 2}
+
+    def run(self, tmp_path, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        return main([command, "--config", str(cfg), "--out", str(out)]), out
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("epochs", 0), ("epochs", -1), ("n_data", 0), ("n_data", -1), ("d_x", -1), ("T", -1.0)],
+    )
+    def test_train(self, tmp_path, capsys, key, value):
+        code, out = self.run(tmp_path, "train", self.TRAIN | {key: value})
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidParameter: ") and f"{key} must be" in err
+        assert not (out / "data.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("T", -1.0), ("mc_replicates", 0), ("mc_replicates", -1)]
+    )
+    def test_bench(self, tmp_path, capsys, key, value):
+        code, out = self.run(tmp_path, "bench", self.BENCH | {key: value})
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidParameter: ") and f"{key} must be" in err
+        assert not (out / "bench.csv").exists()
 
 
 class TestUnbuiltDegreeRejected:

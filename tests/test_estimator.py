@@ -1,7 +1,6 @@
 """Cubature/MC estimators and the convergence experiment plumbing."""
 
 import dataclasses
-import json
 import math
 import re
 import weakref
@@ -12,7 +11,6 @@ import pytest
 from sdecub import (
     BenchConfig,
     DimensionMismatch,
-    IndexOutOfRange,
     InvalidParameter,
     ManifestMismatch,
     NonFiniteState,
@@ -34,7 +32,7 @@ from sdecub import estimator
 from sdecub.estimator import fit_slope, interp_loglog, plateau_cut
 from sdecub.ode import solve_controlled_ode_batch
 from sdecub.partition import interval_slopes
-from sdecub.recombination import Level, WeightTable
+from sdecub.recombination import Level
 from sdecub.fields import brownian_field, drift_only_field, ou_field, scaled_diffusion_field
 from conftest import leaf_derivatives, reference_em, terminal_functional
 
@@ -102,57 +100,6 @@ class TestCubatureEstimate:
             cubature_estimate(
                 sine_tracking_functional(), spec.stratonovich(), degree5_formula(1),
                 make_partition(1.0, 2, 0.6), None, x0=x0,
-            )
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("prefix", [(0, 1, 1, 1), (4, 1, 1, 1), (1, 1, 1)])
-    def test_malformed_table_leaf_rejected(self, prefix, workers):
-        # a table enters from outside through from_json, which checks every
-        # key; without the check, index 0 wraps to path q, index q+1 and a
-        # short prefix crash.  The table is refused before any estimate, so
-        # no worker count reaches the walk.
-        formula = degree5_formula(1)
-        part = make_partition(1.0, 4, 0.6)
-        doc = json.loads(preprocess(formula, part, TestBasis(1, 4), p_star=2).to_json())
-        doc["intervals"][-1][0][0] = list(prefix)
-        with pytest.raises(IndexOutOfRange, match=re.escape(str(prefix))):
-            WeightTable.from_json(json.dumps(doc))
-
-    @pytest.mark.parametrize(
-        "corrupt, prefix",
-        [
-            # an inner interval's key with an entry outside 1..q
-            (lambda intervals: intervals[1][0].__setitem__(0, [1, 4]), (1, 4)),
-            # a key whose parent is missing from the interval before it
-            (lambda intervals: intervals[1].pop(0), (1, 1, 1)),
-            # a key listed twice
-            (lambda intervals: intervals[1].append(intervals[1][0]), (1, 1)),
-        ],
-        ids=["inner_entry", "orphan", "duplicate"],
-    )
-    def test_malformed_inner_interval_rejected(self, corrupt, prefix):
-        # the walk reads only inner intervals' rows, so every key is checked
-        # on load, interval by interval
-        formula = degree5_formula(1)
-        part = make_partition(1.0, 4, 0.6)
-        doc = json.loads(preprocess(formula, part, TestBasis(1, 4), p_star=2).to_json())
-        corrupt(doc["intervals"])
-        with pytest.raises(IndexOutOfRange, match=re.escape(str(prefix))):
-            WeightTable.from_json(json.dumps(doc))
-
-    def test_interval_one_larger_than_q_rejected(self):
-        # entries are checked on load against interval 1's size, which
-        # check_inputs bounds by q
-        spec = scaled_diffusion_field(0.6)
-        formula = degree5_formula(1)
-        part = make_partition(1.0, 4, 0.6)
-        doc = json.loads(preprocess(formula, part, TestBasis(1, 4), p_star=2).to_json())
-        doc["intervals"][0].append([[4], 0.0])
-        table = WeightTable.from_json(json.dumps(doc))
-        with pytest.raises(IndexOutOfRange, match="interval 1 holds 4 prefixes"):
-            cubature_estimate(
-                sine_tracking_functional(), spec.stratonovich(), formula, part, table,
-                x0=spec.x0, steps_per_segment=8,
             )
 
     @pytest.mark.parametrize("recombined", [False, True])
@@ -431,23 +378,28 @@ class TestMcEstimate:
         rep = mc_estimate(sine_tracking_functional(), spec, 100000, 256, seed=7)
         assert rep.value == pytest.approx(1.0, abs=0.02)
 
-    def test_chunk_is_part_of_the_sampling_layout(self):
+    def test_chunk_is_part_of_the_sampling_layout(self, monkeypatch):
         # the Gaussian stream layout depends on the chunk size, so the
-        # reproducibility contract is per (seed, chunk)
+        # reproducibility contract is per seed and MC_CHUNK_PATHS
         spec = brownian_field(1.0)
-        r1 = mc_estimate(sine_tracking_functional(), spec, 300, 32, seed=5, chunk=64)
-        r2 = mc_estimate(sine_tracking_functional(), spec, 300, 32, seed=5, chunk=64)
-        assert r1.value == r2.value
+        r0 = mc_estimate(sine_tracking_functional(), spec, 300, 32, seed=5)
+        monkeypatch.setattr(estimator, "MC_CHUNK_PATHS", 64)
+        r1 = mc_estimate(sine_tracking_functional(), spec, 300, 32, seed=5)
+        r2 = mc_estimate(sine_tracking_functional(), spec, 300, 32, seed=5)
+        assert r1.value == r2.value != r0.value
 
-    @pytest.mark.parametrize("n_paths, chunk", [(0, 20000), (-3, 20000), (10, 0), (10, -1)])
-    def test_counts_below_one_raise_before_any_solve(self, n_paths, chunk, monkeypatch):
+    @pytest.mark.parametrize("n_paths", [0, -3])
+    def test_counts_below_one_raise_before_any_solve(self, n_paths, monkeypatch):
         solves = []
         monkeypatch.setattr(estimator, "solve_sde_mc_batch", lambda *args: solves.append(args))
-        with pytest.raises(InvalidParameter, match="n_paths and chunk must be >= 1"):
-            mc_estimate(
-                sine_tracking_functional(), brownian_field(1.0), n_paths, 8, seed=1, chunk=chunk
-            )
+        with pytest.raises(InvalidParameter, match="n_paths must be >= 1"):
+            mc_estimate(sine_tracking_functional(), brownian_field(1.0), n_paths, 8, seed=1)
         assert solves == []
+
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_non_positive_horizon_raises(self, T):
+        with pytest.raises(InvalidParameter, match=f"horizon T must be positive, got {T}"):
+            mc_estimate(sine_tracking_functional(), brownian_field(1.0), 10, 8, seed=1, T=T)
 
     def test_each_chunk_released_before_the_next_solve(self, monkeypatch):
         # one chunk's trajectory at a time: the previous one is dead when the
@@ -462,7 +414,8 @@ class TestMcEstimate:
             return times, paths
 
         monkeypatch.setattr(estimator, "solve_sde_mc_batch", tracking)
-        mc_estimate(sine_tracking_functional(), brownian_field(1.0), 250, 16, seed=4, chunk=64)
+        monkeypatch.setattr(estimator, "MC_CHUNK_PATHS", 64)
+        mc_estimate(sine_tracking_functional(), brownian_field(1.0), 250, 16, seed=4)
         assert alive_at_call == [0, 0, 0, 0]
 
 
@@ -534,8 +487,9 @@ class TestMcBlocksBitwise:
         if rows is not None:
             row_bytes = 8 * (grid + 1) * (spec.d_x + 1)
             monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", rows * row_bytes + row_bytes // 2)
+        monkeypatch.setattr(estimator, "MC_CHUNK_PATHS", chunk)
         captured, values, calls = capturing(functional)
-        report = mc_estimate(captured, spec, n_paths, grid, seed=2718, chunk=chunk)
+        report = mc_estimate(captured, spec, n_paths, grid, seed=2718)
         ref_value, ref_values = reference_mc(
             functional, spec, n_paths, grid, seed=2718, chunk=chunk
         )

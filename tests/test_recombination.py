@@ -13,7 +13,6 @@ from sdecub import (
     NoNullVector,
     RecombinationDefect,
     TestBasis,
-    WeightTable,
     degree3_formula,
     degree5_formula,
     klv_step,
@@ -583,19 +582,20 @@ class TestPreprocess:
         f = degree5_formula(1)
         part = make_partition(1.0, 4, 0.6)
         table = preprocess(f, part, TestBasis(1, 4), p_star=2)
-        back = WeightTable.from_json(table.to_json())
-        assert back.k == table.k
-        assert back.manifest == table.manifest
-        assert_levels_equal(back, table)
-        assert back.moment_defects == table.moment_defects
-        assert back.to_json() == table.to_json()
-
-    def test_unsorted_interval_sorted_on_load(self):
-        table = preprocess(degree5_formula(1), make_partition(1.0, 4, 0.6), TestBasis(1, 4))
+        # the written artifact carries every field bitwise, each interval's
+        # 1-based prefixes in prefix order beside their weights
         doc = json.loads(table.to_json())
-        for entries in doc["intervals"]:
-            entries.reverse()
-        assert WeightTable.from_json(json.dumps(doc)).to_json() == table.to_json()
+        assert doc["k"] == table.k
+        assert doc["manifest"] == table.manifest
+        assert doc["seconds"] == table.seconds
+        assert tuple(doc["survivor_counts"]) == table.survivor_counts
+        assert tuple(doc["radii"]) == table.radii
+        assert tuple(doc["moment_defects"]) == table.moment_defects
+        assert len(doc["intervals"]) == len(table.levels)
+        for i, (entries, level) in enumerate(zip(doc["intervals"], table.levels), 1):
+            prefixes = [prefix for prefix, _ in entries]
+            assert prefixes == sorted(prefixes) == table.prefixes(i).tolist()
+            assert np.array_equal([w for _, w in entries], level.weight)
 
     def test_moment_defects_recorded_for_reduced_intervals(self):
         table = preprocess(degree5_formula(1), make_partition(1.0, 6, 0.6), TestBasis(1, 4))

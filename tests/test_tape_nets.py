@@ -286,13 +286,6 @@ class TestNetworkFields:
         g = nets.diffusion_diag(nets.wrap(theta), tp.const(np.array([[0.2], [-3.0]])), 0.1).value
         assert np.all(g >= 0.05)
 
-    def test_zero_diffusion_flag(self):
-        nets = NetworkFields(d_x=1, width=4, zero_diffusion=True)
-        theta = nets.init_params(0)
-        g = nets.diffusion_diag(nets.wrap(theta), tp.const(np.ones((3, 1))), 0.0).value
-        assert g.shape == (3, 1)
-        assert np.all(g == 0.0)
-
     def test_parameter_round_trip(self):
         nets = NetworkFields(d_x=3, width=5)
         theta = nets.init_params(9)

@@ -1,9 +1,7 @@
 """Variational loss, both gradient arms, and the training loop."""
 
 import dataclasses
-import json
 import math
-import re
 from collections import Counter
 
 import numpy as np
@@ -11,7 +9,6 @@ import pytest
 
 from sdecub import (
     DimensionMismatch,
-    IndexOutOfRange,
     InvalidParameter,
     ManifestMismatch,
     NetworkFields,
@@ -31,7 +28,7 @@ from sdecub.partition import interval_slopes
 from sdecub.recombination import Level, WeightTable
 from sdecub.training import build_tree
 
-from conftest import leaf_derivatives
+from conftest import ZeroDiffusionFields, leaf_derivatives
 from test_tape_nets import unfused_mlp
 
 
@@ -190,7 +187,7 @@ class TestVariationalLoss:
 
     def test_singular_diffusion_raises(self):
         _, spec, _, _, _, _, theta = small_setup()
-        nets = NetworkFields(1, width=4, zero_diffusion=True)
+        nets = ZeroDiffusionFields(1, width=4)
         with pytest.raises(SingularDiffusion):
             variational_loss_terms(nets, theta, *flat_path(spec), spec)
 
@@ -284,20 +281,12 @@ class TestGradients:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_singular_diffusion_raises_before_dividing(self):
         config, spec, formula, partition, table, _, theta = small_setup()
-        nets = NetworkFields(1, width=4, zero_diffusion=True)
+        nets = ZeroDiffusionFields(1, width=4)
         assert spec.kl_weight > 0
         with pytest.raises(SingularDiffusion, match="at t=0"):
             loss_and_gradient_cubature(nets, theta, table, formula, partition, spec)
         with pytest.raises(SingularDiffusion, match="at t=0"):
             loss_and_gradient_mc(nets, theta, 4, 24, 11, spec)
-
-    @pytest.mark.parametrize("prefix", [(0, 1, 1), (3, 1, 1), (1, 1)])
-    def test_malformed_table_leaf_rejected(self, prefix):
-        config, spec, formula, partition, table, nets, theta = small_setup()
-        doc = json.loads(table.to_json())
-        doc["intervals"][-1][0][0] = list(prefix)
-        with pytest.raises(IndexOutOfRange, match=re.escape(str(prefix))):
-            WeightTable.from_json(json.dumps(doc))
 
     def test_table_for_other_gamma_rejected(self):
         # the k=3 table is built at gamma 0.6; a gamma-1.0 partition moves the
@@ -314,6 +303,12 @@ class TestGradients:
         with pytest.raises(InvalidParameter):
             loss_and_gradient_mc(nets, theta, 4, grid, 11, spec)
 
+    @pytest.mark.parametrize("T", [0.0, -1.0])
+    def test_non_positive_mc_horizon_rejected(self, T):
+        config, spec, _, _, _, nets, theta = small_setup()
+        with pytest.raises(InvalidParameter, match=f"horizon T must be positive, got {T}"):
+            loss_and_gradient_mc(nets, theta, 4, 8, 11, spec, T=T)
+
     def test_zero_steps_per_segment_rejected(self):
         config, spec, formula, partition, table, nets, theta = small_setup()
         with pytest.raises(InvalidParameter):
@@ -327,7 +322,7 @@ class TestGradients:
         spec = VariationalLossSpec(
             spec.data_times, spec.data_values, spec.obs_noise, kl_weight=0.0
         )
-        nets = NetworkFields(1, width=4, zero_diffusion=True)
+        nets = ZeroDiffusionFields(1, width=4)
         theta = nets.init_params(2)
         r1 = loss_and_gradient_mc(nets, theta, 4, 32, 1, spec)
         r2 = loss_and_gradient_mc(nets, theta, 4, 32, 999, spec)
@@ -482,7 +477,7 @@ class TestObjectiveAgreement:
             spec.data_times, spec.data_values, spec.obs_noise, kl_weight=0.0
         )
         formula, partition, table = build_tree(config)
-        nets = NetworkFields(1, width=4, zero_diffusion=True)
+        nets = ZeroDiffusionFields(1, width=4)
         theta = nets.init_params(4)
         cub = loss_and_gradient_cubature(
             nets, theta, table, formula, partition, spec, steps_per_segment=16
@@ -500,7 +495,12 @@ class TestTrain:
         assert cub[-1] < cub[0]
         assert mc[-1] < mc[0]
         assert np.median(log.seconds("cubature")) < np.median(log.seconds("mc"))
-        assert np.all(log.peak_bytes("cubature") > 0)
+        assert all(r.peak_bytes > 0 for r in log.rows if r.arm == "cubature")
+
+    def test_data_of_another_dimension_raises(self):
+        spec = make_training_data(TrainConfig(d_x=1))
+        with pytest.raises(DimensionMismatch, match="data dim 1 != config d_x 2"):
+            train(TrainConfig(d_x=2, epochs=1), spec)
 
     def test_zero_learning_rate_constant_loss(self):
         config = TrainConfig(d_x=1, epochs=4, lr=0.0)
