@@ -46,8 +46,8 @@ from .formulas import (
     degree3_formula,
     degree5_formula,
     expected_signature,
-    iterated_integral,
     moment_words,
+    signature,
     verify_cubature,
     word_degree,
 )

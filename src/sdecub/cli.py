@@ -144,6 +144,12 @@ def cmd_preprocess(args) -> int:
     if not formula_path.exists():
         raise ManifestMismatch(f"formula file {formula_path} does not exist")
     formula = CubatureFormula.from_json(formula_path.read_text())
+    report = verify_cubature(formula)
+    if not report.passed:
+        raise ManifestMismatch(
+            f"formula file {formula_path} fails its degree {formula.degree}: defect "
+            f"{report.max_defect:.3e} at word {report.worst_word}"
+        )
     partition = make_partition(settings["T"], int(settings["k"]), settings["gamma"])
     basis = TestBasis(dim=formula.dim, degree=int(settings["basis_degree"]))
     table = preprocess(
@@ -231,7 +237,8 @@ def cmd_estimate(args) -> int:
         {
             "cubature": cub.value,
             "mc": mc.value,
-            "analytic": spec.sine_tracking_value,
+            # the preset's exact value holds on [0, 1] only
+            "analytic": spec.sine_tracking_value if settings["T"] == 1.0 else None,
             "n_leaves": cub.n_paths,
             "interval_solves": cub.interval_solves,
             "interval_costs": list(cub.interval_costs),
@@ -242,12 +249,13 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-# the field and its sigma, then every BenchConfig field the sweep takes from
-# the command line, in declaration order; workers 0 means all cores
+# the field and its sigma, then every BenchConfig field but the spec and the
+# functional, which the command builds, in declaration order; workers 0 means
+# all cores
 _BENCH_DEFAULTS = {"field": "scaled_diffusion", "sigma": 0.6} | {
     f.name: f.default
     for f in dataclasses.fields(BenchConfig)
-    if f.name not in ("spec", "functional", "mc_fit_range", "oracle_mc_paths", "oracle_mc_grid")
+    if f.name not in ("spec", "functional")
 } | {"workers": 0}
 
 
@@ -285,10 +293,8 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-# every TrainConfig field but the divergence guard, in declaration order
-_TRAIN_DEFAULTS = {
-    f.name: f.default for f in dataclasses.fields(TrainConfig) if f.name != "divergence_threshold"
-}
+# every TrainConfig field, in declaration order
+_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 
 
 def cmd_train(args) -> int:

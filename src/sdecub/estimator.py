@@ -36,6 +36,9 @@ from .recombination import WeightTable
 
 MC_BLOCK_BYTES = 8 << 20  # size of the block mc_estimate evaluates paths in
 MC_CHUNK_PATHS = 20000  # paths per Euler-Maruyama solve in mc_estimate
+MC_FIT_RANGE = (100.0, 100000.0)  # path counts the bench's MC slope is fitted on
+ORACLE_MC_PATHS = 100000  # paths and grid of the bench's Monte Carlo oracle
+ORACLE_MC_GRID = 4000
 
 
 @dataclass(frozen=True)
@@ -269,7 +272,6 @@ class BenchConfig:
     mc_ns: tuple[int, ...] = (10, 32, 100, 316, 1000, 3162, 10000, 31623, 100000)
     mc_replicates: int = 20
     mc_grid: int = 512
-    mc_fit_range: tuple[float, float] = (100.0, 100000.0)
     cub_ks: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 8)
     degree: int = 5
     gamma: float = 0.6
@@ -277,11 +279,11 @@ class BenchConfig:
     p_star: int = 2
     steps_per_segment: int = 32
     seed: int = 2024
-    oracle_mc_paths: int = 100000
-    oracle_mc_grid: int = 4000
     workers: int = 1
 
     def __post_init__(self):
+        if self.T <= 0:
+            raise InvalidParameter(f"horizon T must be positive, got {self.T}")
         if self.mc_replicates < 1:
             raise InvalidParameter(f"mc_replicates must be >= 1, got {self.mc_replicates}")
 
@@ -305,17 +307,21 @@ def _resolve_oracle(config: BenchConfig) -> tuple[float, float | None]:
                 f"no analytic value for field {config.spec.name!r} "
                 f"with functional {config.functional.name!r}"
             )
+        if config.T != 1.0:
+            raise OracleUnavailable(
+                f"the analytic value holds for horizon T = 1 only, got T = {config.T}"
+            )
         return value, None
     if config.oracle == "mc":
         report = mc_estimate(
             config.functional,
             config.spec,
-            config.oracle_mc_paths,
-            config.oracle_mc_grid,
+            ORACLE_MC_PATHS,
+            ORACLE_MC_GRID,
             seed=config.seed + 999_983,
             T=config.T,
         )
-        band = 4.0 / math.sqrt(config.oracle_mc_paths)
+        band = 4.0 / math.sqrt(ORACLE_MC_PATHS)
         return report.value, band
     raise OracleUnavailable(f"unknown oracle mode {config.oracle!r}")
 
@@ -420,7 +426,7 @@ def convergence_experiment(config: BenchConfig):
         cub_errors.append(error)
         preprocess_seconds.append(table.seconds if table is not None else 0.0)
 
-    lo, hi = config.mc_fit_range
+    lo, hi = MC_FIT_RANGE
     fit_mask = [lo <= n <= hi for n in mc_ns]
     if sum(fit_mask) < 2:
         fit_mask = [True] * len(mc_ns)

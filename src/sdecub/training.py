@@ -50,6 +50,8 @@ from .partition import TimePartition, make_partition
 from .recombination import TestBasis, WeightTable, preprocess
 from .tape import Var
 
+DIVERGENCE_THRESHOLD = 1e6  # a loss above this in either arm stops training
+
 
 @dataclass(frozen=True)
 class VariationalLossSpec:
@@ -308,7 +310,6 @@ class TrainConfig:
     data_mean: float = 0.5
     data_sigma: float = 0.3
     data_seed: int = 1234
-    divergence_threshold: float = 1e6
 
     def __post_init__(self):
         if self.degree != 3:
@@ -413,7 +414,7 @@ def train(config: TrainConfig, spec: VariationalLossSpec | None = None) -> Train
         )
         theta_cub -= config.lr * rep.gradient
         rows.append(TrainRow.of(epoch, "cubature", rep, time.perf_counter() - start))
-        if abs(rep.loss) > config.divergence_threshold:
+        if abs(rep.loss) > DIVERGENCE_THRESHOLD:
             raise DivergenceDetected(f"cubature loss {rep.loss:.3e} at epoch {epoch}")
         start = time.perf_counter()
         rep = loss_and_gradient_mc(
@@ -421,6 +422,6 @@ def train(config: TrainConfig, spec: VariationalLossSpec | None = None) -> Train
         )
         theta_mc -= config.lr * rep.gradient
         rows.append(TrainRow.of(epoch, "mc", rep, time.perf_counter() - start))
-        if abs(rep.loss) > config.divergence_threshold:
+        if abs(rep.loss) > DIVERGENCE_THRESHOLD:
             raise DivergenceDetected(f"mc loss {rep.loss:.3e} at epoch {epoch}")
     return TrainingLog(rows=rows, n_paths=n_paths, theta_cubature=theta_cub, theta_mc=theta_mc)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from sdecub import TestBasis, degree5_formula, make_partition, preprocess
-from sdecub.cli import EXIT_CONFIG, EXIT_OK, main
+from sdecub.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 
 def read_manifest(out: Path) -> dict:
@@ -61,6 +61,21 @@ class TestPreprocessCommand:
         )
         assert code == EXIT_CONFIG
         assert "ManifestMismatch" in capsys.readouterr().err
+
+    def test_formula_file_failing_its_degree_is_config_error(self, tmp_path, capsys):
+        fdir = tmp_path / "f"
+        assert main(["formula", "--degree", "5", "--dim", "1", "--out", str(fdir)]) == EXIT_OK
+        doc = json.loads((fdir / "formula.json").read_text())
+        doc["paths"][0]["values"][1][1] += 0.1  # move one interior knot
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        pdir = tmp_path / "p"
+        code = main(["preprocess", "--formula", str(bad), "--k", "4", "--out", str(pdir)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("ManifestMismatch: ") and "fails its degree 5" in err
+        assert "defect 8.387e-03 at word (0, 1, 1)" in err
+        assert not (pdir / "weight_table.json").exists()
 
     def test_k2_identity_weights(self, tmp_path):
         fdir = tmp_path / "f"
@@ -125,6 +140,18 @@ class TestEstimateCommand:
         )
         assert code == EXIT_CONFIG
         assert "InvalidParameter: n_paths must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("T, analytic", [(1.0, 1.0), (2.0, None)])
+    def test_analytic_value_only_on_unit_horizon(self, tmp_path, T, analytic):
+        # the preset's exact value is for [0, 1]; on [0, 2] brownian sigma=1 gives 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": T}))
+        code = main(
+            ["estimate", "--config", str(cfg), "--field", "brownian", "--k", "2",
+             "--mc-paths", "4", "--mc-grid", "8", "--out", str(tmp_path / "e")]
+        )
+        assert code == EXIT_OK
+        assert read_manifest(tmp_path / "e")["results"]["analytic"] == analytic
 
     def test_rerun_reproducible_apart_from_timing(self, tmp_path):
         args = ["estimate", "--field", "brownian", "--k", "4", "--mc-paths", "200",
@@ -192,6 +219,14 @@ class TestTrainCommand:
 
         assert losses(a) == losses(b)
 
+    def test_divergence_is_numerical_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 3, "n_data": 2, "mc_grid": 20}))
+        code = main(["train", "--config", str(cfg), "--lr", "50", "--out", str(tmp_path / "t")])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("DivergenceDetected: cubature loss ")
+        assert not (tmp_path / "t" / "train_log.csv").exists()
+
     def test_zero_mc_grid_is_config_error(self, tmp_path, capsys):
         args = ["train", "--mc-grid", "0", "--epochs", "1", "--k", "3", "--width", "4"]
         assert main(args + ["--out", str(tmp_path)]) == EXIT_CONFIG
@@ -221,6 +256,18 @@ class TestBenchCommand:
         assert len(rows) == 1 + 2 + 3
         manifest = read_manifest(tmp_path / "b")
         assert "mc_slope" in manifest["results"]
+
+    def test_analytic_oracle_on_other_horizon_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"T": 2.0, "mc_ns": [10], "mc_replicates": 1, "mc_grid": 8,
+                        "cub_ks": [1], "field": "brownian", "sigma": 1.0})
+        )
+        code = main(["bench", "--config", str(cfg), "--out", str(tmp_path / "b")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("OracleUnavailable: ") and "horizon T = 1 only, got T = 2.0" in err
+        assert not (tmp_path / "b" / "bench.csv").exists()
 
 
 class TestNonPositiveSizesRejected:

@@ -539,7 +539,6 @@ class TestConvergenceExperiment:
             mc_ns=(10, 100),
             mc_replicates=3,
             mc_grid=64,
-            mc_fit_range=(10, 100),
             cub_ks=(1, 2),
             steps_per_segment=8,
         )

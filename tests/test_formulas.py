@@ -1,6 +1,7 @@
-"""Cubature formulas: moment words, iterated integrals, verification."""
+"""Cubature formulas: moment words, signatures, verification."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,12 +17,17 @@ from sdecub import (
     degree3_formula,
     degree5_formula,
     expected_signature,
-    iterated_integral,
     moment_words,
+    signature,
     verify_cubature,
     word_degree,
 )
 from conftest import grid_iterated_integral
+
+
+def coefficient(path, word):
+    """The signature coefficient of ``word``: its iterated integral."""
+    return signature(path, len(word))[len(word)][word]
 
 
 class TestWords:
@@ -56,17 +62,17 @@ class TestWords:
 class TestIteratedIntegral:
     def test_linear_segment_rule(self):
         path = PiecewisePath([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]])
-        assert iterated_integral(path, (1, 1)) == pytest.approx(0.5, abs=1e-15)
+        assert coefficient(path, (1, 1)) == pytest.approx(0.5, abs=1e-15)
 
     def test_time_word_is_elapsed_time(self):
         path = PiecewisePath([0.0, 1.0], [[0.0, 0.0], [1.0, 0.3]])
-        assert iterated_integral(path, (0,)) == pytest.approx(1.0, abs=1e-15)
+        assert coefficient(path, (0,)) == pytest.approx(1.0, abs=1e-15)
 
     def test_telescoping_endpoint(self):
         path = PiecewisePath(
             [0.0, 0.5, 1.0], [[0.0, 0.0], [0.5, 1.0], [1.0, 0.0]]
         )
-        assert iterated_integral(path, (1,)) == pytest.approx(0.0, abs=1e-15)
+        assert coefficient(path, (1,)) == pytest.approx(0.0, abs=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -81,7 +87,7 @@ class TestIteratedIntegral:
         path = PiecewisePath(
             [0.0, mid_t, 1.0], [[0.0, 0.0], [mid_t, z1], [1.0, z1 + z2]]
         )
-        exact = iterated_integral(path, word)
+        exact = coefficient(path, word)
         approx = grid_iterated_integral(path, word)
         assert exact == pytest.approx(approx, abs=1e-8)
 
@@ -89,20 +95,20 @@ class TestIteratedIntegral:
 class TestExpectedSignature:
     def test_second_moments(self):
         sig = expected_signature(2, 2)
-        assert sig.coefficient((1, 1)) == pytest.approx(0.5)
-        assert sig.coefficient((2, 2)) == pytest.approx(0.5)
-        assert sig.coefficient((1, 2)) == 0.0
+        assert sig[2][1, 1] == pytest.approx(0.5)
+        assert sig[2][2, 2] == pytest.approx(0.5)
+        assert sig[2][1, 2] == 0.0
 
     def test_time_words(self):
         sig = expected_signature(2, 1, horizon=2.0)
-        assert sig.coefficient((0,)) == pytest.approx(2.0)
-        assert sig.coefficient((0, 0)) == pytest.approx(2.0)  # T^2/2
+        assert sig[1][0] == pytest.approx(2.0)
+        assert sig[2][0, 0] == pytest.approx(2.0)  # T^2/2
 
     def test_fourth_moment(self):
         sig = expected_signature(4, 1)
-        assert sig.coefficient((1, 1, 1, 1)) == pytest.approx(1.0 / 8.0)
-        assert sig.coefficient((0, 1, 1)) == pytest.approx(0.25)
-        assert sig.coefficient((1, 0, 1)) == 0.0
+        assert sig[4][1, 1, 1, 1] == pytest.approx(1.0 / 8.0)
+        assert sig[3][0, 1, 1] == pytest.approx(0.25)
+        assert sig[3][1, 0, 1] == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -112,12 +118,45 @@ class TestExpectedSignature:
         sig = expected_signature(5, 2)
         for letter in (1, 2):
             if sum(1 for a in word if a == letter) % 2 == 1:
-                assert sig.coefficient(word) == 0.0
+                assert sig[len(word)][word] == 0.0
                 return
 
     def test_level_guard(self):
         with pytest.raises(LevelTooLarge):
             expected_signature(9, 1)
+        with pytest.raises(LevelTooLarge):
+            signature(degree3_formula(1).paths[0], 9)
+
+
+def shuffles(u, v):
+    """Every interleaving of ``u`` and ``v``, with multiplicity."""
+    n = len(u) + len(v)
+    for spots in combinations(range(n), len(u)):
+        letters_u, letters_v = iter(u), iter(v)
+        yield tuple(next(letters_u) if i in spots else next(letters_v) for i in range(n))
+
+
+class TestShuffleIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(st.floats(0.1, 1.0), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+            min_size=2,
+            max_size=3,
+        ),
+        words=st.lists(st.integers(0, 2), min_size=2, max_size=4).flatmap(
+            lambda w: st.integers(1, len(w) - 1).map(lambda c: (tuple(w[:c]), tuple(w[c:])))
+        ),
+    )
+    def test_product_of_coefficients_is_sum_over_shuffles(self, steps, words):
+        # S(u) S(v) = sum of S(w) over the shuffles w of u and v, on a random
+        # two- or three-segment path in R^3 with time as component 0
+        u, v = words
+        values = np.vstack([np.zeros(3), np.cumsum(steps, axis=0)])
+        sig = signature(PiecewisePath(values[:, 0], values), 4)
+        product = sig[len(u)][u] * sig[len(v)][v]
+        total = math.fsum(sig[len(w)][w] for w in shuffles(u, v))
+        assert product == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
 class TestDegree3:
@@ -166,7 +205,7 @@ class TestDegree5:
         f = degree5_formula(1)
         for word, expected in [((1, 1), 0.5), ((1, 1, 1, 1), 1.0 / 8.0)]:
             total = math.fsum(
-                w * iterated_integral(p, word) for w, p in zip(f.weights, f.paths)
+                w * coefficient(p, word) for w, p in zip(f.weights, f.paths)
             )
             assert total == pytest.approx(expected, abs=1e-12)
 

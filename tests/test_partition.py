@@ -17,8 +17,8 @@ from sdecub import (
     degree3_formula,
     degree5_formula,
     enumerate_leaves,
-    iterated_integral,
     make_partition,
+    signature,
     word_degree,
 )
 from conftest import grid_iterated_integral, leaf_derivatives, leaf_path
@@ -95,7 +95,7 @@ class TestScalePath:
     def test_degree2_word_scales_linearly(self):
         unit = PiecewisePath([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]])
         out = scaled(unit, 0.25)
-        assert iterated_integral(out, (1, 1)) == pytest.approx(0.25 * 0.5, abs=1e-14)
+        assert signature(out, 2)[2][1, 1] == pytest.approx(0.25 * 0.5, abs=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -109,8 +109,9 @@ class TestScalePath:
         unit = PiecewisePath(
             [0.0, 0.4, 1.0], [[0.0, 0.0], [0.4, z1], [1.0, z1 + z2]]
         )
-        base = iterated_integral(unit, word)
-        out = iterated_integral(scaled(unit, s), word)
+        n = len(word)
+        base = signature(unit, n)[n][word]
+        out = signature(scaled(unit, s), n)[n][word]
         g = word_degree(word)
         assert out == pytest.approx(s ** (g / 2.0) * base, abs=1e-10 * max(1, s**3))
 
@@ -152,7 +153,7 @@ class TestConcatPath:
         part = make_partition(1.0, 2, 1.0)
         cp = leaf_path(f, part, (1, 2))
         for word in [(1, 1), (0, 1, 1), (1, 0, 1)]:
-            assert iterated_integral(cp, word) == pytest.approx(
+            assert signature(cp, len(word))[len(word)][word] == pytest.approx(
                 grid_iterated_integral(cp, word), abs=1e-8
             )
 

@@ -9,6 +9,7 @@ import pytest
 
 from sdecub import (
     DimensionMismatch,
+    DivergenceDetected,
     InvalidParameter,
     ManifestMismatch,
     NetworkFields,
@@ -501,6 +502,11 @@ class TestTrain:
         spec = make_training_data(TrainConfig(d_x=1))
         with pytest.raises(DimensionMismatch, match="data dim 1 != config d_x 2"):
             train(TrainConfig(d_x=2, epochs=1), spec)
+
+    def test_divergence_raises(self):
+        config = TrainConfig(d_x=1, k=3, n_data=2, mc_grid=20, lr=50.0)
+        with pytest.raises(DivergenceDetected, match=r"cubature loss \S+ at epoch 2"):
+            train(config)
 
     def test_zero_learning_rate_constant_loss(self):
         config = TrainConfig(d_x=1, epochs=4, lr=0.0)
