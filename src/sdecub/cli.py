@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ManifestMismatch, NumericalError
+from .errors import ConfigError, InvalidParameter, ManifestMismatch, NumericalError
 from .estimator import (
     BenchConfig,
     convergence_experiment,
@@ -26,7 +26,7 @@ from .estimator import (
     mc_estimate,
     sine_tracking_functional,
 )
-from .fields import make_field
+from .fields import PRESETS, FieldSpec, make_field
 from .formulas import CubatureFormula, cubature_formula, dumps_17g, verify_cubature
 from .partition import make_partition
 from .recombination import TestBasis, preprocess
@@ -37,9 +37,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _resolve_workers(value) -> int:
+def _resolve_workers(workers: int) -> int:
     """0 means all available cores; results are worker-count independent."""
-    workers = int(value)
     return workers if workers > 0 else (os.cpu_count() or 1)
 
 
@@ -55,25 +54,63 @@ def _load_config(path: str | None) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file {path} does not exist")
-    with open(p) as fh:
-        doc = json.load(fh)
+    try:
+        doc = json.loads(p.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ConfigError(f"config file {path} must hold a JSON object")
     return doc
 
 
+def _integral(value) -> bool:
+    return type(value) is int or type(value) is float and value.is_integer()
+
+
+_TYPE_NAMES = {int: "an integral number", float: "a finite number",
+               tuple: "a list of integral numbers"}
+
+
+def _typed(key: str, value, default):
+    """A config-file value as its setting's type, which its default gives.
+
+    A str setting passes as given: the code that reads it checks it, and the
+    bench oracle may also be a number.
+    """
+    if isinstance(default, str):
+        return value
+    if isinstance(default, tuple):
+        if type(value) is list and all(_integral(v) for v in value):
+            return tuple(int(v) for v in value)
+    elif isinstance(default, int) and _integral(value):
+        return int(value)
+    elif isinstance(default, float) and type(value) in (int, float):
+        if abs(value) <= sys.float_info.max:  # finite, and an int that fits a float
+            return float(value)
+    raise InvalidParameter(
+        f"config key {key!r} takes {_TYPE_NAMES[type(default)]}, got {json.dumps(value)}"
+    )
+
+
 def _merge(defaults: dict, config: dict, args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags, each typed as its default."""
     merged = dict(defaults)
     for key, value in config.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
-        merged[key] = value
+        merged[key] = _typed(key, value, defaults[key])
     for key in defaults:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
     return merged
+
+
+def _field(settings: dict) -> FieldSpec:
+    """The field preset the settings name, given their sigma if it takes one."""
+    if settings["field"] == "drift_only":
+        return make_field("drift_only")
+    return make_field(settings["field"], sigma=settings["sigma"])
 
 
 def _out_dir(args) -> Path:
@@ -82,22 +119,17 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write(path: Path, text: str):
-    path.write_text(text)
-
-
 def _write_manifest(out: Path, stage: str, settings: dict, results: dict):
     doc = {"stage": stage, "settings": settings, "results": results}
-    _write(out / "manifest.json", dumps_17g(doc))
+    (out / "manifest.json").write_text(dumps_17g(doc))
 
 
 def cmd_formula(args) -> int:
     out = _out_dir(args)
     formula = cubature_formula(args.degree, args.dim)
     report = verify_cubature(formula, m=args.degree, tol=args.tol)
-    _write(out / "formula.json", formula.to_json())
-    _write(
-        out / "verification.json",
+    (out / "formula.json").write_text(formula.to_json())
+    (out / "verification.json").write_text(
         dumps_17g(
             {
                 "degree": report.degree_checked,
@@ -109,7 +141,7 @@ def cmd_formula(args) -> int:
                 "tol": report.tol,
                 "path_count": formula.q,
             }
-        ),
+        )
     )
     _write_manifest(
         out,
@@ -125,6 +157,11 @@ def cmd_formula(args) -> int:
     return EXIT_OK
 
 
+# Each command's settings table is its defaults, which also give each
+# setting's type, beside the settings it exposes as flags, in flag order, each
+# with its choices (None: any value of its type); the rest are set by the
+# config file only.
+
 _PREPROCESS_DEFAULTS = {
     "T": 1.0,
     "k": 10,
@@ -133,6 +170,8 @@ _PREPROCESS_DEFAULTS = {
     "p_star": 2,
     "radius_mode": "schedule",
 }
+_PREPROCESS_FLAGS = dict.fromkeys(_PREPROCESS_DEFAULTS) | {
+    "radius_mode": ("schedule", "singleton")}
 
 
 def cmd_preprocess(args) -> int:
@@ -150,16 +189,16 @@ def cmd_preprocess(args) -> int:
             f"formula file {formula_path} fails its degree {formula.degree}: defect "
             f"{report.max_defect:.3e} at word {report.worst_word}"
         )
-    partition = make_partition(settings["T"], int(settings["k"]), settings["gamma"])
-    basis = TestBasis(dim=formula.dim, degree=int(settings["basis_degree"]))
+    partition = make_partition(settings["T"], settings["k"], settings["gamma"])
+    basis = TestBasis(dim=formula.dim, degree=settings["basis_degree"])
     table = preprocess(
         formula,
         partition,
         basis,
-        p_star=int(settings["p_star"]),
+        p_star=settings["p_star"],
         radius_mode=settings["radius_mode"],
     )
-    _write(out / "weight_table.json", table.to_json())
+    (out / "weight_table.json").write_text(table.to_json())
     _write_manifest(
         out,
         "preprocess",
@@ -194,20 +233,21 @@ _ESTIMATE_DEFAULTS = {
     "seed": 2024,
     "workers": 0,
 }
+_ESTIMATE_FLAGS = dict.fromkeys(k for k in _ESTIMATE_DEFAULTS if k != "T") | {
+    "field": tuple(PRESETS), "degree": (3, 5)}
 
 
 def cmd_estimate(args) -> int:
     out = _out_dir(args)
     settings = _merge(_ESTIMATE_DEFAULTS, _load_config(args.config), args)
-    kwargs = {} if settings["field"] == "drift_only" else {"sigma": settings["sigma"]}
-    spec = make_field(settings["field"], **kwargs)
+    spec = _field(settings)
     functional = sine_tracking_functional()
-    formula = cubature_formula(int(settings["degree"]), spec.d_b)
-    partition = make_partition(settings["T"], int(settings["k"]), settings["gamma"])
+    formula = cubature_formula(settings["degree"], spec.d_b)
+    partition = make_partition(settings["T"], settings["k"], settings["gamma"])
     table = None
     if partition.k >= 2:
-        basis = TestBasis(dim=spec.d_b, degree=int(settings["basis_degree"]))
-        table = preprocess(formula, partition, basis, p_star=int(settings["p_star"]))
+        basis = TestBasis(dim=spec.d_b, degree=settings["basis_degree"])
+        table = preprocess(formula, partition, basis, p_star=settings["p_star"])
     cub = cubature_estimate(
         functional,
         spec.stratonovich(),
@@ -215,21 +255,21 @@ def cmd_estimate(args) -> int:
         partition,
         table,
         x0=spec.x0,
-        steps_per_segment=int(settings["steps_per_segment"]),
+        steps_per_segment=settings["steps_per_segment"],
         workers=_resolve_workers(settings["workers"]),
     )
     mc = mc_estimate(
         functional,
         spec,
-        int(settings["mc_paths"]),
-        int(settings["mc_grid"]),
-        seed=_stage_seed(int(settings["seed"]), "estimate"),
+        settings["mc_paths"],
+        settings["mc_grid"],
+        seed=_stage_seed(settings["seed"], "estimate"),
         T=settings["T"],
     )
     lines = ["method,n,value,seconds"]
     lines.append(f"cubature,{cub.n_paths},{format(cub.value, '.17g')},{cub.seconds:.6f}")
     lines.append(f"mc,{mc.n_paths},{format(mc.value, '.17g')},{mc.seconds:.6f}")
-    _write(out / "estimate.csv", "\n".join(lines) + "\n")
+    (out / "estimate.csv").write_text("\n".join(lines) + "\n")
     _write_manifest(
         out,
         "estimate",
@@ -257,33 +297,23 @@ _BENCH_DEFAULTS = {"field": "scaled_diffusion", "sigma": 0.6} | {
     for f in dataclasses.fields(BenchConfig)
     if f.name not in ("spec", "functional")
 } | {"workers": 0}
-
-
-def _bench_value(default, value):
-    """A setting as BenchConfig takes it: ints and int tuples are coerced,
-    the floats and the oracle pass as given."""
-    if isinstance(default, tuple):
-        return tuple(int(v) for v in value)
-    return int(value) if isinstance(default, int) else value
+_BENCH_FLAGS = dict.fromkeys(
+    k for k in _BENCH_DEFAULTS if k not in ("T", "oracle", "mc_ns", "cub_ks")
+) | {"field": ("brownian", "scaled_diffusion"), "degree": (3, 5)}
 
 
 def cmd_bench(args) -> int:
     out = _out_dir(args)
     settings = _merge(_BENCH_DEFAULTS, _load_config(args.config), args)
-    spec = make_field(settings["field"], sigma=settings["sigma"])
-    values = {
-        k: _bench_value(_BENCH_DEFAULTS[k], v)
-        for k, v in settings.items()
-        if k not in ("field", "sigma")
-    }
+    values = {k: v for k, v in settings.items() if k not in ("field", "sigma")}
     values["seed"] = _stage_seed(values["seed"], "bench")
     values["workers"] = _resolve_workers(values["workers"])
-    config = BenchConfig(spec=spec, functional=sine_tracking_functional(), **values)
+    config = BenchConfig(spec=_field(settings), functional=sine_tracking_functional(), **values)
     rows, summary = convergence_experiment(config)
     lines = ["method,n,error,seconds"]
     for r in rows:
         lines.append(f"{r.method},{r.n},{format(r.error, '.17g')},{r.seconds:.6f}")
-    _write(out / "bench.csv", "\n".join(lines) + "\n")
+    (out / "bench.csv").write_text("\n".join(lines) + "\n")
     _write_manifest(out, "bench", settings, summary)
     print(
         f"mc slope {summary['mc_slope']:.3f}; cubature pre-plateau slope "
@@ -295,29 +325,27 @@ def cmd_bench(args) -> int:
 
 # every TrainConfig field, in declaration order
 _TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+_TRAIN_FLAGS = dict.fromkeys(
+    k for k in _TRAIN_DEFAULTS
+    if k not in ("T", "obs_noise", "n_data", "data_grid", "data_rate", "data_mean", "data_sigma")
+) | {"degree": (3,)}
 
 
 def cmd_train(args) -> int:
     out = _out_dir(args)
     settings = _merge(_TRAIN_DEFAULTS, _load_config(args.config), args)
-    config = TrainConfig(**{k: type(_TRAIN_DEFAULTS[k])(v) for k, v in settings.items()})
+    config = TrainConfig(**settings)
     spec = make_training_data(config)
     data_lines = ["path,t," + ",".join(f"y_{i}" for i in range(config.d_x))]
     for j in range(spec.data_values.shape[0]):
         for i, t in enumerate(spec.data_times):
             vals = ",".join(format(v, ".17g") for v in spec.data_values[j, i])
             data_lines.append(f"{j},{format(t, '.17g')},{vals}")
-    _write(out / "data.csv", "\n".join(data_lines) + "\n")
+    (out / "data.csv").write_text("\n".join(data_lines) + "\n")
     log = train(config, spec)
-    _write(out / "train_log.csv", log.to_csv())
-    _write(
-        out / "params.json",
-        dumps_17g(
-            {
-                "theta_cubature": list(log.theta_cubature),
-                "theta_mc": list(log.theta_mc),
-            }
-        ),
+    (out / "train_log.csv").write_text(log.to_csv())
+    (out / "params.json").write_text(
+        dumps_17g({"theta_cubature": list(log.theta_cubature), "theta_mc": list(log.theta_mc)})
     )
     cub = log.losses("cubature")
     mc = log.losses("mc")
@@ -342,11 +370,6 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file; explicit flags win")
-    p.add_argument("--out", default="runs", help="output directory")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdecub",
@@ -361,65 +384,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="runs")
     p.set_defaults(func=cmd_formula)
 
-    p = sub.add_parser("preprocess", help="build a recombined weight table")
-    _add_common(p)
-    p.add_argument("--formula", help="formula JSON written by the formula command")
-    p.add_argument("--T", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--basis-degree", dest="basis_degree", type=int)
-    p.add_argument("--p-star", dest="p_star", type=int)
-    p.add_argument("--radius-mode", dest="radius_mode", choices=("schedule", "singleton"))
-    p.set_defaults(func=cmd_preprocess)
-
-    p = sub.add_parser("estimate", help="one cubature and one MC estimate")
-    _add_common(p)
-    p.add_argument("--field", choices=("brownian", "scaled_diffusion", "ou", "drift_only"))
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--degree", type=int, choices=(3, 5))
-    p.add_argument("--k", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--basis-degree", dest="basis_degree", type=int)
-    p.add_argument("--p-star", dest="p_star", type=int)
-    p.add_argument("--steps-per-segment", dest="steps_per_segment", type=int)
-    p.add_argument("--mc-paths", dest="mc_paths", type=int)
-    p.add_argument("--mc-grid", dest="mc_grid", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.set_defaults(func=cmd_estimate)
-
-    p = sub.add_parser("bench", help="convergence-rate benchmark sweeps")
-    _add_common(p)
-    p.add_argument("--field", choices=("brownian", "scaled_diffusion"))
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--mc-replicates", dest="mc_replicates", type=int)
-    p.add_argument("--mc-grid", dest="mc_grid", type=int)
-    p.add_argument("--degree", type=int, choices=(3, 5))
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--basis-degree", dest="basis_degree", type=int)
-    p.add_argument("--p-star", dest="p_star", type=int)
-    p.add_argument("--steps-per-segment", dest="steps_per_segment", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("train", help="cubature vs MC training comparison")
-    _add_common(p)
-    p.add_argument("--d-x", dest="d_x", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--degree", type=int, choices=(3,))
-    p.add_argument("--k", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--basis-degree", dest="basis_degree", type=int)
-    p.add_argument("--p-star", dest="p_star", type=int)
-    p.add_argument("--steps-per-segment", dest="steps_per_segment", type=int)
-    p.add_argument("--mc-grid", dest="mc_grid", type=int)
-    p.add_argument("--kl-weight", dest="kl_weight", type=float)
-    p.add_argument("--data-seed", dest="data_seed", type=int)
-    p.set_defaults(func=cmd_train)
+    for name, help_text, func, defaults, flags in (
+        ("preprocess", "build a recombined weight table", cmd_preprocess,
+         _PREPROCESS_DEFAULTS, _PREPROCESS_FLAGS),
+        ("estimate", "one cubature and one MC estimate", cmd_estimate,
+         _ESTIMATE_DEFAULTS, _ESTIMATE_FLAGS),
+        ("bench", "convergence-rate benchmark sweeps", cmd_bench, _BENCH_DEFAULTS, _BENCH_FLAGS),
+        ("train", "cubature vs MC training comparison", cmd_train, _TRAIN_DEFAULTS, _TRAIN_FLAGS),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file; explicit flags win")
+        p.add_argument("--out", default="runs", help="output directory")
+        if name == "preprocess":
+            p.add_argument("--formula", help="formula JSON written by the formula command")
+        for key, choices in flags.items():
+            p.add_argument(
+                "--" + key.replace("_", "-"), dest=key, type=type(defaults[key]), choices=choices
+            )
+        p.set_defaults(func=func)
 
     return parser
 

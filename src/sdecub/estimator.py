@@ -298,7 +298,7 @@ class BenchRow:
 
 def _resolve_oracle(config: BenchConfig) -> tuple[float, float | None]:
     """Oracle value and (for an MC oracle) its declared standard-error band."""
-    if isinstance(config.oracle, (int, float)):
+    if isinstance(config.oracle, (int, float)) and not isinstance(config.oracle, bool):
         return float(config.oracle), None
     if config.oracle == "analytic":
         value = config.spec.sine_tracking_value

@@ -166,6 +166,6 @@ PRESETS = {
 
 
 def make_field(name: str, **kwargs) -> FieldSpec:
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise InvalidParameter(f"unknown field preset {name!r}; have {sorted(PRESETS)}")
     return PRESETS[name](**kwargs)

@@ -255,7 +255,7 @@ def _format_17g(x) -> str:
     return json.dumps(x)
 
 
-def dumps_17g(obj, indent: int = 0) -> str:
+def dumps_17g(obj) -> str:
     """JSON text with doubles at 17 significant digits (exact round-trip)."""
     if isinstance(obj, dict):
         inner = ", ".join(f"{json.dumps(k)}: {dumps_17g(v)}" for k, v in obj.items())
