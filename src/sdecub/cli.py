@@ -39,7 +39,9 @@ EXIT_NUMERIC = 3
 
 def _resolve_workers(workers: int) -> int:
     """0 means all available cores; results are worker-count independent."""
-    return workers if workers > 0 else (os.cpu_count() or 1)
+    if workers < 0:
+        raise InvalidParameter(f"workers must be >= 0 (0 means all cores), got {workers}")
+    return workers or (os.cpu_count() or 1)
 
 
 def _stage_seed(root: int, stage: str) -> int:
@@ -240,6 +242,7 @@ _ESTIMATE_FLAGS = dict.fromkeys(k for k in _ESTIMATE_DEFAULTS if k != "T") | {
 def cmd_estimate(args) -> int:
     out = _out_dir(args)
     settings = _merge(_ESTIMATE_DEFAULTS, _load_config(args.config), args)
+    workers = _resolve_workers(settings["workers"])
     spec = _field(settings)
     functional = sine_tracking_functional()
     formula = cubature_formula(settings["degree"], spec.d_b)
@@ -256,7 +259,7 @@ def cmd_estimate(args) -> int:
         table,
         x0=spec.x0,
         steps_per_segment=settings["steps_per_segment"],
-        workers=_resolve_workers(settings["workers"]),
+        workers=workers,
     )
     mc = mc_estimate(
         functional,

@@ -70,8 +70,9 @@ class RecombinationDefect(NumericalError):
 class NonFiniteState(NumericalError):
     """An integrator state left the finite floating-point range.
 
-    ``segment`` is the index of the solver segment after which the state was
-    first seen non-finite, or ``None`` where the solver has no segments.
+    ``segment`` is the index of the solver segment (for Euler-Maruyama, the
+    step) after which the state was first seen non-finite, or ``None``
+    where the solver reports none.
     """
 
     def __init__(self, message: str, segment: int | None = None):

@@ -163,11 +163,13 @@ def cubature_estimate(
     interval i-1; without one, the full q**i level.  Each level is one
     batched solve per worker chunk of its rows, started from the parents'
     end states.  The value is one compensated sum over every weighted row
-    cost, so it does not depend on the worker count.  ``DimensionMismatch``
-    is raised before any solve if the formula's driving dimension or
-    ``x0``'s length does not match the fields.
+    cost, so it does not depend on the worker count (at least 1).
+    ``DimensionMismatch`` is raised before any solve if the formula's
+    driving dimension or ``x0``'s length does not match the fields.
     """
     start = time.perf_counter()
+    if workers < 1:
+        raise InvalidParameter(f"workers must be >= 1, got {workers}")
     if formula.dim != fields.driving_dim:
         raise DimensionMismatch(f"formula dim {formula.dim} != driving dim {fields.driving_dim}")
     x0 = np.zeros(fields.state_dim) if x0 is None else np.asarray(x0, dtype=float)
@@ -234,9 +236,11 @@ def mc_estimate(
 
     The paths are solved in chunks of ``MC_CHUNK_PATHS``, which fixes the
     Gaussian stream, so a result is reproducible per seed and chunk size.
-    Memory is one chunk's trajectory plus one reused block (about
-    ``MC_BLOCK_BYTES``) of whole augmented paths; each value comes from its
-    own path's row, so the block size never enters a result.
+    Memory is one chunk's trajectory, one reused block (about
+    ``MC_BLOCK_BYTES``) of whole augmented paths, and the solver's two
+    noise buffers (about ``ode.NOISE_BLOCK_BYTES`` each); each value comes
+    from its own path's row, so neither block size enters a result.  A
+    ``NonFiniteState`` names the chunk's path range.
     """
     if n_paths < 1:
         raise InvalidParameter(f"n_paths must be >= 1, got {n_paths}")
@@ -245,7 +249,13 @@ def mc_estimate(
     values = np.empty(n_paths)
     for done in range(0, n_paths, MC_CHUNK_PATHS):
         m = min(MC_CHUNK_PATHS, n_paths - done)
-        times, paths = solve_sde_mc_batch(spec.mu, spec.sigma, spec.x0, T, grid, rng, m)
+        try:
+            times, paths = solve_sde_mc_batch(spec.mu, spec.sigma, spec.x0, T, grid, rng, m)
+        except NonFiniteState as err:
+            raise NonFiniteState(
+                f"{err} (chunk of paths {done} to {done + m - 1} of {n_paths})",
+                segment=err.segment,
+            ) from err
         if done == 0:
             shape = (times.size, paths.shape[2] + 1)
             rows = max(1, min(m, MC_BLOCK_BYTES // (8 * shape[0] * shape[1])))
@@ -286,6 +296,8 @@ class BenchConfig:
             raise InvalidParameter(f"horizon T must be positive, got {self.T}")
         if self.mc_replicates < 1:
             raise InvalidParameter(f"mc_replicates must be >= 1, got {self.mc_replicates}")
+        if self.workers < 1:
+            raise InvalidParameter(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)

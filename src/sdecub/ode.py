@@ -8,18 +8,24 @@ evaluates sigma's body once and hands it to the corrected drift, so mu,
 sigma and the sigma-Jacobian are each evaluated once per stage.
 :func:`rk4_steps` is the package's one fourth-order integrator: it steps
 numpy arrays for the batched estimator here and tape nodes for the training
-arm in :mod:`sdecub.training`.
+arm in :mod:`sdecub.training`.  :func:`gaussian_increments` is the Monte
+Carlo baseline's noise source: it draws the Brownian increments one block
+ahead on a second thread, in the generator's own stream order.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonFiniteState
+
+NOISE_BLOCK_BYTES = 1 << 20  # size of each of gaussian_increments' two buffers
 
 
 @dataclass(frozen=True)
@@ -175,6 +181,41 @@ def solve_controlled_ode_batch(
     return out_times, out
 
 
+def gaussian_increments(rng: np.random.Generator, steps: int, shape, scale: float):
+    """Yield ``rng.standard_normal(shape) * scale`` for each of ``steps`` steps.
+
+    A one-worker thread fills the next block of steps into one of two
+    buffers of about ``NOISE_BLOCK_BYTES`` while the caller reads the other,
+    so drawing overlaps the caller's work.  One block's draw takes the
+    generator's stream in the order the per-step draws would, so every
+    value and the generator's state afterwards are bitwise those of
+    ``steps`` separate draws; the block size never enters a result.  Each
+    yielded array is a view that may be overwritten once the next one is
+    requested.  The buffers are allocated in the calling thread; close the
+    generator (``contextlib.closing``) to join the worker when stopping
+    early.
+    """
+    block = max(1, min(steps, NOISE_BLOCK_BYTES // (8 * max(1, math.prod(shape)))))
+    buffers = (np.empty((block, *shape)), np.empty((block, *shape)))
+    n_blocks = -(-steps // block)
+
+    def fill(i):
+        buf = buffers[i % 2][: min(block, steps - i * block)]
+        rng.standard_normal(out=buf)
+        buf *= scale
+        return buf
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(fill, 0) if n_blocks else None
+        for i in range(n_blocks):
+            ready = pending.result()
+            # the caller has asked for block i's first step, so it is done
+            # with block i-1, whose buffer fill(i + 1) reuses
+            if i + 1 < n_blocks:
+                pending = pool.submit(fill, i + 1)
+            yield from ready
+
+
 def solve_sde_mc_batch(
     mu,
     sigma,
@@ -188,7 +229,13 @@ def solve_sde_mc_batch(
 
     The states are a time-major buffer (n+1, B, d_x) seen as (B, n+1, d_x).
     A step fills its slab with ``drift*h + x``, bitwise ``x + drift*h``
-    since IEEE addition commutes, then adds the noise term.
+    since IEEE addition commutes, then adds the noise term.  The increments
+    come from :func:`gaussian_increments`, so the stream is one
+    ``(n_paths, d_b)`` draw per step, and its worker is joined before this
+    returns or raises.  Memory is the trajectory plus the two noise buffers
+    (about ``2 * NOISE_BLOCK_BYTES``).  ``NonFiniteState`` names the first
+    step after which some path's state is not finite, in ``segment``; it is
+    looked for only once the end states fail the check.
     """
     if grid < 1:
         raise InvalidParameter("grid size must be >= 1")
@@ -196,18 +243,23 @@ def solve_sde_mc_batch(
         raise InvalidParameter(f"horizon T must be positive, got {T}")
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     h = T / grid
-    root_h = math.sqrt(h)
     times = np.linspace(0.0, T, grid + 1)
     out = np.empty((grid + 1, n_paths, x0.shape[0]))
     out[0] = x0
     d_b = sigma(np.zeros(1), out[0, :1]).shape[2]
-    for step, (state, nxt) in enumerate(zip(out, out[1:])):
-        t = np.full(n_paths, times[step])
-        dw = rng.standard_normal((n_paths, d_b)) * root_h
-        drift = mu(t, state)
-        diff = sigma(t, state)
-        np.add(np.multiply(drift, h, out=nxt), state, out=nxt)
-        nxt += np.einsum("bdi,bi->bd", diff, dw)
+    with closing(gaussian_increments(rng, grid, (n_paths, d_b), math.sqrt(h))) as noise:
+        for step, (state, nxt, dw) in enumerate(zip(out, out[1:], noise)):
+            t = np.full(n_paths, times[step])
+            drift = mu(t, state)
+            diff = sigma(t, state)
+            np.add(np.multiply(drift, h, out=nxt), state, out=nxt)
+            nxt += np.einsum("bdi,bi->bd", diff, dw)
     if not np.all(np.isfinite(out[-1])):
-        raise NonFiniteState("Euler-Maruyama state left the finite range")
+        step = next(s for s in range(grid) if not np.all(np.isfinite(out[s + 1])))
+        bad = np.count_nonzero(~np.all(np.isfinite(out[step + 1]), axis=1))
+        raise NonFiniteState(
+            f"Euler-Maruyama state left the finite range after step {step} of {grid} "
+            f"(t = {times[step + 1]:.6g}) in {bad} of {n_paths} paths",
+            segment=step,
+        )
     return times, out.transpose(1, 0, 2)

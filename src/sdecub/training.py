@@ -260,7 +260,12 @@ def loss_and_gradient_mc(
     spec: VariationalLossSpec,
     T: float = 1.0,
 ) -> GradientReport:
-    """Pathwise Monte Carlo gradient through Euler-Maruyama with frozen noise."""
+    """Pathwise Monte Carlo gradient through Euler-Maruyama with frozen noise.
+
+    The noise is one whole ``(grid, n_paths, d_x)`` draw, not
+    :func:`sdecub.ode.gaussian_increments`: the tape holds ``noise[step]``
+    until the backward pass, and that source overwrites its buffers.
+    """
     if n_paths < 1:
         raise InvalidParameter("n_paths must be >= 1")
     if grid < 1:

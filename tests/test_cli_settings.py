@@ -119,6 +119,29 @@ def subcommand_parsers() -> dict:
     return sub.choices
 
 
+class TestWorkerCount:
+    """0 workers means all cores; a negative count is a config error, raised
+    before the first output is written."""
+
+    def test_negative_estimate_workers_flag(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["estimate", "--field", "brownian", "--k", "2", "--mc-paths", "4",
+                     "--mc-grid", "8", "--workers", "-3", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidParameter: ") and "got -3" in err
+        assert not (out / "manifest.json").exists()
+
+    def test_negative_bench_workers_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(BENCH | {"workers": -1}))
+        out = tmp_path / "out"
+        code = main(["bench", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "workers must be >= 0 (0 means all cores), got -1" in capsys.readouterr().err
+        assert not (out / "bench.csv").exists()
+
+
 class TestSettingFlags:
     TABLES = {
         "preprocess": (_PREPROCESS_DEFAULTS, 6),

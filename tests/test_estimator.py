@@ -33,7 +33,13 @@ from sdecub.estimator import fit_slope, interp_loglog, plateau_cut
 from sdecub.ode import solve_controlled_ode_batch
 from sdecub.partition import interval_slopes
 from sdecub.recombination import Level
-from sdecub.fields import brownian_field, drift_only_field, ou_field, scaled_diffusion_field
+from sdecub.fields import (
+    FieldSpec,
+    brownian_field,
+    drift_only_field,
+    ou_field,
+    scaled_diffusion_field,
+)
 from conftest import leaf_derivatives, reference_em, terminal_functional
 
 
@@ -139,6 +145,18 @@ class TestCubatureEstimate:
                 make_partition(1.0, 3, 0.6), None, x0=spec.x0, steps_per_segment=0,
                 workers=workers,
             )
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers, monkeypatch):
+        solves = []
+        monkeypatch.setattr(estimator, "solve_controlled_ode_batch", lambda *a: solves.append(a))
+        spec = brownian_field(1.0)
+        with pytest.raises(InvalidParameter, match=f"workers must be >= 1, got {workers}"):
+            cubature_estimate(
+                sine_tracking_functional(), spec.stratonovich(), degree5_formula(1),
+                make_partition(1.0, 2, 0.6), None, x0=spec.x0, workers=workers,
+            )
+        assert solves == []
 
     def test_manifest_mismatch(self):
         formula = degree5_formula(1)
@@ -418,6 +436,34 @@ class TestMcEstimate:
         mc_estimate(sine_tracking_functional(), brownian_field(1.0), 250, 16, seed=4)
         assert alive_at_call == [0, 0, 0, 0]
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_state_names_the_chunk(self, monkeypatch):
+        # dx = x^3 dt + dB from 0: a few paths stray far enough to blow up
+        def mu(t, x):
+            return x**3
+
+        def sig(t, x):
+            return np.ones((x.shape[0], 1, 1))
+
+        spec = FieldSpec("cubic", 1, 1, mu, sig, None, np.zeros(1))
+        chunk, n_paths, grid = 40, 400, 16
+        rng = np.random.default_rng(9)
+        with np.errstate(over="ignore"):
+            for done in range(0, n_paths, chunk):
+                _, ref = reference_em(mu, sig, spec.x0, 1.0, grid, rng, chunk)
+                if not np.all(np.isfinite(ref[:, -1])):
+                    break
+        assert 0 < done < n_paths - chunk  # a later chunk fails, not the first or last
+        monkeypatch.setattr(estimator, "MC_CHUNK_PATHS", chunk)
+        with pytest.raises(NonFiniteState) as info:
+            mc_estimate(sine_tracking_functional(), spec, n_paths, grid, seed=9)
+        cause = info.value.__cause__
+        assert isinstance(cause, NonFiniteState)
+        pattern = rf"Euler-Maruyama .* after step \d+ of {grid} \(t = .*\) in \d+ of {chunk} paths"
+        assert re.fullmatch(pattern, str(cause))
+        assert str(info.value) == f"{cause} (chunk of paths {done} to {done + chunk - 1} of 400)"
+        assert info.value.segment == cause.segment is not None
+
 
 def reference_mc(functional, spec, n_paths, grid, seed, T=1.0, chunk=20000):
     """Path-major Euler-Maruyama with each whole chunk evaluated at once.
@@ -526,6 +572,13 @@ class TestSlopeFitting:
 
 
 class TestConvergenceExperiment:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(InvalidParameter, match=f"workers must be >= 1, got {workers}"):
+            BenchConfig(
+                spec=brownian_field(1.0), functional=sine_tracking_functional(), workers=workers
+            )
+
     def test_oracle_unavailable(self):
         spec = drift_only_field()
         config = BenchConfig(spec=spec, functional=sine_tracking_functional())

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,11 +19,12 @@ from sdecub import (
     make_field,
     make_partition,
 )
-from sdecub import tape
+from sdecub import ode, tape
 from sdecub.estimator import PathFunctional, cubature_estimate
 from sdecub.fields import brownian_field, drift_only_field, ou_field, scaled_diffusion_field
 from sdecub.ode import (
     forward_difference_jacobian,
+    gaussian_increments,
     rk4_steps,
     solve_controlled_ode_batch,
     solve_sde_mc_batch,
@@ -356,3 +360,113 @@ class TestSolveSdeMc:
             spec.mu, spec.sigma, spec.x0, 1.0, 8, np.random.default_rng(0), 5
         )
         assert paths.transpose(1, 0, 2).flags.c_contiguous
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_state_names_first_step_and_path_count(self):
+        # dx = x^3 dt + dB from 0: paths that stray far blow up, at different steps
+        def mu(t, x):
+            return x**3
+
+        def sig(t, x):
+            return np.ones((x.shape[0], 1, 1))
+
+        x0, grid, n_paths = np.zeros(1), 32, 257
+        with np.errstate(over="ignore"):
+            times, ref = reference_em(mu, sig, x0, 1.0, grid, np.random.default_rng(3), n_paths)
+        bad = ~np.all(np.isfinite(ref), axis=2)  # (path, grid point)
+        point = int(np.argmax(bad.any(axis=0)))
+        assert point > 0 and bad[:, -1].any()
+        with pytest.raises(NonFiniteState) as info:
+            solve_sde_mc_batch(mu, sig, x0, 1.0, grid, np.random.default_rng(3), n_paths)
+        assert info.value.segment == point - 1
+        assert str(info.value) == (
+            f"Euler-Maruyama state left the finite range after step {point - 1} of {grid} "
+            f"(t = {times[point]:.6g}) in {bad[:, point].sum()} of {n_paths} paths"
+        )
+
+
+def per_step_draws(rng, steps, shape, scale):
+    return [rng.standard_normal(shape) * scale for _ in range(steps)]
+
+
+def in_bounded_thread(work, timeout=60.0):
+    """Run ``work()`` on a daemon thread; fail rather than hang past ``timeout``."""
+    result = []
+    runner = threading.Thread(target=lambda: result.append(work()), daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), f"work still running after {timeout} s"
+    assert result, "work raised; see the thread's traceback above"
+    return result[0]
+
+
+class TestGaussianIncrements:
+    @pytest.mark.parametrize(
+        "steps, block_steps", [(7, 3), (9, 3), (2, 5), (1, 1)],
+        ids=["remainder", "whole_blocks", "fewer_steps_than_a_block", "one_step"],
+    )
+    def test_equals_per_step_draws(self, monkeypatch, steps, block_steps):
+        shape = (5, 2)
+        monkeypatch.setattr(ode, "NOISE_BLOCK_BYTES", 8 * 10 * block_steps)
+        rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
+        got = [dw.copy() for dw in gaussian_increments(rng, steps, shape, 0.3)]
+        want = per_step_draws(ref_rng, steps, shape, 0.3)
+        assert len(got) == steps
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_no_steps_draws_nothing(self):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        assert list(gaussian_increments(rng, 0, (4, 1), 1.0)) == []
+        assert rng.bit_generator.state == state
+
+
+class TestNoiseWorker:
+    """The increments are drawn one block ahead on a second thread; the
+    trajectory and the generator's state are those of per-step draws."""
+
+    @pytest.mark.parametrize("d_b", [1, 2])
+    @pytest.mark.parametrize("block_steps", [1, 5], ids=["one_step_blocks", "remainder_block"])
+    def test_bitwise_under_fast_thread_switching(self, monkeypatch, d_b, block_steps):
+        spec = scaled_diffusion_field(0.6) if d_b == 1 else ou_field(2.0, -0.5, 0.8, d=2, x0=0.3)
+        grid, n_paths = 48, 257  # 48 steps: 9 blocks of 5 and a remainder of 3
+        monkeypatch.setattr(ode, "NOISE_BLOCK_BYTES", 8 * n_paths * d_b * block_steps)
+        rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, paths = in_bounded_thread(
+                lambda: solve_sde_mc_batch(spec.mu, spec.sigma, spec.x0, 1.0, grid, rng, n_paths)
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        _, ref = reference_em(spec.mu, spec.sigma, spec.x0, 1.0, grid, ref_rng, n_paths)
+        assert np.array_equal(paths, ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("fails", ["mu", "sigma"])
+    def test_worker_joined_when_a_field_raises(self, monkeypatch, fails):
+        monkeypatch.setattr(ode, "NOISE_BLOCK_BYTES", 8 * 64 * 2)  # blocks of two steps
+        spec = brownian_field(1.0)
+        calls = []
+
+        def failing(field):
+            def call(t, x):
+                calls.append(t)
+                if len(calls) == 6:  # step 5, or step 4 past sigma's shape probe
+                    raise RuntimeError(f"{fails} failed")
+                return field(t, x)
+
+            return call
+
+        mu = failing(spec.mu) if fails == "mu" else spec.mu
+        sig = failing(spec.sigma) if fails == "sigma" else spec.sigma
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{fails} failed") as info:
+            solve_sde_mc_batch(mu, sig, spec.x0, 1.0, 32, np.random.default_rng(2), 64)
+        deadline = time.monotonic() + 10.0
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() == before
+        assert info.traceback  # the traceback, and every frame it holds, is still alive
