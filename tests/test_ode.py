@@ -385,10 +385,6 @@ class TestSolveSdeMc:
         )
 
 
-def per_step_draws(rng, steps, shape, scale):
-    return [rng.standard_normal(shape) * scale for _ in range(steps)]
-
-
 def in_bounded_thread(work, timeout=60.0):
     """Run ``work()`` on a daemon thread; fail rather than hang past ``timeout``."""
     result = []
@@ -410,7 +406,7 @@ class TestGaussianIncrements:
         monkeypatch.setattr(ode, "NOISE_BLOCK_BYTES", 8 * 10 * block_steps)
         rng, ref_rng = np.random.default_rng(12), np.random.default_rng(12)
         got = [dw.copy() for dw in gaussian_increments(rng, steps, shape, 0.3)]
-        want = per_step_draws(ref_rng, steps, shape, 0.3)
+        want = [ref_rng.standard_normal(shape) * 0.3 for _ in range(steps)]
         assert len(got) == steps
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
