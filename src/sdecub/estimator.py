@@ -45,12 +45,13 @@ ORACLE_MC_GRID = 4000
 class PathFunctional:
     """A running cost c(t, x) integrated over [0, T] plus a terminal cost h(x_T).
 
-    ``running(times, states)`` maps augmented states (B, n, d_x+1) on the
-    grid ``times`` (n,) to cost rates (B, n); ``terminal(states)`` maps
-    augmented end states (B, d_x+1) to (B,).  Either may be omitted, not
-    both.  ``evaluate_batch(times, states)``, the whole-path value (B,) that
-    Monte Carlo uses, is the trapezoid rule of c plus h at the last state,
-    unless a callable is passed in its place.
+    A functional sees each path as ``(t, x)``: column 0 holds the time and
+    columns 1: the state.  ``running(times, states)`` maps paths
+    (B, n, d_x+1) on the grid ``times`` (n,) to cost rates (B, n);
+    ``terminal(states)`` maps end points (B, d_x+1) to (B,).  Either may be
+    omitted, not both.  ``evaluate_batch(times, states)``, the whole-path
+    value (B,) that Monte Carlo uses, is the trapezoid rule of c plus h at
+    the last state, unless a callable is passed in its place.
     """
 
     name: str
@@ -176,8 +177,7 @@ def cubature_estimate(
     if x0.shape != (fields.state_dim,):
         raise DimensionMismatch(f"x0 has shape {x0.shape}, the state is {fields.state_dim}-d")
     n_paths, levels = tree_levels(formula, partition, table)
-    ends = np.zeros((1, fields.state_dim + 1))
-    ends[0, 1:] = x0
+    starts = x0[None]
 
     def solve_rows(i, times, x_start, derivs):
         try:
@@ -196,7 +196,7 @@ def cubature_estimate(
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = map if pool is None else pool.map
         for i, (times, derivs, weights, rows) in enumerate(levels):
-            x_start = ends[rows]
+            x_start = starts[rows]
             chunks = max(1, min(workers, weights.size))
             bounds = np.linspace(0, weights.size, chunks + 1).astype(int)
             parts = list(
@@ -208,6 +208,7 @@ def cubature_estimate(
             )
             level = weights * np.concatenate([c for c, _ in parts])
             ends = np.concatenate([e for _, e in parts])
+            starts = ends[:, 1:]
             if i == partition.k - 1 and functional.terminal is not None:
                 level = np.concatenate([level, weights * functional.terminal(ends)])
             terms.append(level.tolist())
@@ -237,7 +238,7 @@ def mc_estimate(
     The paths are solved in chunks of ``MC_CHUNK_PATHS``, which fixes the
     Gaussian stream, so a result is reproducible per seed and chunk size.
     Memory is one chunk's trajectory, one reused block (about
-    ``MC_BLOCK_BYTES``) of whole augmented paths, and the solver's two
+    ``MC_BLOCK_BYTES``) of whole ``(t, x)`` paths, and the solver's two
     noise buffers (about ``ode.NOISE_BLOCK_BYTES`` each); each value comes
     from its own path's row, so neither block size enters a result.  A
     ``NonFiniteState`` names the chunk's path range.

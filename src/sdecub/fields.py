@@ -33,7 +33,7 @@ class FieldSpec:
     d_b: int
     mu: Callable
     sigma: Callable
-    sigma_jacobian: Callable | None
+    sigma_jacobian: Callable
     x0: np.ndarray
     sine_tracking_value: float | None = None
 

@@ -1,16 +1,18 @@
 """Controlled ODE solves along piecewise-linear paths and the MC baseline.
 
-States are time-augmented: component 0 is physical time, which the drift
-advances at rate 1 and the diffusion leaves alone.  Controlled equations
-``dphi = sum_i V_i(phi) domega^i`` driven by piecewise-linear paths reduce to
-classical ODEs with piecewise-constant path derivatives.  Each RK4 stage
-evaluates sigma's body once and hands it to the corrected drift, so mu,
-sigma and the sigma-Jacobian are each evaluated once per stage.
-:func:`rk4_steps` is the package's one fourth-order integrator: it steps
-numpy arrays for the batched estimator here and tape nodes for the training
-arm in :mod:`sdecub.training`.  :func:`gaussian_increments` is the Monte
-Carlo baseline's noise source: it draws the Brownian increments one block
-ahead on a second thread, in the generator's own stream order.
+The solver state is spatial, (B, d_x), and the clock is RK4's stage time:
+:func:`rk4_steps` hands every stage its time, and the fields are evaluated
+there.  Controlled equations ``dphi = sum_i V_i(t, phi) domega^i`` driven by
+piecewise-linear paths reduce to classical ODEs with piecewise-constant path
+derivatives.  Each RK4 stage evaluates sigma once and hands it to the
+corrected drift, so mu, sigma and the sigma-Jacobian are each evaluated once
+per stage.  :func:`rk4_steps` is the package's one fourth-order integrator:
+it steps numpy arrays for the batched estimator here and tape nodes for the
+training arm in :mod:`sdecub.training`.  A path functional sees the solved
+path as ``(t, x)``: the step grid in column 0, the states after it.
+:func:`gaussian_increments` is the Monte Carlo baseline's noise source: it
+draws the Brownian increments one block ahead on a second thread, in the
+generator's own stream order.
 """
 
 from __future__ import annotations
@@ -30,83 +32,47 @@ NOISE_BLOCK_BYTES = 1 << 20  # size of each of gaussian_increments' two buffers
 
 @dataclass(frozen=True)
 class VectorFieldSet:
-    """Stratonovich fields on the augmented state R^{d_x+1}.
+    """Stratonovich fields on the spatial state R^{d_x}, evaluated at time t.
 
-    ``diffusion(x)`` maps (B, d_x+1) -> (B, d_x, d_b), sigma's body: the time
-    component has no diffusion row.  ``drift(x, s)`` takes that body and
-    returns a fresh (B, d_x+1) array, component 0 equal to 1, which the
-    caller may update in place.  Evaluators must be pure and safe to call
-    concurrently.
+    ``diffusion(t, x)`` is sigma itself, (B,) and (B, d_x) -> (B, d_x, d_b).
+    ``drift(t, x, s)`` takes that value and returns the corrected drift as a
+    fresh (B, d_x) array, which the caller may update in place.  Evaluators
+    must be pure and safe to call concurrently.
     """
 
     state_dim: int
     driving_dim: int
-    drift: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    diffusion: Callable[[np.ndarray], np.ndarray]
+    drift: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    diffusion: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def forward_difference_jacobian(sigma, t, x, base):
-    """Forward-difference Jacobian of sigma in the state, shape (B, d_x, d_b, d_x).
+def ito_to_stratonovich(mu, sigma, d_x: int, d_b: int, sigma_jacobian) -> VectorFieldSet:
+    """Convert Ito coefficients to Stratonovich fields on the spatial state.
 
-    ``base`` is ``sigma(t, x)``, which the caller already holds.  Step
-    sqrt(machine eps) * (1 + |x_j|) per coordinate.
-    """
-    x = np.atleast_2d(x)
-    d_x = x.shape[1]
-    d_b = base.shape[2]
-    jac = np.empty((x.shape[0], base.shape[1], d_b, d_x))
-    root_eps = math.sqrt(np.finfo(float).eps)
-    for j in range(d_x):
-        h = root_eps * (1.0 + np.abs(x[:, j]))
-        shifted = x.copy()
-        shifted[:, j] += h
-        jac[:, :, :, j] = (sigma(t, shifted) - base) / h[:, None, None]
-    return jac
-
-
-def ito_to_stratonovich(
-    mu,
-    sigma,
-    d_x: int,
-    d_b: int,
-    sigma_jacobian=None,
-) -> VectorFieldSet:
-    """Convert Ito coefficients to augmented Stratonovich fields.
-
-    ``mu(t, x)`` returns (B, d_x), ``sigma(t, x)`` returns (B, d_x, d_b).
-    The corrected drift is ``mu - (1/2) sum_i J_{sigma_i} sigma_i``; the time
-    derivative of sigma drops out because the diffusion fields carry no time
-    component.  The drift reads sigma from the body ``diffusion`` returned
-    for the same state, so sigma is not evaluated twice.  Without an
-    analytic ``sigma_jacobian(t, x)`` the Jacobian is taken by forward
-    differences from that body.
+    ``mu(t, x)`` returns (B, d_x), ``sigma(t, x)`` (B, d_x, d_b) and
+    ``sigma_jacobian(t, x)`` (B, d_x, d_b, d_x), the derivative of sigma in
+    the state.  The corrected drift is ``mu - (1/2) sum_i J_{sigma_i}
+    sigma_i`` at the solver's clock; it reads sigma from the value
+    ``diffusion`` returned for the same stage, so sigma is not evaluated
+    twice.  Each coefficient is probed at one point, and a shape that does
+    not fit ``d_x`` and ``d_b`` raises ``DimensionMismatch``.
     """
     probe_t = np.zeros(1)
     probe_x = np.zeros((1, d_x))
-    mu_shape = np.shape(mu(probe_t, probe_x))
-    sig_shape = np.shape(sigma(probe_t, probe_x))
-    if mu_shape != (1, d_x):
-        raise DimensionMismatch(f"mu returned shape {mu_shape}, expected (1, {d_x})")
-    if sig_shape != (1, d_x, d_b):
-        raise DimensionMismatch(
-            f"sigma returned shape {sig_shape}, expected (1, {d_x}, {d_b})"
-        )
-    if sigma_jacobian is None:
-        jac = lambda t, x, s: forward_difference_jacobian(sigma, t, x, s)
-    else:
-        jac = lambda t, x, s: sigma_jacobian(t, x)
+    expected = {
+        "mu": (mu, (1, d_x)),
+        "sigma": (sigma, (1, d_x, d_b)),
+        "sigma_jacobian": (sigma_jacobian, (1, d_x, d_b, d_x)),
+    }
+    for name, (coefficient, shape) in expected.items():
+        got = np.shape(coefficient(probe_t, probe_x))
+        if got != shape:
+            raise DimensionMismatch(f"{name} returned shape {got}, expected {shape}")
 
-    def diffusion(x):
-        return sigma(x[:, 0], x[:, 1:])
+    def drift(t, x, s):
+        return mu(t, x) - 0.5 * np.einsum("bjid,bdi->bj", sigma_jacobian(t, x), s)
 
-    def drift(x, s):
-        t, body = x[:, 0], x[:, 1:]
-        out = np.empty_like(x)
-        out[:, 0] = 1.0
-        out[:, 1:] = mu(t, body) - 0.5 * np.einsum("bjid,bdi->bj", jac(t, body, s), s)
-        return out
-
-    return VectorFieldSet(state_dim=d_x, driving_dim=d_b, drift=drift, diffusion=diffusion)
+    return VectorFieldSet(state_dim=d_x, driving_dim=d_b, drift=drift, diffusion=sigma)
 
 
 def rk4_steps(rhs, seg_times, derivs, x0, steps_per_segment: int):
@@ -150,34 +116,39 @@ def solve_controlled_ode_batch(
     x0: np.ndarray,
     steps_per_segment: int = 32,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate ``dphi = sum_i V_i(phi) domega^i`` along a batch of paths.
+    """Integrate ``dphi = sum_i V_i(t, phi) domega^i`` along a batch of paths.
 
     The paths share one segment grid and are linear on each segment, so every
-    segment is a classical autonomous ODE solved with :func:`rk4_steps`.
-    Returns the step grid and the augmented states (B, n_steps+1, d_x+1).
+    segment is a classical ODE solved with :func:`rk4_steps` on the spatial
+    state, started from ``x0`` ((d_x,) or one row per path); the fields see
+    each stage's time as a (B,) array.  Returns the step grid (n_steps+1,)
+    and the paths ``(t, x)``, shape (B, n_steps+1, d_x+1): the step grid in
+    column 0, the states in columns 1:.
     """
 
     def rhs(t, x, g):
-        s = fields.diffusion(x)
-        v = fields.drift(x, s)
-        v[:, 1:] += np.einsum("bdi,bi->bd", s, g)
+        clock = np.full(x.shape[0], t)
+        s = fields.diffusion(clock, x)
+        v = fields.drift(clock, x, s)
+        v += np.einsum("bdi,bi->bd", s, g)
         return v
 
     x0 = np.asarray(x0, float)
-    batch, d_aug = derivs.shape[0], x0.shape[-1]
-    state = np.broadcast_to(x0, (batch, d_aug)).copy()
+    batch, d_x = derivs.shape[0], x0.shape[-1]
+    state = np.broadcast_to(x0, (batch, d_x)).copy()
     steps = rk4_steps(rhs, seg_times, derivs, state, steps_per_segment)
     n_total = (seg_times.shape[0] - 1) * steps_per_segment
     out_times = np.empty(n_total + 1)
-    out = np.empty((batch, n_total + 1, d_aug))
+    out = np.empty((batch, n_total + 1, d_x + 1))
     out_times[0] = seg_times[0]
-    out[:, 0] = state
+    out[:, 0, 1:] = state
     for pos, (t, state) in enumerate(steps, 1):
         out_times[pos] = t
-        out[:, pos] = state
+        out[:, pos, 1:] = state
         if pos % steps_per_segment == 0 and not np.all(np.isfinite(state)):
             seg = pos // steps_per_segment - 1
             raise NonFiniteState(f"state left the finite range in segment {seg}", segment=seg)
+    out[:, :, 0] = out_times
     return out_times, out
 
 

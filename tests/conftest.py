@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import settings
 
 from sdecub import NetworkFields, PathFunctional, PiecewisePath, tape
-from sdecub.ode import forward_difference_jacobian, rk4_steps
+from sdecub.ode import rk4_steps
 from sdecub.partition import interval_slopes
 
 settings.register_profile("deterministic", derandomize=True)
@@ -107,31 +107,20 @@ def reference_em(mu, sigma, x0, T, grid, rng, n_paths):
 
 
 def reference_stage_solve(spec, seg_times, derivs, x0, steps_per_segment):
-    """Two-call RK4 stage: augmented states (B, n_steps+1, d_x+1).
+    """Two-call RK4 stage on the spatial state: states (B, n_steps+1, d_x).
 
     The stage that ``solve_controlled_ode_batch`` must match bit for bit:
-    ``drift(x) + diffusion(x) . g``, where the corrected drift evaluates
-    sigma itself and the diffusion is sigma padded with a zero time row.
+    ``drift(t, x) + sigma(t, x) . g`` at the stage time ``t``, where the
+    corrected drift evaluates sigma itself.
     """
-    jac = spec.sigma_jacobian
-    if jac is None:
-        jac = lambda t, x: forward_difference_jacobian(spec.sigma, t, x, spec.sigma(t, x))
 
-    def drift(x):
-        t, body = x[:, 0], x[:, 1:]
-        correction = 0.5 * np.einsum("bjid,bdi->bj", jac(t, body), spec.sigma(t, body))
-        out = np.empty_like(x)
-        out[:, 0] = 1.0
-        out[:, 1:] = spec.mu(t, body) - correction
-        return out
-
-    def diffusion(x):
-        out = np.zeros((x.shape[0], x.shape[1], spec.d_b))
-        out[:, 1:, :] = spec.sigma(x[:, 0], x[:, 1:])
-        return out
+    def drift(t, x):
+        correction = 0.5 * np.einsum("bjid,bdi->bj", spec.sigma_jacobian(t, x), spec.sigma(t, x))
+        return spec.mu(t, x) - correction
 
     def rhs(t, x, g):
-        return drift(x) + np.einsum("bdi,bi->bd", diffusion(x), g)
+        clock = np.full(x.shape[0], t)
+        return drift(clock, x) + np.einsum("bdi,bi->bd", spec.sigma(clock, x), g)
 
     state = np.broadcast_to(x0, (derivs.shape[0], x0.shape[-1])).copy()
     steps = rk4_steps(rhs, seg_times, derivs, state, steps_per_segment)

@@ -77,8 +77,7 @@ class TestCubatureEstimate:
         rep = cubature_estimate(functional, fields, formula, part, None, x0=spec.x0)
         leaves = list(enumerate_leaves(formula, part))
         seg_times, derivs = leaf_derivatives(formula, part, [iv for iv, _ in leaves])
-        x0 = np.concatenate([[0.0], spec.x0])
-        times, states = solve_controlled_ode_batch(fields, seg_times, derivs, x0)
+        times, states = solve_controlled_ode_batch(fields, seg_times, derivs, spec.x0)
         values = functional.evaluate_batch(times, states)
         contributions = [w * v for (_, w), v in zip(leaves, values)]
         assert rep.n_paths == 27
@@ -217,8 +216,7 @@ def whole_leaf_estimate(functional, fields, formula, partition, table, x0, steps
             zip(map(tuple, table.prefixes(table.k).tolist()), table.levels[-1].weight.tolist())
         )
     seg_times, derivs = leaf_derivatives(formula, partition, [iv for iv, _ in leaves])
-    x0_aug = np.concatenate([[0.0], np.atleast_1d(x0)])
-    times, states = solve_controlled_ode_batch(fields, seg_times, derivs, x0_aug, steps_per_segment)
+    times, states = solve_controlled_ode_batch(fields, seg_times, derivs, x0, steps_per_segment)
     values = functional.evaluate_batch(times, states)
     return math.fsum(np.array([w for _, w in leaves]) * values)
 
@@ -233,7 +231,6 @@ def interval_by_interval_estimate(
     its prefix and charged the trapezoid of the running cost over interval i.
     """
     k, q = partition.k, formula.q
-    x0_aug = np.concatenate([[0.0], np.atleast_1d(x0)])
     terms = []
     parents = {(): 1.0}
     for i in range(1, k + 1):
@@ -247,8 +244,7 @@ def interval_by_interval_estimate(
         )
         n_seg = (seg_times.shape[0] - 1) // k
         times, states = solve_controlled_ode_batch(
-            fields, seg_times[: i * n_seg + 1], derivs[:, : i * n_seg], x0_aug,
-            steps_per_segment,
+            fields, seg_times[: i * n_seg + 1], derivs[:, : i * n_seg], x0, steps_per_segment
         )
         lo = (i - 1) * n_seg * steps_per_segment
         costs = np.trapezoid(functional.running(times[lo:], states[:, lo:]), times[lo:], axis=1)
@@ -360,7 +356,10 @@ class TestTrieSolve:
         def sig(t, x):
             return np.zeros((x.shape[0], 1, 1))
 
-        fields = ito_to_stratonovich(mu, sig, 1, 1)
+        def jac(t, x):
+            return np.zeros((x.shape[0], 1, 1, 1))
+
+        fields = ito_to_stratonovich(mu, sig, 1, 1, jac)
         formula = degree5_formula(1)
         part = make_partition(1.0, 2, 1.0)
         x0 = np.array([1.5])
@@ -445,7 +444,10 @@ class TestMcEstimate:
         def sig(t, x):
             return np.ones((x.shape[0], 1, 1))
 
-        spec = FieldSpec("cubic", 1, 1, mu, sig, None, np.zeros(1))
+        def jac(t, x):
+            return np.zeros((x.shape[0], 1, 1, 1))
+
+        spec = FieldSpec("cubic", 1, 1, mu, sig, jac, np.zeros(1))
         chunk, n_paths, grid = 40, 400, 16
         rng = np.random.default_rng(9)
         with np.errstate(over="ignore"):

@@ -1,7 +1,7 @@
 """Stratonovich conversion, controlled ODE solves, and the MC baseline."""
 
-import dataclasses
 import math
+import re
 import sys
 import threading
 import time
@@ -23,7 +23,6 @@ from sdecub import ode, tape
 from sdecub.estimator import PathFunctional, cubature_estimate
 from sdecub.fields import brownian_field, drift_only_field, ou_field, scaled_diffusion_field
 from sdecub.ode import (
-    forward_difference_jacobian,
     gaussian_increments,
     rk4_steps,
     solve_controlled_ode_batch,
@@ -40,8 +39,12 @@ def zero_path():
     return PiecewisePath([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]])
 
 
+def zero_jacobian(t, x):
+    return np.zeros((x.shape[0], 1, 1, 1))
+
+
 def solve_path(fields, path, x0, steps_per_segment=32):
-    """One path through the batched solver: (times, states (n, d_x+1))."""
+    """One path through the batched solver: (times, path (n, d_x+1)) as (t, x)."""
     derivs = path.increments()[:, 1:] / np.diff(path.breakpoints)[:, None]
     times, states = solve_controlled_ode_batch(
         fields, path.breakpoints, derivs[None], x0, steps_per_segment
@@ -61,17 +64,17 @@ class TestItoToStratonovich:
     def test_constant_sigma_no_correction(self):
         spec = brownian_field(1.0)
         fields = spec.stratonovich()
-        x = np.array([[0.3, 0.7]])
-        drift = fields.drift(x, fields.diffusion(x))
-        assert drift[0, 0] == 1.0  # time component
-        assert drift[0, 1] == 0.0  # mu = 0, no correction
+        t, x = np.array([0.3]), np.array([[0.7]])
+        drift = fields.drift(t, x, fields.diffusion(t, x))
+        assert drift.shape == (1, 1)
+        assert drift[0, 0] == 0.0  # mu = 0, no correction
 
     def test_scaled_diffusion_correction(self):
         # sigma(x) = x, mu = 0: corrected drift is -x/2
         spec = scaled_diffusion_field(1.0)
         fields = spec.stratonovich()
-        x = np.array([[0.0, 2.0]])
-        assert fields.drift(x, fields.diffusion(x))[0, 1] == pytest.approx(-1.0)
+        t, x = np.zeros(1), np.array([[2.0]])
+        assert fields.drift(t, x, fields.diffusion(t, x))[0, 0] == pytest.approx(-1.0)
 
     def test_correction_independent_of_mu(self):
         def mu_a(t, x):
@@ -83,35 +86,44 @@ class TestItoToStratonovich:
         def sig(t, x):
             return x[:, :, None]
 
-        fa = ito_to_stratonovich(mu_a, sig, 1, 1)
-        fb = ito_to_stratonovich(mu_b, sig, 1, 1)
-        x = np.array([[0.2, 1.3]])
-        s = fa.diffusion(x)
-        assert fb.drift(x, s)[0, 1] - fa.drift(x, s)[0, 1] == pytest.approx(0.7, rel=1e-7)
+        def jac(t, x):
+            return np.ones((x.shape[0], 1, 1, 1))
 
-    def test_forward_difference_matches_analytic(self):
-        spec = scaled_diffusion_field(0.8)
-        x = np.array([[1.7]])
-        fd = forward_difference_jacobian(spec.sigma, np.zeros(1), x, spec.sigma(np.zeros(1), x))
-        exact = spec.sigma_jacobian(np.zeros(1), x)
-        assert fd == pytest.approx(exact, abs=1e-6)
+        fa = ito_to_stratonovich(mu_a, sig, 1, 1, jac)
+        fb = ito_to_stratonovich(mu_b, sig, 1, 1, jac)
+        t, x = np.array([0.2]), np.array([[1.3]])
+        s = fa.diffusion(t, x)
+        assert fb.drift(t, x, s)[0, 0] - fa.drift(t, x, s)[0, 0] == pytest.approx(0.7, rel=1e-7)
 
     def test_dimension_mismatch(self):
-        def mu(t, x):
-            return np.zeros((x.shape[0], 3))
+        def zeros(*shape):
+            return lambda t, x: np.zeros((x.shape[0], *shape))
 
-        def sig(t, x):
-            return np.zeros((x.shape[0], 1, 1))
-
-        with pytest.raises(DimensionMismatch):
-            ito_to_stratonovich(mu, sig, 1, 1)
+        # (mu, sigma, d_x, d_b, sigma_jacobian) and the shape the error names
+        cases = [
+            ((zeros(3), zeros(1, 1), 1, 1, zeros(1, 1, 1)), "mu returned shape (1, 3)"),
+            # a (B, 1, 1, 1) Jacobian on a 2-d field broadcast inside the
+            # correction and gave a wrong estimate with no error
+            (
+                (zeros(2), zeros(2, 2), 2, 2, zeros(1, 1, 1)),
+                "sigma_jacobian returned shape (1, 1, 1, 1), expected (1, 2, 2, 2)",
+            ),
+            # a (B, d_x, d_b) Jacobian died inside numpy's einsum
+            (
+                (zeros(2), zeros(2, 2), 2, 2, zeros(2, 2)),
+                "sigma_jacobian returned shape (1, 2, 2), expected (1, 2, 2, 2)",
+            ),
+        ]
+        for args, message in cases:
+            with pytest.raises(DimensionMismatch, match=re.escape(message)):
+                ito_to_stratonovich(*args)
 
 
 class TestSolveControlledOde:
     def test_constant_fields(self):
         spec = brownian_field(1.0)
         fields = spec.stratonovich()
-        _, states = solve_path(fields, line_path(0.8), np.zeros(2))
+        _, states = solve_path(fields, line_path(0.8), np.zeros(1))
         # phi(t) = (t, 0.8 t) for constant unit diffusion
         assert states[-1, 0] == pytest.approx(1.0, abs=1e-12)
         assert states[-1, 1] == pytest.approx(0.8, abs=1e-12)
@@ -124,8 +136,8 @@ class TestSolveControlledOde:
         def sig(t, x):
             return np.zeros((x.shape[0], 1, 1))
 
-        fields = ito_to_stratonovich(mu, sig, 1, 1)
-        x0 = np.array([0.0, 1.0])
+        fields = ito_to_stratonovich(mu, sig, 1, 1, zero_jacobian)
+        x0 = np.array([1.0])
         _, states = solve_path(fields, zero_path(), x0, steps_per_segment=100)
         assert states[-1, 1] == pytest.approx(math.e, rel=1e-8)
 
@@ -136,8 +148,8 @@ class TestSolveControlledOde:
         def sig(t, x):
             return np.zeros((x.shape[0], 1, 1))
 
-        fields = ito_to_stratonovich(mu, sig, 1, 1)
-        x0 = np.array([0.0, 1.0])
+        fields = ito_to_stratonovich(mu, sig, 1, 1, zero_jacobian)
+        x0 = np.array([1.0])
         errors = []
         steps = [8, 16, 32, 64]
         for n in steps:
@@ -151,7 +163,7 @@ class TestSolveControlledOde:
         # exp(-t/2) * x0
         spec = scaled_diffusion_field(1.0)
         _, states = solve_path(
-            spec.stratonovich(), zero_path(), np.array([0.0, 1.0]),
+            spec.stratonovich(), zero_path(), np.array([1.0]),
             steps_per_segment=64,
         )
         assert states[-1, 1] == pytest.approx(math.exp(-0.5), rel=1e-8)
@@ -160,8 +172,8 @@ class TestSolveControlledOde:
         spec = scaled_diffusion_field(0.5)
         part = make_partition(1.0, 3, 0.6)
         cp = leaf_path(degree3_formula(1), part, (1, 2, 1))
-        times, states = solve_path(spec.stratonovich(), cp, np.array([0.0, 1.0]))
-        assert np.max(np.abs(states[:, 0] - times)) <= 1e-12
+        times, states = solve_path(spec.stratonovich(), cp, np.array([1.0]))
+        assert np.array_equal(states[:, 0], times)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_state(self):
@@ -171,25 +183,48 @@ class TestSolveControlledOde:
         def sig(t, x):
             return np.zeros((x.shape[0], 1, 1))
 
-        fields = ito_to_stratonovich(mu, sig, 1, 1)
+        fields = ito_to_stratonovich(mu, sig, 1, 1, zero_jacobian)
         with pytest.raises(NonFiniteState):
-            solve_path(
-                fields, zero_path(), np.array([0.0, 10.0]), steps_per_segment=4
-            )
+            solve_path(fields, zero_path(), np.array([10.0]), steps_per_segment=4)
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_non_positive_steps_per_segment_rejected(self, steps):
         fields = brownian_field(1.0).stratonovich()
         with pytest.raises(InvalidParameter):
-            solve_path(fields, line_path(), np.zeros(2), steps_per_segment=steps)
+            solve_path(fields, line_path(), np.zeros(1), steps_per_segment=steps)
+
+    def test_fields_read_the_stage_time(self):
+        # dx = cos(2 pi t) dt + t domega along omega(t) = c t on [0, T]:
+        # x(T) = x0 + sin(2 pi T) / (2 pi) + c T^2 / 2.  RK4 integrates the
+        # right-hand side as Simpson's rule does, so the error is fourth order.
+        def mu(t, x):
+            assert t.shape == x.shape[:1]
+            return np.cos(2.0 * math.pi * t)[:, None] + 0.0 * x
+
+        def sig(t, x):
+            assert t.shape == x.shape[:1]
+            return t[:, None, None] + 0.0 * x[:, :, None]
+
+        fields = ito_to_stratonovich(mu, sig, 1, 1, zero_jacobian)
+        T, slopes, x0 = 0.8, np.array([-1.0, 0.5, 2.0]), 0.3
+        exact = x0 + math.sin(2.0 * math.pi * T) / (2.0 * math.pi) + slopes * T * T / 2.0
+        seg_times = np.array([0.0, T])
+        errors = []
+        for steps in (4, 8, 16, 32):
+            times, states = solve_controlled_ode_batch(
+                fields, seg_times, slopes[:, None, None], np.array([x0]), steps
+            )
+            assert times[-1] == T
+            errors.append(np.max(np.abs(states[:, -1, 1] - exact)))
+        assert errors[-1] < 1e-6
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders > 3.8)
 
 
 STAGE_FIELDS = {
     "scaled_diffusion": scaled_diffusion_field(0.6),
     "brownian": brownian_field(0.8, x0=0.2),
     "ou_2d": ou_field(2.0, -0.5, 0.8, d=2, x0=0.3),
-    # sigma_jacobian=None: the corrected drift takes forward differences
-    "forward_difference": dataclasses.replace(scaled_diffusion_field(0.9), sigma_jacobian=None),
 }
 
 
@@ -197,39 +232,44 @@ STAGE_FIELDS = {
 class TestOneCallStage:
     def test_diffusion_is_sigma_body(self, spec):
         fields = spec.stratonovich()
-        x = np.random.default_rng(2).normal(size=(6, spec.d_x + 1))
-        s = fields.diffusion(x)
+        rng = np.random.default_rng(2)
+        t, x = rng.uniform(size=6), rng.normal(size=(6, spec.d_x))
+        assert fields.diffusion is spec.sigma
+        s = fields.diffusion(t, x)
         assert s.shape == (6, spec.d_x, spec.d_b)
-        drift = fields.drift(x, s)
-        assert drift.shape == (6, spec.d_x + 1)
-        assert np.all(drift[:, 0] == 1.0)
+        assert fields.drift(t, x, s).shape == (6, spec.d_x)
 
     def test_states_equal_two_call_reference(self, spec):
         rng = np.random.default_rng(9)
         seg_times = np.array([0.0, 0.3, 0.55, 1.0])
         derivs = rng.normal(size=(7, 3, spec.d_b))
-        x0 = np.concatenate([[0.0], spec.x0])
-        _, states = solve_controlled_ode_batch(spec.stratonovich(), seg_times, derivs, x0, 3)
-        ref = reference_stage_solve(spec, seg_times, derivs, x0, 3)
-        assert states.shape == ref.shape == (7, 10, spec.d_x + 1)
-        assert np.array_equal(states, ref)
+        times, states = solve_controlled_ode_batch(
+            spec.stratonovich(), seg_times, derivs, spec.x0, 3
+        )
+        ref = reference_stage_solve(spec, seg_times, derivs, spec.x0, 3)
+        assert states.shape == (7, 10, spec.d_x + 1)
+        assert np.array_equal(states[:, :, 1:], ref)
+        assert np.array_equal(states[:, :, 0], np.broadcast_to(times, (7, 10)))
 
 
-def test_forward_difference_reuses_the_stage_body():
-    # per stage: sigma's body once, then one shifted call per state
-    # coordinate; the Jacobian's base is that body, not a third call
+def test_each_coefficient_evaluated_once_per_stage():
     spec = scaled_diffusion_field(0.9)
-    calls = []
+    calls = {"mu": 0, "sigma": 0, "sigma_jacobian": 0}
 
-    def sigma(t, x):
-        calls.append(x.shape[0])
-        return spec.sigma(t, x)
+    def counted(name):
+        def coefficient(t, x):
+            calls[name] += 1
+            return getattr(spec, name)(t, x)
 
-    fields = ito_to_stratonovich(spec.mu, sigma, 1, 1)
-    calls.clear()
+        return coefficient
+
+    fields = ito_to_stratonovich(
+        counted("mu"), counted("sigma"), 1, 1, counted("sigma_jacobian")
+    )
+    calls.update(dict.fromkeys(calls, 0))  # drop the shape probes
     seg_times = np.array([0.0, 1.0])
-    solve_controlled_ode_batch(fields, seg_times, np.ones((3, 1, 1)), np.zeros(2), 2)
-    assert len(calls) == 2 * 8  # two RK4 steps of four stages
+    solve_controlled_ode_batch(fields, seg_times, np.ones((3, 1, 1)), np.ones(1), 2)
+    assert calls == dict.fromkeys(calls, 2 * 4)  # two RK4 steps of four stages
 
 
 CONSTANT_COEFFICIENTS = {
