@@ -10,6 +10,9 @@ per stage.  :func:`rk4_steps` is the package's one fourth-order integrator:
 it steps numpy arrays for the batched estimator here and tape nodes for the
 training arm in :mod:`sdecub.training`.  A path functional sees the solved
 path as ``(t, x)``: the step grid in column 0, the states after it.
+:func:`em_steps` is the package's one Euler-Maruyama step, on the grid that
+:func:`em_grid` builds and checks: it steps numpy arrays for the Monte Carlo
+baseline here and tape nodes for the training arm's pathwise gradient.
 :func:`gaussian_increments` is the Monte Carlo baseline's noise source: it
 draws the Brownian increments one block ahead on a second thread, in the
 generator's own stream order.
@@ -187,6 +190,31 @@ def gaussian_increments(rng: np.random.Generator, steps: int, shape, scale: floa
             yield from ready
 
 
+def em_grid(T: float, grid: int) -> tuple[np.ndarray, float]:
+    """The Monte Carlo grid of ``grid`` equal steps on [0, T] and its step."""
+    if grid < 1:
+        raise InvalidParameter(f"grid size must be >= 1, got {grid}")
+    if T <= 0:
+        raise InvalidParameter(f"horizon T must be positive, got {T}")
+    return np.linspace(0.0, T, grid + 1), T / grid
+
+
+def em_steps(coefficients, times, h: float, x0, noise):
+    """Euler-Maruyama on ``times`` with step ``h``, driven by ``noise``.
+
+    ``noise`` yields one increment per step, and ``coefficients(t, x, dw)``
+    returns the drift and the noise term.  Yields ``(t, x)`` after every
+    step ``x + drift * h + noise_term``.  The state may be an ndarray or a
+    ``tape.Var``: the step uses only ``+`` and ``*``, so the same loop serves
+    estimation and tape training.
+    """
+    x = x0
+    for t0, t1, dw in zip(times[:-1], times[1:], noise):
+        drift, noise_term = coefficients(t0, x, dw)
+        x = x + drift * h + noise_term
+        yield t1, x
+
+
 def solve_sde_mc_batch(
     mu,
     sigma,
@@ -198,9 +226,8 @@ def solve_sde_mc_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Euler-Maruyama for a batch of paths; returns (times, states (B, n+1, d_x)).
 
-    The states are a time-major buffer (n+1, B, d_x) seen as (B, n+1, d_x).
-    A step fills its slab with ``drift*h + x``, bitwise ``x + drift*h``
-    since IEEE addition commutes, then adds the noise term.  The increments
+    Steps through :func:`em_steps` and copies each state into a time-major
+    buffer (n+1, B, d_x), returned as a (B, n+1, d_x) view.  The increments
     come from :func:`gaussian_increments`, so the stream is one
     ``(n_paths, d_b)`` draw per step, and its worker is joined before this
     returns or raises.  Memory is the trajectory plus the two noise buffers
@@ -208,23 +235,19 @@ def solve_sde_mc_batch(
     step after which some path's state is not finite, in ``segment``; it is
     looked for only once the end states fail the check.
     """
-    if grid < 1:
-        raise InvalidParameter("grid size must be >= 1")
-    if T <= 0:
-        raise InvalidParameter(f"horizon T must be positive, got {T}")
+    times, h = em_grid(T, grid)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    h = T / grid
-    times = np.linspace(0.0, T, grid + 1)
     out = np.empty((grid + 1, n_paths, x0.shape[0]))
     out[0] = x0
     d_b = sigma(np.zeros(1), out[0, :1]).shape[2]
+
+    def coefficients(t, x, dw):
+        clock = np.full(n_paths, t)
+        return mu(clock, x), np.einsum("bdi,bi->bd", sigma(clock, x), dw)
+
     with closing(gaussian_increments(rng, grid, (n_paths, d_b), math.sqrt(h))) as noise:
-        for step, (state, nxt, dw) in enumerate(zip(out, out[1:], noise)):
-            t = np.full(n_paths, times[step])
-            drift = mu(t, state)
-            diff = sigma(t, state)
-            np.add(np.multiply(drift, h, out=nxt), state, out=nxt)
-            nxt += np.einsum("bdi,bi->bd", diff, dw)
+        for step, (_, x) in enumerate(em_steps(coefficients, times, h, out[0], noise), 1):
+            out[step] = x
     if not np.all(np.isfinite(out[-1])):
         step = next(s for s in range(grid) if not np.all(np.isfinite(out[s + 1])))
         bad = np.count_nonzero(~np.all(np.isfinite(out[step + 1]), axis=1))

@@ -10,7 +10,9 @@ parents' end states with one tape node, solves interval i along each row's
 formula path with the package's one RK4 core, :func:`sdecub.ode.rk4_steps`,
 stepping tape nodes, and adds the interval's misfit and mismatch weighted
 by the level's row weights.  The Monte Carlo arm differentiates pathwise
-through Euler-Maruyama solves with frozen per-epoch noise.  Gradients come
+through Euler-Maruyama solves with frozen per-epoch noise, stepping tape
+nodes with the package's one Euler-Maruyama step, :func:`sdecub.ode.em_steps`,
+which also makes the numpy Monte Carlo paths.  Gradients come
 from the recorded tape in both cases, where each network call is one fused
 node.
 
@@ -45,7 +47,7 @@ from .estimator import tree_levels
 from .fields import ou_field
 from .formulas import CubatureFormula, degree3_formula
 from .nets import NetworkFields
-from .ode import rk4_steps, solve_sde_mc_batch
+from .ode import em_grid, em_steps, rk4_steps, solve_sde_mc_batch
 from .partition import TimePartition, make_partition
 from .recombination import TestBasis, WeightTable, preprocess
 from .tape import Var
@@ -262,29 +264,28 @@ def loss_and_gradient_mc(
 ) -> GradientReport:
     """Pathwise Monte Carlo gradient through Euler-Maruyama with frozen noise.
 
-    The noise is one whole ``(grid, n_paths, d_x)`` draw, not
+    Tape nodes step through :func:`sdecub.ode.em_steps`.  The noise is one
+    whole ``(grid, n_paths, d_x)`` draw, not
     :func:`sdecub.ode.gaussian_increments`: the tape holds ``noise[step]``
     until the backward pass, and that source overwrites its buffers.
     """
     if n_paths < 1:
-        raise InvalidParameter("n_paths must be >= 1")
-    if grid < 1:
-        raise InvalidParameter("grid size must be >= 1")
-    if T <= 0:
-        raise InvalidParameter(f"horizon T must be positive, got {T}")
+        raise InvalidParameter(f"n_paths must be >= 1, got {n_paths}")
+    times, h = em_grid(T, grid)
     if spec.d_x != nets.d_x:
         raise DimensionMismatch(f"data dim {spec.d_x} != state dim {nets.d_x}")
     rng = np.random.default_rng(seed)
-    h = T / grid
     noise = rng.standard_normal((grid, n_paths, nets.d_x)) * math.sqrt(h)
     leaves = nets.wrap(theta)
     evaluated: dict = {}
+
+    def coefficients(t, z, dw):
+        f_post, diffusion = _posterior_fields(nets, leaves, evaluated, z, t)
+        return f_post, diffusion * dw
+
     z = nets.initial_state(leaves, batch=n_paths)
-    times = np.linspace(0.0, T, grid + 1)
     states = [z]
-    for step in range(grid):
-        f, g = _posterior_fields(nets, leaves, evaluated, z, times[step])
-        z = z + (f * h + g * noise[step])
+    for _, z in em_steps(coefficients, times, h, z, noise):
         states.append(z)
     weights = np.full(n_paths, 1.0 / n_paths)
     return _gradient_report(nets, leaves, [(times, states, weights)], spec, evaluated, n_paths)
@@ -319,9 +320,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.degree != 3:
             raise InvalidParameter(f"training builds the degree-3 formula only, got {self.degree}")
-        for name in ("d_x", "epochs", "n_data"):
-            if getattr(self, name) < 1:
-                raise InvalidParameter(f"{name} must be >= 1, got {getattr(self, name)}")
+        # checked before any output is written; pre-processing needs k >= 2
+        least_sizes = {"d_x": 1, "width": 1, "epochs": 1, "k": 2, "basis_degree": 1,
+                       "p_star": 1, "steps_per_segment": 1, "mc_grid": 1, "n_data": 1}
+        for name, least in least_sizes.items():
+            if getattr(self, name) < least:
+                raise InvalidParameter(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -286,7 +286,9 @@ class TestNonPositiveSizesRejected:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("epochs", 0), ("epochs", -1), ("n_data", 0), ("n_data", -1), ("d_x", -1), ("T", -1.0)],
+        [("epochs", 0), ("epochs", -1), ("n_data", 0), ("n_data", -1), ("d_x", -1), ("T", -1.0),
+         ("width", 0), ("k", 0), ("k", 1), ("mc_grid", 0), ("steps_per_segment", 0),
+         ("basis_degree", 0), ("p_star", 0)],
     )
     def test_train(self, tmp_path, capsys, key, value):
         code, out = self.run(tmp_path, "train", self.TRAIN | {key: value})

@@ -23,6 +23,8 @@ from sdecub import ode, tape
 from sdecub.estimator import PathFunctional, cubature_estimate
 from sdecub.fields import brownian_field, drift_only_field, ou_field, scaled_diffusion_field
 from sdecub.ode import (
+    em_grid,
+    em_steps,
     gaussian_increments,
     rk4_steps,
     solve_controlled_ode_batch,
@@ -314,6 +316,30 @@ class TestRk4Steps:
             assert np.array_equal(x_a, x_b.value)
         # each segment ends exactly on its knot
         assert [plain[i][0] for i in (2, 5, 8)] == seg_times[1:].tolist()
+
+
+class TestEmSteps:
+    def test_array_and_tape_states_agree_bitwise(self):
+        # one diagonal-noise field written with operators serves both state types
+        calls = []
+
+        def coefficients(t, x, dw):
+            calls.append(t)
+            return x * (-0.7) + 0.2 * t, (x * x * 0.1 + 0.3) * dw
+
+        rng = np.random.default_rng(9)
+        times, h = em_grid(0.8, 6)
+        x0 = rng.normal(size=(5, 2))
+        noise = rng.normal(size=(6, 5, 2)) * math.sqrt(h)
+        plain = list(em_steps(coefficients, times, h, x0, noise))
+        assert calls == times[:-1].tolist()
+        taped = list(em_steps(coefficients, times, h, tape.const(x0), noise))
+        assert calls == 2 * times[:-1].tolist()
+        assert len(plain) == len(taped) == 6
+        for (t_a, x_a), (t_b, x_b), t in zip(plain, taped, times[1:]):
+            assert isinstance(x_b, tape.Var)
+            assert t_a == t_b == t
+            assert np.array_equal(x_a, x_b.value)
 
 
 class TestDegree3Exactness:

@@ -132,7 +132,7 @@ def reference_mc(nets, theta, n_paths, grid, seed, spec):
     for step in range(grid):
         f = nets.drift_posterior(leaves, z, times[step])
         g = nets.diffusion_diag(leaves, z, times[step])
-        z = z + (f * h + g * noise[step])
+        z = z + f * h + g * noise[step]
         states.append(z)
     weights = np.full(n_paths, 1.0 / n_paths)
     return training._gradient_report(nets, leaves, [(times, states, weights)], spec, {}, n_paths)
@@ -298,10 +298,16 @@ class TestGradients:
         with pytest.raises(ManifestMismatch, match="gamma"):
             loss_and_gradient_cubature(nets, theta, table, formula, other, spec)
 
+    @pytest.mark.parametrize("n_paths", [0, -1])
+    def test_mc_path_count_below_one_rejected(self, n_paths):
+        config, spec, _, _, _, nets, theta = small_setup()
+        with pytest.raises(InvalidParameter, match=f"n_paths must be >= 1, got {n_paths}$"):
+            loss_and_gradient_mc(nets, theta, n_paths, 8, 11, spec)
+
     @pytest.mark.parametrize("grid", [0, -1])
     def test_non_positive_mc_grid_rejected(self, grid):
         config, spec, _, _, _, nets, theta = small_setup()
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match=f"grid size must be >= 1, got {grid}$"):
             loss_and_gradient_mc(nets, theta, 4, grid, 11, spec)
 
     @pytest.mark.parametrize("T", [0.0, -1.0])
