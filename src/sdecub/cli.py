@@ -247,10 +247,8 @@ def cmd_estimate(args) -> int:
     functional = sine_tracking_functional()
     formula = cubature_formula(settings["degree"], spec.d_b)
     partition = make_partition(settings["T"], settings["k"], settings["gamma"])
-    table = None
-    if partition.k >= 2:
-        basis = TestBasis(dim=spec.d_b, degree=settings["basis_degree"])
-        table = preprocess(formula, partition, basis, p_star=settings["p_star"])
+    basis = TestBasis(dim=spec.d_b, degree=settings["basis_degree"])
+    table = preprocess(formula, partition, basis, p_star=settings["p_star"])
     cub = cubature_estimate(
         functional,
         spec.stratonovich(),

@@ -417,12 +417,7 @@ def convergence_experiment(config: BenchConfig):
     cub_ns, cub_errors, preprocess_seconds = [], [], []
     for k in config.cub_ks:
         partition = make_partition(config.T, k, config.gamma)
-        # k=1 has no interior knot to recombine at; solve the raw tree
-        table = (
-            preprocess(formula, partition, basis, p_star=config.p_star)
-            if k >= 2
-            else None
-        )
+        table = preprocess(formula, partition, basis, p_star=config.p_star)
         report = cubature_estimate(
             config.functional,
             strat,
@@ -437,7 +432,7 @@ def convergence_experiment(config: BenchConfig):
         rows.append(BenchRow("cubature", report.n_paths, error, report.seconds))
         cub_ns.append(report.n_paths)
         cub_errors.append(error)
-        preprocess_seconds.append(table.seconds if table is not None else 0.0)
+        preprocess_seconds.append(table.seconds)
 
     lo, hi = MC_FIT_RANGE
     fit_mask = [lo <= n <= hi for n in mc_ns]

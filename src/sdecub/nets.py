@@ -11,7 +11,7 @@ node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -20,31 +20,6 @@ from .errors import InvalidParameter
 from .tape import Var
 
 DIFFUSION_FLOOR = 0.05  # added to the softplus head so g stays invertible
-
-
-@dataclass(frozen=True)
-class _Layer:
-    w_slice: slice
-    b_slice: slice
-    shape: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class _Net:
-    hidden: _Layer
-    out: _Layer
-
-
-def _mlp_layout(offset: int, d_in: int, width: int, d_out: int) -> tuple[_Net, int]:
-    w1 = slice(offset, offset + d_in * width)
-    offset = w1.stop
-    b1 = slice(offset, offset + width)
-    offset = b1.stop
-    w2 = slice(offset, offset + width * d_out)
-    offset = w2.stop
-    b2 = slice(offset, offset + d_out)
-    offset = b2.stop
-    return _Net(_Layer(w1, b1, (d_in, width)), _Layer(w2, b2, (width, d_out))), offset
 
 
 class NetworkFields:
@@ -60,27 +35,24 @@ class NetworkFields:
         self.d_x = d_x
         self.d_b = d_x
         self.width = width
+        shapes: dict[str, tuple[int, ...]] = {}
+        for net in ("prior", "posterior", "diffusion"):
+            shapes |= {f"{net}.hidden.w": (d_x + 1, width), f"{net}.hidden.b": (width,),
+                       f"{net}.out.w": (width, d_x), f"{net}.out.b": (d_x,)}
+        shapes["z0"] = (d_x,)
+        # every parameter tensor: name -> (slice of the flat vector, shape), in its order
+        self.layout: dict[str, tuple[slice, tuple[int, ...]]] = {}
         offset = 0
-        self.prior, offset = _mlp_layout(offset, d_x + 1, width, d_x)
-        self.posterior, offset = _mlp_layout(offset, d_x + 1, width, d_x)
-        self.diffusion, offset = _mlp_layout(offset, d_x + 1, width, d_x)
-        self.z0_slice = slice(offset, offset + d_x)
-        self.n_params = offset + d_x
-
-    def _tensors(self):
-        """(leaf name, slice of the flat vector, shape) of every parameter tensor."""
-        for name in ("prior", "posterior", "diffusion"):
-            net = getattr(self, name)
-            for part, layer in (("hidden", net.hidden), ("out", net.out)):
-                yield f"{name}.{part}.w", layer.w_slice, layer.shape
-                yield f"{name}.{part}.b", layer.b_slice, layer.shape[1:]
-        yield "z0", self.z0_slice, (self.d_x,)
+        for name, shape in shapes.items():
+            self.layout[name] = (slice(offset, offset + math.prod(shape)), shape)
+            offset += math.prod(shape)
+        self.n_params = offset
 
     def init_params(self, seed: int) -> np.ndarray:
         """Scaled normal weights; biases and the initial state start at zero."""
         rng = np.random.default_rng(seed)
         theta = np.zeros(self.n_params)
-        for name, sl, shape in self._tensors():
+        for name, (sl, shape) in self.layout.items():
             if name.endswith(".w"):
                 theta[sl] = rng.normal(0.0, 0.5 / np.sqrt(shape[0]), sl.stop - sl.start)
         return theta
@@ -91,11 +63,12 @@ class NetworkFields:
             raise InvalidParameter(
                 f"parameter vector has shape {theta.shape}, expected ({self.n_params},)"
             )
-        return {name: tape.const(theta[sl].reshape(shape)) for name, sl, shape in self._tensors()}
+        return {name: tape.const(theta[sl].reshape(shape))
+                for name, (sl, shape) in self.layout.items()}
 
     def collect_grad(self, leaves: dict[str, Var]) -> np.ndarray:
         grad = np.zeros(self.n_params)
-        for name, sl, _ in self._tensors():
+        for name, (sl, _) in self.layout.items():
             g = leaves[name].grad
             if g is not None:
                 grad[sl] = np.asarray(g).ravel()

@@ -79,10 +79,11 @@ def _first_seen_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class DiscreteMeasure:
-    """Weighted point cloud in R^D, optionally carrying tree-node provenance.
+    """Weighted point cloud in R^D carrying tree-node provenance.
 
     ``provenance`` (see :class:`Provenance`) records which tree nodes landed
-    on each point and the share of the point's weight each carries.  Shares
+    on each point and the share of the point's weight each carries; without
+    one, each point is its own node and its share is its weight.  Shares
     sum to the point weight; when a reduction rescales a point, its shares
     rescale proportionally, so the read-off weights reproduce raw product
     weights exactly wherever no reduction occurred.  Weights are
@@ -100,6 +101,9 @@ class DiscreteMeasure:
             raise InvalidParameter("points and weights disagree in length")
         if np.any(self.weights < 0):
             raise InvalidParameter("weights must be nonnegative")
+        if self.provenance is None:
+            identity = np.arange(self.size)
+            self.provenance = Provenance(identity, identity, self.weights)
 
     @property
     def size(self) -> int:
@@ -119,22 +123,18 @@ class DiscreteMeasure:
         weights = np.zeros(first.size)
         np.add.at(weights, group, self.weights)
         keep = weights > 0.0
-        provenance = self.provenance
-        if provenance is not None:
-            provenance = provenance.moved(np.where(keep, np.cumsum(keep) - 1, -1)[group])
+        provenance = self.provenance.moved(np.where(keep, np.cumsum(keep) - 1, -1)[group])
         return DiscreteMeasure(self.points[first[keep]], weights[keep], provenance)
 
     def reweighted(self, indices, new_weights) -> "DiscreteMeasure":
         """Subset with new weights; provenance shares rescale proportionally."""
         indices = np.asarray(indices, dtype=int)
         new_weights = np.asarray(new_weights, dtype=float)
-        provenance = self.provenance
-        if provenance is not None:
-            old = self.weights[indices]
-            factor = np.divide(new_weights, old, out=np.zeros_like(new_weights), where=old > 0)
-            place = np.full(self.size, -1)
-            place[indices] = np.arange(indices.size)
-            provenance = provenance.moved(place, factor)
+        old = self.weights[indices]
+        factor = np.divide(new_weights, old, out=np.zeros_like(new_weights), where=old > 0)
+        place = np.full(self.size, -1)
+        place[indices] = np.arange(indices.size)
+        provenance = self.provenance.moved(place, factor)
         return DiscreteMeasure(self.points[indices], new_weights, provenance)
 
 
@@ -619,13 +619,12 @@ def klv_step(measure: DiscreteMeasure, formula: CubatureFormula, s: float) -> Di
     points = (measure.points[:, None, :] + offsets[None, :, :]).reshape(n * q, measure.dim)
     weights = (measure.weights[:, None] * w[None, :]).reshape(n * q)
     provenance = measure.provenance
-    if provenance is not None:
-        child = np.tile(np.arange(q), provenance.node.size)
-        provenance = Provenance(
-            np.arange(child.size),
-            np.repeat(provenance.point * q, q) + child,
-            np.repeat(provenance.share, q) * w[child],
-        )
+    child = np.tile(np.arange(q), provenance.node.size)
+    provenance = Provenance(
+        np.arange(child.size),
+        np.repeat(provenance.point * q, q) + child,
+        np.repeat(provenance.share, q) * w[child],
+    )
     return DiscreteMeasure(points, weights, provenance)
 
 
@@ -745,9 +744,10 @@ def preprocess(
 ) -> WeightTable:
     """Run the pre-processing loop and read off sparse per-interval weights.
 
-    The first and last subintervals are propagated without reduction; in
-    between, each propagation is followed by localization at the scheduled
-    radius and per-ball recombination.  ``radius_mode='singleton'`` uses one
+    The first and last subintervals are propagated without reduction (so
+    k = 1 gives one level: the formula's paths and weights); in between,
+    each propagation is followed by localization at the scheduled radius
+    and per-ball recombination.  ``radius_mode='singleton'`` uses one
     ball per point (no reduction can occur), which reproduces the raw tree.
     Each recombination is checked while the loop runs: a mass or moment
     defect past ``MOMENT_DEFECT_TOL`` raises :class:`RecombinationDefect`.
@@ -755,8 +755,6 @@ def preprocess(
     The loop never evaluates vector fields: its output depends only on the
     formula, partition, basis, and radii.
     """
-    if partition.k < 2:
-        raise InvalidParameter("pre-processing needs k >= 2")
     if basis.dim != formula.dim:
         raise InvalidParameter(
             f"basis dim {basis.dim} != driving dim {formula.dim}"
@@ -769,8 +767,7 @@ def preprocess(
     radii_all = radius_schedule(partition, p_star)
     k = partition.k
     lengths = partition.lengths
-    root = Provenance(np.zeros(1, dtype=int), np.zeros(1, dtype=int), np.ones(1))
-    measure = DiscreteMeasure(np.zeros((1, formula.dim)), np.ones(1), root)
+    measure = DiscreteMeasure(np.zeros((1, formula.dim)), np.ones(1))  # the root node
     levels: list[Level] = []
     counts: list[int] = []
     radii: list[float | None] = []
@@ -813,7 +810,6 @@ def preprocess(
         "horizon": partition.horizon,
         "k": partition.k,
         "gamma": partition.gamma,
-        "gamma_radius": partition.gamma,
         "p_star": p_star,
         "basis_degree": basis.degree,
         "basis_dim": basis.dim,

@@ -320,12 +320,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.degree != 3:
             raise InvalidParameter(f"training builds the degree-3 formula only, got {self.degree}")
-        # checked before any output is written; pre-processing needs k >= 2
-        least_sizes = {"d_x": 1, "width": 1, "epochs": 1, "k": 2, "basis_degree": 1,
+        # checked before any output is written
+        least_sizes = {"d_x": 1, "width": 1, "epochs": 1, "k": 1, "basis_degree": 1,
                        "p_star": 1, "steps_per_segment": 1, "mc_grid": 1, "n_data": 1}
         for name, least in least_sizes.items():
             if getattr(self, name) < least:
                 raise InvalidParameter(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not self.gamma > 0:
+            raise InvalidParameter(f"gamma must be positive, got {self.gamma}")
+        for name in ("lr", "kl_weight"):  # zero freezes the parameters or drops the KL term
+            if not getattr(self, name) >= 0:
+                raise InvalidParameter(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -287,8 +287,9 @@ class TestNonPositiveSizesRejected:
     @pytest.mark.parametrize(
         "key, value",
         [("epochs", 0), ("epochs", -1), ("n_data", 0), ("n_data", -1), ("d_x", -1), ("T", -1.0),
-         ("width", 0), ("k", 0), ("k", 1), ("mc_grid", 0), ("steps_per_segment", 0),
-         ("basis_degree", 0), ("p_star", 0)],
+         ("width", 0), ("k", 0), ("mc_grid", 0), ("steps_per_segment", 0),
+         ("basis_degree", 0), ("p_star", 0), ("gamma", 0), ("gamma", -1.0), ("lr", -1.0),
+         ("kl_weight", -1.0)],
     )
     def test_train(self, tmp_path, capsys, key, value):
         code, out = self.run(tmp_path, "train", self.TRAIN | {key: value})
@@ -296,6 +297,12 @@ class TestNonPositiveSizesRejected:
         err = capsys.readouterr().err
         assert err.startswith("InvalidParameter: ") and f"{key} must be" in err
         assert not (out / "data.csv").exists()
+
+    def test_train_at_k1(self, tmp_path):
+        # one interval: the table is the formula's two paths, never reduced
+        code, out = self.run(tmp_path, "train", self.TRAIN | {"k": 1})
+        assert code == EXIT_OK
+        assert read_manifest(out)["results"]["n_paths"] == 2
 
     @pytest.mark.parametrize(
         "key, value", [("T", -1.0), ("mc_replicates", 0), ("mc_replicates", -1)]

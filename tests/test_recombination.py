@@ -13,6 +13,7 @@ from sdecub import (
     NoNullVector,
     RecombinationDefect,
     TestBasis,
+    cubature_estimate,
     degree3_formula,
     degree5_formula,
     klv_step,
@@ -21,25 +22,25 @@ from sdecub import (
     preprocess,
     recombine,
     rmp,
+    sine_tracking_functional,
     singleton_localization,
 )
 from sdecub import recombination
-from sdecub.formulas import dumps_17g
+from sdecub.fields import ou_field
+from sdecub.formulas import cubature_formula, dumps_17g
 from sdecub.recombination import (
     Level,
     Localization,
-    Provenance,
     RecombineStats,
     _reduce_batch,
 )
 
 
-def random_measure(rng, n, d, provenance=False):
+def random_measure(rng, n, d):
     points = rng.normal(size=(n, d))
     weights = rng.uniform(0.1, 1.0, size=n)
     weights /= weights.sum()
-    prov = Provenance(np.arange(n), np.arange(n), weights.copy()) if provenance else None
-    return DiscreteMeasure(points, weights, prov)
+    return DiscreteMeasure(points, weights)
 
 
 # Serial reference: each ball reduced on its own, one QR call per reduction
@@ -148,10 +149,8 @@ def serial_rmp(measure, localization, basis):
 def assert_measures_equal(out, ref):
     assert np.array_equal(out.points, ref.points)
     assert np.array_equal(out.weights, ref.weights)
-    assert (out.provenance is None) == (ref.provenance is None)
-    if out.provenance is not None:
-        for got, want in zip(out.provenance, ref.provenance):
-            assert np.array_equal(got, want)
+    for got, want in zip(out.provenance, ref.provenance):
+        assert np.array_equal(got, want)
 
 
 def assert_levels_equal(got, want):
@@ -218,13 +217,9 @@ def tuple_provenance_json(formula, partition, basis, p_star, radius_mode, manife
                 loc = localize(measure, radius)
             else:
                 loc = singleton_localization(measure)
-            # each row carries itself as its one node, so the survivors'
-            # nodes name the rows rmp kept
-            rows = np.arange(measure.size)
-            tagged = DiscreteMeasure(
-                measure.points, measure.weights, Provenance(rows, rows, measure.weights)
-            )
-            out = rmp(tagged, loc, basis)
+            # a fresh measure carries each row as its one node, so the
+            # survivors' nodes name the rows rmp kept
+            out = rmp(DiscreteMeasure(measure.points, measure.weights), loc, basis)
             kept = np.empty(out.size, dtype=int)
             kept[out.provenance.point] = out.provenance.node
             reduced, prov = tuple_reweighted(measure, prov, kept, out.weights)
@@ -385,13 +380,12 @@ class TestRecombine:
 
 
 def clustered_measure(rng, sizes):
-    """1-d measure with provenance: ``sizes[c]`` points in [2c, 2c + 1), one
-    grid cell apiece at radius 0.5."""
+    """1-d measure: ``sizes[c]`` points in [2c, 2c + 1), one grid cell apiece
+    at radius 0.5."""
     points = np.concatenate([2.0 * c + rng.uniform(size=n) for c, n in enumerate(sizes)])
     weights = rng.uniform(0.1, 1.0, size=points.size)
     weights /= weights.sum()
-    rows = np.arange(points.size)
-    return DiscreteMeasure(points[:, None], weights, Provenance(rows, rows, weights.copy()))
+    return DiscreteMeasure(points[:, None], weights)
 
 
 class TestRmp:
@@ -467,19 +461,19 @@ class TestRmp:
             loc = localize(m, 0.5)
             assert len(loc.balls) == 7
         elif case in ("localized_1d", "split_stacks"):
-            m = random_measure(rng, 3000, 1, provenance=True)
+            m = random_measure(rng, 3000, 1)
             loc, basis = localize(m, 0.02), TestBasis(1, 4)
             assert len(loc.balls) >= 100
             if case == "split_stacks":
                 # at most one or two problems per stacked QR
                 monkeypatch.setattr(recombination, "_QR_STACK_ENTRIES", 100)
         elif case == "hierarchical_2d":
-            m = random_measure(rng, 2000, 2, provenance=True)
+            m = random_measure(rng, 2000, 2)
             loc, basis = localize(m, 0.3), TestBasis(2, 2)
             # such balls go through the chunked rounds
             assert loc.balls.max() > 2 * (basis.size + 1)
         else:
-            m = random_measure(rng, 300, 2, provenance=True)
+            m = random_measure(rng, 300, 2)
             loc, basis = singleton_localization(m), TestBasis(2, 2)
         assert_measures_equal(rmp(m, loc, basis), serial_rmp(m, loc, basis))
 
@@ -505,6 +499,23 @@ class TestRmp:
         assert len(calls) <= 6
 
 
+class TestDefaultProvenance:
+    def test_each_point_is_its_own_node(self):
+        m = random_measure(np.random.default_rng(3), 7, 2)
+        node, point, share = m.provenance
+        assert node.tolist() == point.tolist() == list(range(7))
+        assert np.array_equal(share, m.weights)
+
+    def test_recombine_names_input_points(self):
+        m = random_measure(np.random.default_rng(4), 40, 2)
+        out = recombine(m, TestBasis(2, 2))
+        node, point, share = out.provenance
+        # each survivor keeps the one node of the input point it is
+        assert np.array_equal(out.points[point], m.points[node])
+        assert np.allclose(np.bincount(point, share, minlength=out.size), out.weights,
+                           rtol=1e-15, atol=0.0)
+
+
 class TestKlvStep:
     def test_point_mass_children(self):
         m = DiscreteMeasure(np.zeros((1, 1)), np.ones(1))
@@ -526,8 +537,7 @@ class TestKlvStep:
         assert out.weights.tolist() == [0.25] * 4
 
     def test_merge_combines_provenance(self):
-        root = np.zeros(1, dtype=int)
-        m = DiscreteMeasure(np.zeros((1, 1)), np.ones(1), Provenance(root, root, np.ones(1)))
+        m = DiscreteMeasure(np.zeros((1, 1)), np.ones(1))
         out = klv_step(klv_step(m, degree3_formula(1), 1.0), degree3_formula(1), 1.0)
         merged = out.canonicalize()
         assert merged.size == 3
@@ -564,10 +574,25 @@ class TestPreprocess:
             if radius is not None:
                 assert count <= (6 / radius + 2) * (basis.size + 1)
 
-    def test_k_guard(self):
-        f = degree3_formula(1)
-        with pytest.raises(InvalidParameter):
-            preprocess(f, make_partition(1.0, 1, 1.0), TestBasis(1, 1))
+    @pytest.mark.parametrize("degree, d", [(3, 1), (3, 2), (5, 1)])
+    def test_k1_is_one_level_of_the_formula(self, degree, d):
+        # the only interval is the first, which is never reduced
+        formula = cubature_formula(degree, d)
+        part = make_partition(1.0, 1, 0.6)
+        table = preprocess(formula, part, TestBasis(d, 2), p_star=2)
+        [level] = table.levels
+        assert level.j.tolist() == list(range(formula.q))
+        assert level.parent.tolist() == [0] * formula.q
+        assert level.weight.tolist() == list(formula.weights)
+        spec = ou_field(rate=1.5, mean=0.5, sigma=0.7, d=d, x0=0.2)
+        raw, tab = (
+            cubature_estimate(sine_tracking_functional(), spec.stratonovich(), formula, part,
+                              t, x0=spec.x0, steps_per_segment=8)
+            for t in (None, table)
+        )
+        assert tab.value == raw.value
+        assert tab.interval_costs == raw.interval_costs
+        assert tab.n_paths == raw.n_paths == formula.q
 
     def test_theta_independent_no_field_access(self):
         # the pre-processing module must not touch vector fields

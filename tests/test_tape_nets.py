@@ -1,5 +1,6 @@
 """Reverse-mode tape primitives and the network field evaluators."""
 
+import math
 import warnings
 
 import numpy as np
@@ -81,13 +82,16 @@ def take_rows(a):
     return a[np.array([2, 0, 2, 2])]
 
 
-def reference_mlp(theta, net, x, t):
+def reference_mlp(theta, layout, net, x, t):
     """Independent numpy evaluation of one two-layer tanh network."""
+
+    def tensor(part):
+        sl, shape = layout[f"{net}.{part}"]
+        return theta[sl].reshape(shape)
+
     inp = np.concatenate([np.full((x.shape[0], 1), t), x], axis=1)
-    w1 = theta[net.hidden.w_slice].reshape(net.hidden.shape)
-    h = np.tanh(inp @ w1 + theta[net.hidden.b_slice])
-    w2 = theta[net.out.w_slice].reshape(net.out.shape)
-    return h @ w2 + theta[net.out.b_slice]
+    h = np.tanh(inp @ tensor("hidden.w") + tensor("hidden.b"))
+    return h @ tensor("out.w") + tensor("out.b")
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -254,7 +258,7 @@ class TestNetworkFields:
     def test_zero_hidden_weights_return_output_bias(self):
         nets = NetworkFields(d_x=2, width=4)
         theta = np.zeros(nets.n_params)
-        theta[nets.prior.out.b_slice] = [0.3, -0.1]
+        theta[nets.layout["prior.out.b"][0]] = [0.3, -0.1]
         x = tp.const(np.random.default_rng(0).normal(size=(5, 2)))
         out = nets.drift_prior(nets.wrap(theta), x, 0.5).value
         assert out == pytest.approx(np.tile([0.3, -0.1], (5, 1)))
@@ -265,7 +269,7 @@ class TestNetworkFields:
         x = np.random.default_rng(1).normal(size=(6, 2))
         leaves = nets.wrap(theta)
         on_tape = nets.drift_posterior(leaves, tp.const(x), 0.25).value
-        plain = reference_mlp(theta, nets.posterior, x, 0.25)
+        plain = reference_mlp(theta, nets.layout, "posterior", x, 0.25)
         assert on_tape == pytest.approx(plain, abs=1e-15)
 
     def test_one_node_per_call(self):
@@ -292,7 +296,22 @@ class TestNetworkFields:
         leaves = nets.wrap(theta)
         # gradient collection with no backward pass gives zeros
         assert nets.collect_grad(leaves) == pytest.approx(np.zeros(nets.n_params))
-        assert leaves["z0"].value == pytest.approx(theta[nets.z0_slice])
+        assert leaves["z0"].value == pytest.approx(theta[nets.layout["z0"][0]])
+
+    @pytest.mark.parametrize("d_x, width", [(1, 8), (3, 5)])
+    def test_layout_tiles_the_parameter_vector(self, d_x, width):
+        nets = NetworkFields(d_x=d_x, width=width)
+        parts = [("hidden.w", (d_x + 1, width)), ("hidden.b", (width,)),
+                 ("out.w", (width, d_x)), ("out.b", (d_x,))]
+        want = [(f"{net}.{part}", shape) for net in ("prior", "posterior", "diffusion")
+                for part, shape in parts] + [("z0", (d_x,))]
+        assert [(name, shape) for name, (_, shape) in nets.layout.items()] == want
+        stop = 0
+        for sl, shape in nets.layout.values():
+            assert sl.start == stop and sl.stop - sl.start == math.prod(shape)
+            stop = sl.stop
+        n = 3 * ((d_x + 1) * width + width + width * d_x + d_x) + d_x
+        assert stop == nets.n_params == n
 
     def test_deterministic_init(self):
         nets = NetworkFields(d_x=2, width=4)

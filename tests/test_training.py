@@ -155,10 +155,8 @@ class TestVariationalLoss:
     def test_zero_mismatch_kills_kl(self):
         _, spec, _, _, _, nets, theta = small_setup()
         # copy the posterior parameters into the prior: identical drifts
-        theta[nets.prior.hidden.w_slice] = theta[nets.posterior.hidden.w_slice]
-        theta[nets.prior.hidden.b_slice] = theta[nets.posterior.hidden.b_slice]
-        theta[nets.prior.out.w_slice] = theta[nets.posterior.out.w_slice]
-        theta[nets.prior.out.b_slice] = theta[nets.posterior.out.b_slice]
+        for part in ("hidden.w", "hidden.b", "out.w", "out.b"):
+            theta[nets.layout[f"prior.{part}"][0]] = theta[nets.layout[f"posterior.{part}"][0]]
         _, kl = variational_loss_terms(nets, theta, *flat_path(spec), spec)
         assert kl == 0.0
 
