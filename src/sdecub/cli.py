@@ -278,6 +278,7 @@ def cmd_estimate(args) -> int:
         {
             "cubature": cub.value,
             "mc": mc.value,
+            "mc_stderr": mc.stderr,
             # the preset's exact value holds on [0, 1] only
             "analytic": spec.sine_tracking_value if settings["T"] == 1.0 else None,
             "n_leaves": cub.n_paths,

@@ -11,8 +11,9 @@ ever weighted.  :func:`tree_levels` is the one definition of the levels
 whose end state starts it), for a table and for the raw tree alike; the
 training arm's :func:`sdecub.training.loss_and_gradient_cubature` walks the
 same ones on the tape.  The Monte Carlo estimator averages whole-path
-values over seeded Euler-Maruyama paths.  The convergence experiment sweeps
-both against an oracle and fits log-log error slopes.
+values over seeded Euler-Maruyama paths, each summed step by step as the
+solver streams its states, so no trajectory is stored.  The convergence
+experiment sweeps both against an oracle and fits log-log error slopes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable
@@ -34,7 +35,6 @@ from .ode import solve_controlled_ode_batch, solve_sde_mc_batch
 from .partition import TimePartition, enumerate_leaves, interval_slopes
 from .recombination import WeightTable
 
-MC_BLOCK_BYTES = 8 << 20  # size of the block mc_estimate evaluates paths in
 MC_CHUNK_PATHS = 20000  # paths per Euler-Maruyama solve in mc_estimate
 MC_FIT_RANGE = (100.0, 100000.0)  # path counts the bench's MC slope is fitted on
 ORACLE_MC_PATHS = 100000  # paths and grid of the bench's Monte Carlo oracle
@@ -49,9 +49,12 @@ class PathFunctional:
     columns 1: the state.  ``running(times, states)`` maps paths
     (B, n, d_x+1) on the grid ``times`` (n,) to cost rates (B, n);
     ``terminal(states)`` maps end points (B, d_x+1) to (B,).  Either may be
-    omitted, not both.  ``evaluate_batch(times, states)``, the whole-path
-    value (B,) that Monte Carlo uses, is the trapezoid rule of c plus h at
-    the last state, unless a callable is passed in its place.
+    omitted, not both.  ``evaluate_batch(times, states)`` is the whole-path
+    value (B,) that Monte Carlo uses, of paths whose (B, d_x) states arrive
+    one grid time at a time from the iterable ``states``: the trapezoid
+    rule of c, one step's share ``(t1 - t0) * (c0 + c1) / 2`` at a time with
+    c from ``running`` on a (B, 1, d_x+1) slice, plus h at the last state,
+    unless a callable is passed in its place.
     """
 
     name: str
@@ -72,8 +75,25 @@ class PathFunctional:
         return np.trapezoid(self.running(times, states), times, axis=1)
 
     def _whole_path(self, times, states):
-        value = self.running_integral(times, states)
-        return value if self.terminal is None else value + self.terminal(states[:, -1])
+        def at(i, x):
+            point = np.empty((x.shape[0], 1, x.shape[1] + 1))
+            point[:, 0, 0] = times[i]
+            point[:, 0, 1:] = x
+            return point
+
+        for i, x in enumerate(states):
+            if not i:
+                value = np.zeros(x.shape[0])
+            if self.running is None:
+                continue
+            c1 = self.running(times[i : i + 1], at(i, x))[:, 0]
+            if i:
+                share = c0 + c1
+                share *= times[i] - times[i - 1]
+                share /= 2.0
+                value += share
+            c0 = c1
+        return value if self.terminal is None else value + self.terminal(at(i, x)[:, 0])
 
 
 def sine_tracking_functional() -> PathFunctional:
@@ -98,7 +118,9 @@ class EstimateReport:
     ``interval_costs[i-1]`` is interval i's weighted share of the cubature
     value (the last one includes the terminal cost), and
     ``interval_weight_range[i-1]`` the smallest and largest row weight of
-    level i; Monte Carlo reports both empty.
+    level i; Monte Carlo reports both empty.  ``stderr`` is the Monte Carlo
+    standard error, the per-path values' sample standard deviation over
+    sqrt(n_paths); it is None for one path and for cubature.
     """
 
     value: float
@@ -107,6 +129,7 @@ class EstimateReport:
     interval_solves: int = 0
     interval_costs: tuple[float, ...] = ()
     interval_weight_range: tuple[tuple[float, float], ...] = ()
+    stderr: float | None = None
 
 
 def tree_levels(
@@ -237,11 +260,13 @@ def mc_estimate(
 
     The paths are solved in chunks of ``MC_CHUNK_PATHS``, which fixes the
     Gaussian stream, so a result is reproducible per seed and chunk size.
-    Memory is one chunk's trajectory, one reused block (about
-    ``MC_BLOCK_BYTES``) of whole ``(t, x)`` paths, and the solver's two
-    noise buffers (about ``ode.NOISE_BLOCK_BYTES`` each); each value comes
-    from its own path's row, so neither block size enters a result.  A
-    ``NonFiniteState`` names the chunk's path range.
+    Each chunk's states stream from the solver into
+    ``functional.evaluate_batch`` one grid time at a time, so memory is the
+    solver's two noise buffers (about ``ode.NOISE_BLOCK_BYTES`` each) plus
+    O(paths * d_x) per chunk, whatever the grid; the stream is closed, and
+    its noise worker joined, however the evaluation ends.  A
+    ``NonFiniteState`` names the chunk's path range.  The report carries
+    the standard error of the mean.
     """
     if n_paths < 1:
         raise InvalidParameter(f"n_paths must be >= 1, got {n_paths}")
@@ -250,26 +275,20 @@ def mc_estimate(
     values = np.empty(n_paths)
     for done in range(0, n_paths, MC_CHUNK_PATHS):
         m = min(MC_CHUNK_PATHS, n_paths - done)
+        times, states = solve_sde_mc_batch(spec.mu, spec.sigma, spec.x0, T, grid, rng, m)
         try:
-            times, paths = solve_sde_mc_batch(spec.mu, spec.sigma, spec.x0, T, grid, rng, m)
+            with closing(states):
+                values[done : done + m] = functional.evaluate_batch(times, states)
         except NonFiniteState as err:
             raise NonFiniteState(
                 f"{err} (chunk of paths {done} to {done + m - 1} of {n_paths})",
                 segment=err.segment,
             ) from err
-        if done == 0:
-            shape = (times.size, paths.shape[2] + 1)
-            rows = max(1, min(m, MC_BLOCK_BYTES // (8 * shape[0] * shape[1])))
-            block = np.empty((rows, *shape))
-            block[:, :, 0] = times
-        for lo in range(0, m, rows):
-            hi = min(lo + rows, m)
-            states = block[: hi - lo]
-            states[:, :, 1:] = paths[lo:hi]
-            values[done + lo : done + hi] = functional.evaluate_batch(times, states)
-        del paths  # free this chunk's trajectory before the next one is allocated
     mean = math.fsum(values) / n_paths
-    return EstimateReport(value=mean, n_paths=n_paths, seconds=time.perf_counter() - start)
+    stderr = float(np.std(values, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else None
+    return EstimateReport(
+        value=mean, n_paths=n_paths, seconds=time.perf_counter() - start, stderr=stderr
+    )
 
 
 @dataclass
@@ -310,7 +329,7 @@ class BenchRow:
 
 
 def _resolve_oracle(config: BenchConfig) -> tuple[float, float | None]:
-    """Oracle value and (for an MC oracle) its declared standard-error band."""
+    """Oracle value and (for an MC oracle) its band of four standard errors."""
     if isinstance(config.oracle, (int, float)) and not isinstance(config.oracle, bool):
         return float(config.oracle), None
     if config.oracle == "analytic":
@@ -334,8 +353,7 @@ def _resolve_oracle(config: BenchConfig) -> tuple[float, float | None]:
             seed=config.seed + 999_983,
             T=config.T,
         )
-        band = 4.0 / math.sqrt(ORACLE_MC_PATHS)
-        return report.value, band
+        return report.value, 4.0 * report.stderr
     raise OracleUnavailable(f"unknown oracle mode {config.oracle!r}")
 
 

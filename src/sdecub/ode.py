@@ -13,6 +13,8 @@ path as ``(t, x)``: the step grid in column 0, the states after it.
 :func:`em_steps` is the package's one Euler-Maruyama step, on the grid that
 :func:`em_grid` builds and checks: it steps numpy arrays for the Monte Carlo
 baseline here and tape nodes for the training arm's pathwise gradient.
+:func:`solve_sde_mc_batch` streams the baseline's states one grid time at a
+time and stores no trajectory, so its memory does not grow with the grid.
 :func:`gaussian_increments` is the Monte Carlo baseline's noise source: it
 draws the Brownian increments one block ahead on a second thread, in the
 generator's own stream order.
@@ -24,7 +26,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -223,37 +225,40 @@ def solve_sde_mc_batch(
     grid: int,
     rng: np.random.Generator,
     n_paths: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Euler-Maruyama for a batch of paths; returns (times, states (B, n+1, d_x)).
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Euler-Maruyama for a batch of paths; returns (times, states).
 
-    Steps through :func:`em_steps` and copies each state into a time-major
-    buffer (n+1, B, d_x), returned as a (B, n+1, d_x) view.  The increments
+    ``states`` is a generator of the (B, d_x) state at each of the
+    ``grid + 1`` times, ``x0`` first, stepped by :func:`em_steps`; only the
+    current state is kept, and each yielded array is fresh.  The increments
     come from :func:`gaussian_increments`, so the stream is one
-    ``(n_paths, d_b)`` draw per step, and its worker is joined before this
-    returns or raises.  Memory is the trajectory plus the two noise buffers
-    (about ``2 * NOISE_BLOCK_BYTES``).  ``NonFiniteState`` names the first
-    step after which some path's state is not finite, in ``segment``; it is
-    looked for only once the end states fail the check.
+    ``(n_paths, d_b)`` draw per step, and its worker is joined when the
+    stream ends, raises or is closed (``contextlib.closing``).  Memory is
+    the two noise buffers (about ``2 * NOISE_BLOCK_BYTES``) and a few
+    states.  Every step's state is checked before it is yielded:
+    ``NonFiniteState`` names the first step after which some path's state
+    is not finite, in ``segment``.
     """
     times, h = em_grid(T, grid)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    out = np.empty((grid + 1, n_paths, x0.shape[0]))
-    out[0] = x0
-    d_b = sigma(np.zeros(1), out[0, :1]).shape[2]
+    start = np.broadcast_to(x0, (n_paths, x0.shape[0])).copy()
+    d_b = sigma(np.zeros(1), start[:1]).shape[2]
 
     def coefficients(t, x, dw):
         clock = np.full(n_paths, t)
         return mu(clock, x), np.einsum("bdi,bi->bd", sigma(clock, x), dw)
 
-    with closing(gaussian_increments(rng, grid, (n_paths, d_b), math.sqrt(h))) as noise:
-        for step, (_, x) in enumerate(em_steps(coefficients, times, h, out[0], noise), 1):
-            out[step] = x
-    if not np.all(np.isfinite(out[-1])):
-        step = next(s for s in range(grid) if not np.all(np.isfinite(out[s + 1])))
-        bad = np.count_nonzero(~np.all(np.isfinite(out[step + 1]), axis=1))
-        raise NonFiniteState(
-            f"Euler-Maruyama state left the finite range after step {step} of {grid} "
-            f"(t = {times[step + 1]:.6g}) in {bad} of {n_paths} paths",
-            segment=step,
-        )
-    return times, out.transpose(1, 0, 2)
+    def states():
+        yield start
+        with closing(gaussian_increments(rng, grid, (n_paths, d_b), math.sqrt(h))) as noise:
+            for step, (t, x) in enumerate(em_steps(coefficients, times, h, start, noise)):
+                if not np.all(np.isfinite(x)):
+                    bad = np.count_nonzero(~np.all(np.isfinite(x), axis=1))
+                    raise NonFiniteState(
+                        f"Euler-Maruyama state left the finite range after step {step} of "
+                        f"{grid} (t = {t:.6g}) in {bad} of {n_paths} paths",
+                        segment=step,
+                    )
+                yield x
+
+    return times, states()

@@ -381,12 +381,12 @@ def make_training_data(config: TrainConfig) -> VariationalLossSpec:
     """Seeded Ornstein-Uhlenbeck data paths from 0, stored on a fixed grid."""
     ou = ou_field(config.data_rate, config.data_mean, config.data_sigma, config.d_x)
     rng = np.random.default_rng(config.data_seed)
-    times, paths = solve_sde_mc_batch(
+    times, states = solve_sde_mc_batch(
         ou.mu, ou.sigma, ou.x0, config.T, config.data_grid, rng, config.n_data
     )
     return VariationalLossSpec(
         data_times=times,
-        data_values=paths,
+        data_values=np.stack(list(states), axis=1),
         obs_noise=config.obs_noise,
         kl_weight=config.kl_weight,
     )

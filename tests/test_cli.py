@@ -7,8 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdecub import TestBasis, degree5_formula, make_partition, preprocess
-from sdecub.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from sdecub import (
+    TestBasis,
+    degree5_formula,
+    make_partition,
+    mc_estimate,
+    preprocess,
+    sine_tracking_functional,
+)
+from sdecub.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, _stage_seed, main
+from sdecub.fields import brownian_field
 
 
 def read_manifest(out: Path) -> dict:
@@ -124,6 +132,18 @@ class TestEstimateCommand:
         assert math.fsum(results["interval_costs"]) == pytest.approx(
             results["cubature"], rel=1e-14
         )
+
+    def test_manifest_records_mc_stderr(self, tmp_path):
+        code = main(
+            ["estimate", "--field", "brownian", "--k", "2", "--mc-paths", "40",
+             "--mc-grid", "8", "--seed", "5", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        results = read_manifest(tmp_path)["results"]
+        mc = mc_estimate(
+            sine_tracking_functional(), brownian_field(1.0), 40, 8, seed=_stage_seed(5, "estimate")
+        )
+        assert (results["mc"], results["mc_stderr"]) == (mc.value, mc.stderr)
 
     def test_zero_steps_per_segment_is_config_error(self, tmp_path, capsys):
         code = main(

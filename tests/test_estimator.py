@@ -3,7 +3,7 @@
 import dataclasses
 import math
 import re
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,13 +43,18 @@ from sdecub.fields import (
 from conftest import leaf_derivatives, reference_em, terminal_functional
 
 
+def columns(paths):
+    """The states of ``(t, x)`` paths (B, n, d_x+1), one (B, d_x) grid time at a time."""
+    return iter(paths[:, :, 1:].transpose(1, 0, 2))
+
+
 class TestSineTracking:
     def uniform_traj(self, values_fn, n=513):
         times = np.linspace(0.0, 1.0, n)
         vals = np.zeros((1, n, 2))
         vals[0, :, 0] = times
         vals[0, :, 1] = values_fn(times)
-        return times, vals
+        return times, columns(vals)
 
     def test_zero_path(self):
         f = sine_tracking_functional()
@@ -78,7 +83,7 @@ class TestCubatureEstimate:
         leaves = list(enumerate_leaves(formula, part))
         seg_times, derivs = leaf_derivatives(formula, part, [iv for iv, _ in leaves])
         times, states = solve_controlled_ode_batch(fields, seg_times, derivs, spec.x0)
-        values = functional.evaluate_batch(times, states)
+        values = functional.running_integral(times, states)
         contributions = [w * v for (_, w), v in zip(leaves, values)]
         assert rep.n_paths == 27
         assert rep.value == pytest.approx(math.fsum(contributions), abs=1e-14)
@@ -217,7 +222,7 @@ def whole_leaf_estimate(functional, fields, formula, partition, table, x0, steps
         )
     seg_times, derivs = leaf_derivatives(formula, partition, [iv for iv, _ in leaves])
     times, states = solve_controlled_ode_batch(fields, seg_times, derivs, x0, steps_per_segment)
-    values = functional.evaluate_batch(times, states)
+    values = functional.running_integral(times, states)
     return math.fsum(np.array([w for _, w in leaves]) * values)
 
 
@@ -418,22 +423,36 @@ class TestMcEstimate:
         with pytest.raises(InvalidParameter, match=f"horizon T must be positive, got {T}"):
             mc_estimate(sine_tracking_functional(), brownian_field(1.0), 10, 8, seed=1, T=T)
 
-    def test_each_chunk_released_before_the_next_solve(self, monkeypatch):
-        # one chunk's trajectory at a time: the previous one is dead when the
-        # next solve allocates its buffer
-        solve = estimator.solve_sde_mc_batch
-        refs, alive_at_call = [], []
+    def test_peak_memory_does_not_grow_with_the_grid(self):
+        # the states stream through the running cost: no (paths, grid)
+        # trajectory, block or cost array is held, only the noise buffers
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                mc_estimate(sine_tracking_functional(), brownian_field(1.0), 2000, grid, seed=4)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        def tracking(*args):
-            alive_at_call.append(sum(ref() is not None for ref in refs))
-            times, paths = solve(*args)
-            refs.extend([weakref.ref(paths), weakref.ref(paths.base)])
-            return times, paths
+        coarse, fine = peak(64), peak(4000)
+        assert fine <= 1.5 * coarse
 
-        monkeypatch.setattr(estimator, "solve_sde_mc_batch", tracking)
-        monkeypatch.setattr(estimator, "MC_CHUNK_PATHS", 64)
-        mc_estimate(sine_tracking_functional(), brownian_field(1.0), 250, 16, seed=4)
-        assert alive_at_call == [0, 0, 0, 0]
+    def test_stderr_is_that_of_the_per_path_values(self):
+        captured, values = capturing(running_plus_terminal())
+        report = mc_estimate(captured, ou_field(d=2), 700, 32, seed=8)
+        sample = np.concatenate(values)
+        assert sample.shape == (700,)
+        assert report.stderr == np.std(sample, ddof=1) / math.sqrt(700)
+
+    def test_no_stderr_for_one_path_or_cubature(self):
+        # one path has no sample variance: None, and no RuntimeWarning
+        spec = brownian_field(1.0)
+        assert mc_estimate(sine_tracking_functional(), spec, 1, 16, seed=1).stderr is None
+        rep = cubature_estimate(
+            sine_tracking_functional(), spec.stratonovich(), degree3_formula(1),
+            make_partition(1.0, 2, 0.6), None, x0=spec.x0,
+        )
+        assert rep.stderr is None
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_state_names_the_chunk(self, monkeypatch):
@@ -470,11 +489,15 @@ class TestMcEstimate:
 def reference_mc(functional, spec, n_paths, grid, seed, T=1.0, chunk=20000):
     """Path-major Euler-Maruyama with each whole chunk evaluated at once.
 
-    The straightforward Monte Carlo estimate that ``mc_estimate`` must match
-    bit for bit; returns (estimate, per-path values).
+    The straightforward Monte Carlo estimate: ``np.trapezoid`` of the
+    running cost over each stored path, plus the terminal cost at its last
+    state.  ``mc_estimate`` sums the same trapezoid terms one step at a
+    time, so it must match to rounding.  Returns the estimate, the per-path
+    values, and each value's magnitude |running part| + |terminal part|,
+    which bounds the rounding where the two parts cancel.
     """
     rng = np.random.default_rng(seed)
-    values = np.empty(n_paths)
+    values, magnitudes = np.empty(n_paths), np.empty(n_paths)
     done = 0
     while done < n_paths:
         m = min(chunk, n_paths - done)
@@ -482,22 +505,24 @@ def reference_mc(functional, spec, n_paths, grid, seed, T=1.0, chunk=20000):
         states = np.empty((m, grid + 1, spec.d_x + 1))
         states[:, :, 0] = times
         states[:, :, 1:] = paths
-        values[done : done + m] = functional.evaluate_batch(times, states)
+        running = functional.running_integral(times, states)
+        terminal = 0.0 if functional.terminal is None else functional.terminal(states[:, -1])
+        values[done : done + m] = running + terminal
+        magnitudes[done : done + m] = np.abs(running) + np.abs(terminal)
         done += m
-    return math.fsum(values) / n_paths, values
+    return math.fsum(values) / n_paths, values, magnitudes
 
 
 def capturing(functional):
-    """The functional, plus the per-path values and row counts of its calls."""
-    values, rows = [], []
+    """The functional, plus the per-path values its calls return."""
+    values = []
 
     def evaluate_batch(times, states):
         out = functional.evaluate_batch(times, states)
         values.append(np.array(out))
-        rows.append(states.shape[0])
         return out
 
-    return dataclasses.replace(functional, evaluate_batch=evaluate_batch), values, rows
+    return dataclasses.replace(functional, evaluate_batch=evaluate_batch), values
 
 
 def running_plus_terminal():
@@ -510,51 +535,35 @@ def running_plus_terminal():
 
 class TestMcBlocksBitwise:
     """``mc_estimate`` against :func:`reference_mc`: the estimate and every
-    per-path value equal, whatever block the paths are evaluated in."""
+    per-path value within 1e-14 relative (of the parts' magnitude, where a
+    signed terminal cost cancels the running cost).  The streamed sum adds
+    the same trapezoid terms as ``np.trapezoid`` in another order."""
 
-    # (spec, functional, n_paths, grid, chunk, rows per block or None for
-    # the default byte budget)
+    # (spec, functional, n_paths, grid, chunk)
     CASES = {
-        # the benchmark's grid: three blocks under the default budget
+        # the benchmark's grid
         "scaled_diffusion": (scaled_diffusion_field(0.6), sine_tracking_functional(),
-                             3000, 512, 20000, None),
-        "brownian": (brownian_field(1.0), sine_tracking_functional(), 2000, 64, 20000, None),
-        "ou_2d": (ou_field(2.0, -0.5, 0.8, d=2, x0=0.3), running_plus_terminal(),
-                  2000, 64, 20000, None),
-        "rows_not_multiple_of_block": (brownian_field(0.5), sine_tracking_functional(),
-                                       100, 32, 20000, 7),
-        "below_one_block": (scaled_diffusion_field(0.3), sine_tracking_functional(),
-                            50, 64, 20000, None),
-        "remainder_chunk": (ou_field(1.0, 0.5, 0.5, d=2), running_plus_terminal(),
-                            250, 32, 64, 24),
+                             3000, 512, 20000),
+        "brownian": (brownian_field(1.0), sine_tracking_functional(), 2000, 64, 20000),
+        "ou_2d": (ou_field(2.0, -0.5, 0.8, d=2, x0=0.3), running_plus_terminal(), 2000, 64, 20000),
+        # the whole grid's noise is drawn in one block
+        "below_one_block": (scaled_diffusion_field(0.3), sine_tracking_functional(), 50, 64, 20000),
+        "remainder_chunk": (ou_field(1.0, 0.5, 0.5, d=2), running_plus_terminal(), 250, 32, 64),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_equals_whole_chunk_reference(self, case, monkeypatch):
-        spec, functional, n_paths, grid, chunk, rows = self.CASES[case]
-        if rows is not None:
-            row_bytes = 8 * (grid + 1) * (spec.d_x + 1)
-            monkeypatch.setattr(estimator, "MC_BLOCK_BYTES", rows * row_bytes + row_bytes // 2)
+        spec, functional, n_paths, grid, chunk = self.CASES[case]
         monkeypatch.setattr(estimator, "MC_CHUNK_PATHS", chunk)
-        captured, values, calls = capturing(functional)
+        captured, values = capturing(functional)
         report = mc_estimate(captured, spec, n_paths, grid, seed=2718)
-        ref_value, ref_values = reference_mc(
+        ref_value, ref_values, magnitudes = reference_mc(
             functional, spec, n_paths, grid, seed=2718, chunk=chunk
         )
-        assert report.value == ref_value
-        assert np.array_equal(np.concatenate(values), ref_values)
-        if rows is not None:
-            assert max(calls) == rows
-            assert len(calls) > math.ceil(n_paths / chunk)
-
-    def test_block_stays_inside_the_byte_budget(self):
-        # a fine grid gets fewer rows per block, not a bigger block
-        spec = brownian_field(1.0)
-        captured, _, calls = capturing(sine_tracking_functional())
-        grid = 4000
-        mc_estimate(captured, spec, 300, grid, seed=3)
-        assert sum(calls) == 300
-        assert max(calls) * 8 * (grid + 1) * 2 <= estimator.MC_BLOCK_BYTES
+        assert len(values) == math.ceil(n_paths / chunk)  # one call per chunk
+        values = np.concatenate(values)
+        assert np.all(np.abs(values - ref_values) <= 1e-14 * magnitudes)
+        assert abs(report.value - ref_value) <= 1e-14 * np.mean(magnitudes)
 
 
 class TestSlopeFitting:
@@ -602,3 +611,16 @@ class TestConvergenceExperiment:
         assert methods == ["mc", "mc", "cubature", "cubature"]
         assert summary["oracle"] == pytest.approx(1.0)
         assert rows[2].n == 3 and rows[3].n == 9
+
+    def test_mc_oracle_band_is_four_of_its_standard_errors(self, monkeypatch):
+        monkeypatch.setattr(estimator, "ORACLE_MC_PATHS", 400)
+        monkeypatch.setattr(estimator, "ORACLE_MC_GRID", 16)
+        spec, functional = ou_field(d=1), sine_tracking_functional()
+        config = BenchConfig(
+            spec=spec, functional=functional, oracle="mc", mc_ns=(10, 100),
+            mc_replicates=2, mc_grid=16, cub_ks=(1,), steps_per_segment=4,
+        )
+        _, summary = convergence_experiment(config)
+        oracle = mc_estimate(functional, spec, 400, 16, seed=config.seed + 999_983)
+        assert summary["oracle"] == oracle.value
+        assert summary["oracle_band"] == 4.0 * oracle.stderr

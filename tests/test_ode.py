@@ -1,5 +1,6 @@
 """Stratonovich conversion, controlled ODE solves, and the MC baseline."""
 
+import itertools
 import math
 import re
 import sys
@@ -20,7 +21,7 @@ from sdecub import (
     make_partition,
 )
 from sdecub import ode, tape
-from sdecub.estimator import PathFunctional, cubature_estimate
+from sdecub.estimator import PathFunctional, cubature_estimate, mc_estimate
 from sdecub.fields import brownian_field, drift_only_field, ou_field, scaled_diffusion_field
 from sdecub.ode import (
     em_grid,
@@ -54,9 +55,15 @@ def solve_path(fields, path, x0, steps_per_segment=32):
     return times, states[0]
 
 
+def mc_paths(mu, sigma, x0, T, grid, rng, n_paths):
+    """The streamed Euler-Maruyama states stacked: (times, states (B, grid+1, d_x))."""
+    times, states = solve_sde_mc_batch(mu, sigma, x0, T, grid, rng, n_paths)
+    return times, np.stack(list(states), axis=1)
+
+
 def mc_path(spec, T, grid, seed):
     """One seeded Euler-Maruyama path: (times, states (grid+1, d_x))."""
-    times, paths = solve_sde_mc_batch(
+    times, paths = mc_paths(
         spec.mu, spec.sigma, spec.x0, T, grid, np.random.default_rng(seed), 1
     )
     return times, paths[0]
@@ -392,8 +399,10 @@ class TestSolveSdeMc:
     def test_sample_moments(self):
         spec = brownian_field(1.0)
         rng = np.random.default_rng(123)
-        _, paths = solve_sde_mc_batch(spec.mu, spec.sigma, spec.x0, 1.0, 64, rng, 100000)
-        terminal = paths[:, -1, 0]
+        _, states = solve_sde_mc_batch(spec.mu, spec.sigma, spec.x0, 1.0, 64, rng, 100000)
+        for end in states:
+            pass
+        terminal = end[:, 0]
         assert abs(terminal.mean()) <= 4.0 / math.sqrt(100000)
         assert (terminal**2).mean() == pytest.approx(1.0, abs=0.02)
 
@@ -409,7 +418,7 @@ class TestSolveSdeMc:
         ids=["scaled_diffusion", "ou_2d"],
     )
     def test_paths_equal_path_major_reference(self, spec):
-        times, paths = solve_sde_mc_batch(
+        times, paths = mc_paths(
             spec.mu, spec.sigma, spec.x0, 1.0, 48, np.random.default_rng(31), 257
         )
         ref_times, ref = reference_em(
@@ -418,14 +427,6 @@ class TestSolveSdeMc:
         assert np.array_equal(times, ref_times)
         assert paths.shape == ref.shape
         assert np.array_equal(paths, ref)
-
-    def test_trajectory_is_time_major(self):
-        # each step writes one contiguous slab of the buffer behind the view
-        spec = ou_field(d=2)
-        _, paths = solve_sde_mc_batch(
-            spec.mu, spec.sigma, spec.x0, 1.0, 8, np.random.default_rng(0), 5
-        )
-        assert paths.transpose(1, 0, 2).flags.c_contiguous
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_state_names_first_step_and_path_count(self):
@@ -442,8 +443,13 @@ class TestSolveSdeMc:
         bad = ~np.all(np.isfinite(ref), axis=2)  # (path, grid point)
         point = int(np.argmax(bad.any(axis=0)))
         assert point > 0 and bad[:, -1].any()
+        _, states = solve_sde_mc_batch(mu, sig, x0, 1.0, grid, np.random.default_rng(3), n_paths)
+        seen = []
         with pytest.raises(NonFiniteState) as info:
-            solve_sde_mc_batch(mu, sig, x0, 1.0, grid, np.random.default_rng(3), n_paths)
+            for x in states:
+                seen.append(x)
+        assert len(seen) == point  # the states up to the last finite one
+        assert np.array_equal(np.stack(seen, axis=1), ref[:, :point])
         assert info.value.segment == point - 1
         assert str(info.value) == (
             f"Euler-Maruyama state left the finite range after step {point - 1} of {grid} "
@@ -499,13 +505,21 @@ class TestNoiseWorker:
         sys.setswitchinterval(1e-6)
         try:
             _, paths = in_bounded_thread(
-                lambda: solve_sde_mc_batch(spec.mu, spec.sigma, spec.x0, 1.0, grid, rng, n_paths)
+                lambda: mc_paths(spec.mu, spec.sigma, spec.x0, 1.0, grid, rng, n_paths)
             )
         finally:
             sys.setswitchinterval(interval)
         _, ref = reference_em(spec.mu, spec.sigma, spec.x0, 1.0, grid, ref_rng, n_paths)
         assert np.array_equal(paths, ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @staticmethod
+    def threads_after_joins(before):
+        """The thread count once any worker past ``before`` is gone, or 10 s."""
+        deadline = time.monotonic() + 10.0
+        while threading.active_count() > before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return threading.active_count()
 
     @pytest.mark.parametrize("fails", ["mu", "sigma"])
     def test_worker_joined_when_a_field_raises(self, monkeypatch, fails):
@@ -525,10 +539,39 @@ class TestNoiseWorker:
         mu = failing(spec.mu) if fails == "mu" else spec.mu
         sig = failing(spec.sigma) if fails == "sigma" else spec.sigma
         before = threading.active_count()
+        _, states = solve_sde_mc_batch(mu, sig, spec.x0, 1.0, 32, np.random.default_rng(2), 64)
         with pytest.raises(RuntimeError, match=f"{fails} failed") as info:
-            solve_sde_mc_batch(mu, sig, spec.x0, 1.0, 32, np.random.default_rng(2), 64)
-        deadline = time.monotonic() + 10.0
-        while threading.active_count() > before and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert threading.active_count() == before
+            for _ in states:
+                pass
+        assert self.threads_after_joins(before) == before
         assert info.traceback  # the traceback, and every frame it holds, is still alive
+
+    def test_worker_joined_when_the_consumer_closes_the_stream(self, monkeypatch):
+        monkeypatch.setattr(ode, "NOISE_BLOCK_BYTES", 8 * 64 * 2)  # blocks of two steps
+        spec = brownian_field(1.0)
+        before = threading.active_count()
+        _, states = solve_sde_mc_batch(
+            spec.mu, spec.sigma, spec.x0, 1.0, 32, np.random.default_rng(2), 64
+        )
+        first = list(itertools.islice(states, 5))
+        assert len(first) == 5
+        assert threading.active_count() == before + 1  # the worker is drawing ahead
+        states.close()
+        assert self.threads_after_joins(before) == before
+        assert first  # the states taken, and the stream, are still alive
+
+    def test_worker_joined_when_running_raises_in_mc_estimate(self, monkeypatch):
+        monkeypatch.setattr(ode, "NOISE_BLOCK_BYTES", 8 * 64 * 2)  # blocks of two steps
+        calls = []
+
+        def running(times, states):
+            calls.append(times)
+            if len(calls) == 6:
+                raise RuntimeError("running failed")
+            return states[:, :, 1] ** 2
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="running failed") as info:
+            mc_estimate(PathFunctional("failing", running=running), brownian_field(1.0), 64, 32, 2)
+        assert self.threads_after_joins(before) == before
+        assert info.traceback
