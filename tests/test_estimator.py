@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from sdecub import (
     preprocess,
     sine_tracking_functional,
 )
-from sdecub import estimator
+from sdecub import estimator, ode
 from sdecub.estimator import fit_slope, interp_loglog, plateau_cut
 from sdecub.ode import solve_controlled_ode_batch
 from sdecub.partition import interval_slopes
@@ -423,6 +424,28 @@ class TestMcEstimate:
         with pytest.raises(InvalidParameter, match=f"horizon T must be positive, got {T}"):
             mc_estimate(sine_tracking_functional(), brownian_field(1.0), 10, 8, seed=1, T=T)
 
+    def test_each_chunk_released_before_the_next_solve(self, monkeypatch):
+        # one chunk at a time: the previous chunk's state stream is closed,
+        # and its noise worker joined, when the next solve starts
+        solve = estimator.solve_sde_mc_batch
+        streams, at_call = [], []
+        threads = threading.active_count()
+
+        def tracking(*args):
+            at_call.append(
+                (sum(s.gi_frame is not None for s in streams), threading.active_count() - threads)
+            )
+            times, states = solve(*args)
+            streams.append(states)
+            return times, states
+
+        monkeypatch.setattr(estimator, "solve_sde_mc_batch", tracking)
+        monkeypatch.setattr(estimator, "MC_CHUNK_PATHS", 64)
+        mc_estimate(sine_tracking_functional(), brownian_field(1.0), 250, 16, seed=4)
+        assert at_call == [(0, 0)] * 4
+        assert all(s.gi_frame is None for s in streams)
+        assert threading.active_count() == threads
+
     def test_peak_memory_does_not_grow_with_the_grid(self):
         # the states stream through the running cost: no (paths, grid)
         # trajectory, block or cost array is held, only the noise buffers
@@ -565,6 +588,23 @@ class TestMcBlocksBitwise:
         assert np.all(np.abs(values - ref_values) <= 1e-14 * magnitudes)
         assert abs(report.value - ref_value) <= 1e-14 * np.mean(magnitudes)
 
+
+    def test_block_stays_inside_the_byte_budget(self):
+        # a fine grid holds the two noise blocks and a few (paths, d_x)
+        # states, not a (paths, grid) block: the old trajectory would be 19 MB
+        spec = brownian_field(1.0)
+        n_paths, grid = 300, 4000
+        mc_estimate(sine_tracking_functional(), spec, 10, 8, seed=1)  # first-call allocations
+        captured, values = capturing(sine_tracking_functional())
+        tracemalloc.start()
+        try:
+            mc_estimate(captured, spec, n_paths, grid, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(v.shape[0] for v in values) == n_paths
+        budget = 2 * ode.NOISE_BLOCK_BYTES + 32 * 8 * n_paths * (spec.d_x + 1)
+        assert peak <= budget < 8 * (grid + 1) * n_paths * (spec.d_x + 1)
 
 class TestSlopeFitting:
     def test_fit_slope_recovers_power_law(self):
