@@ -2,12 +2,13 @@
 
 Each operation records a node with its parents and a vector-Jacobian
 callback; :func:`backward` replays the recorded tape once.  Only the small
-operation set needed by the network fields and the fixed-step solvers is
-provided, all batched over the leading axis.  A whole network call is one
-node, :func:`mlp`, with one hand-written VJP into its input and its four
-weight tensors, so the tape grows by one node per call, not by one per
-layer operation.  A node keeps the arrays its VJP needs beyond node values
-in ``saved``, and :func:`tape_bytes` counts them.  Tapes are plain object
+operation set needed by the network fields, the fixed-step solvers and the
+training loss is provided, all batched over the leading axis.  A network
+call is one node, :func:`mlp`, with one hand-written VJP into its input and
+its four weight tensors, and so is each per-state loss term, :func:`misfit`
+or :func:`mismatch`.  A node keeps the arrays its VJP needs beyond node
+values in ``saved``, and :func:`tape_bytes` counts them; the fused nodes
+rebuild their intermediates in the VJP instead.  Tapes are plain object
 graphs, confined to the thread that built them.
 """
 
@@ -58,10 +59,6 @@ def add(a: Var, b: Var) -> Var:
     return Var(a.value + b.value, (a, b), lambda g: (g, g))
 
 
-def sub(a: Var, b: Var) -> Var:
-    return Var(a.value - b.value, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Var, b: Var) -> Var:
     return Var(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
 
@@ -98,49 +95,59 @@ def mlp(
     The input is ``x`` (B, d) with the time ``t`` prepended as column 0; the
     output is ``tanh([t, x] @ w1 + b1) @ w2 + b2``, or with a
     ``softplus_floor`` that head passed through softplus plus the floor.
-    The node keeps the time-augmented input, the hidden activations and,
-    for the softplus head, its sigmoid.
+    The node keeps the hidden activations and, for the softplus head, its
+    sigmoid; the VJP rebuilds ``[t, x]`` from ``x``.
     """
-    inp = np.concatenate([np.full((x.value.shape[0], 1), t), x.value], axis=1)
-    h = np.tanh(inp @ w1.value + b1.value)
+
+    def tx():
+        return np.concatenate([np.full((x.value.shape[0], 1), t), x.value], axis=1)
+
+    h = np.tanh(tx() @ w1.value + b1.value)
     head = h @ w2.value + b2.value
     if softplus_floor is None:
-        y, saved = head, (inp, h)
+        y, saved = head, (h,)
     else:
         soft = np.logaddexp(0.0, head)
         y = soft + softplus_floor
         # the sigmoid as exp(head - softplus(head)): 1 / (1 + exp(-head))
         # overflows for heads below about -709
         sig = np.exp(head - soft)
-        saved = (inp, h, sig)
+        saved = (h, sig)
 
     def vjp(g):
         if softplus_floor is not None:
             g = g * sig
         gh = (g @ w2.value.T) * (1.0 - h * h)
-        return (gh @ w1.value.T)[:, 1:], inp.T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
+        return (gh @ w1.value.T)[:, 1:], tx().T @ gh, gh.sum(axis=0), h.T @ g, g.sum(axis=0)
 
     return Var(y, (x, w1, b1, w2, b2), vjp, saved)
 
 
-def reciprocal(a: Var) -> Var:
-    y = 1.0 / a.value
-    return Var(y, (a,), lambda g: (-g * y * y,))
+def misfit(z: Var, y: np.ndarray, w: np.ndarray, scale: float, factor: float) -> tuple:
+    """``row_sumsq(z - y) @ ((scale * w) * factor)`` as one node, and the row
+    sums (B,).  It keeps the constant ``y`` (d,) and the row weights ``w``
+    (B,), which every state of a piece shares; the VJP rebuilds ``z - y``."""
+    rows = np.sum(np.square(z.value - y), axis=1)
+
+    def vjp(g):
+        return (2.0 * (g * ((scale * w) * factor))[:, None] * (z.value - y),)
+
+    return Var(np.float64(rows @ ((scale * w) * factor)), (z,), vjp, (y, w)), rows
 
 
-def row_sumsq(a: Var) -> Var:
-    """Sum of squares along axis 1: (B, d) -> (B,)."""
-    return Var(
-        np.sum(a.value * a.value, axis=1),
-        (a,),
-        lambda g: (2.0 * g[:, None] * a.value,),
-    )
+def mismatch(a: Var, b: Var, c: Var, w: np.ndarray, scale: float, factor: float) -> tuple:
+    """``row_sumsq((a - b) * (1 / c)) @ ((scale * w) * factor)`` as one node,
+    and the row sums (B,).  It keeps ``w``; the VJP rebuilds ``a - b`` and
+    ``1 / c`` in the order of the forward pass."""
+    rows = np.sum(np.square((a.value - b.value) * (1.0 / c.value)), axis=1)
 
+    def vjp(g):
+        diff, inv = a.value - b.value, 1.0 / c.value
+        g_diff = 2.0 * (g * ((scale * w) * factor))[:, None] * (diff * inv)
+        g_a = g_diff * inv
+        return g_a, -g_a, -(g_diff * diff) * inv * inv
 
-def wsum(a: Var, w) -> Var:
-    """Weighted sum of a batch vector with constant weights -> scalar."""
-    w = np.asarray(w, dtype=float)
-    return Var(np.float64(a.value @ w), (a,), lambda g: (g * w,), (w,))
+    return Var(np.float64(rows @ ((scale * w) * factor)), (a, b, c), vjp, (w,)), rows
 
 
 def topo_order(root: Var) -> list[Var]:

@@ -132,7 +132,7 @@ def _loss_graph(
     spec: VariationalLossSpec,
     evaluated: dict,
 ):
-    """Misfit node, drift-mismatch node and the constant part of the loss.
+    """Misfit and drift-mismatch nodes, the loss's constant part, row losses.
 
     A piece is (times, states, batch weights w): one level of the cubature
     walk over its interval, or the whole Monte Carlo grid.  The misfit is
@@ -143,19 +143,26 @@ def _loss_graph(
     and the reconstruction log-density R is -(misfit + const).  The
     variational drift and the diffusion come from ``evaluated`` where the
     solver already evaluated them (see :func:`_posterior_fields`).
+
+    Per state: a :func:`sdecub.tape.misfit` node, with the KL term a prior
+    drift call and a :func:`sdecub.tape.mismatch` node, and an ``add`` per
+    term; no (B, d) array and no per-state weights stay on the tape.  A
+    piece's row losses (B,) are each row's misfit + kl_weight * K, unweighted.
     """
     inv_two_var = 1.0 / (2.0 * spec.obs_noise**2)
     log_norm = 0.5 * nets.d_x * math.log(2.0 * math.pi * spec.obs_noise**2)
     misfit: Var | None = None
     mismatch: Var | None = None
     const = 0.0
+    row_losses = []
     for times, states, batch_weights in pieces:
         ybar, spread = _resampled_stats(spec, times)
         tau = _trapezoid_weights(times)
+        row_loss = np.zeros(batch_weights.shape[0])
         for i, (t, z) in enumerate(zip(times, states)):
-            w = tau[i] * batch_weights
-            term = tape.wsum(tape.row_sumsq(tape.cadd(z, -ybar[i])), w * inv_two_var)
+            term, rows = tape.misfit(z, ybar[i], batch_weights, tau[i], inv_two_var)
             misfit = term if misfit is None else misfit + term
+            row_loss += (tau[i] * inv_two_var) * rows
             if spec.kl_weight != 0.0:
                 f_prior = nets.drift_prior(leaves, z, t)
                 f_post, g = _posterior_fields(nets, leaves, evaluated, z, t)
@@ -164,11 +171,12 @@ def _loss_graph(
                     raise SingularDiffusion(
                         f"diffusion magnitude {smallest:.2e} below 1e-10 at t={t:.6g}"
                     )
-                diff = tape.mul(tape.sub(f_prior, f_post), tape.reciprocal(g))
-                term = tape.wsum(tape.row_sumsq(diff), 0.5 * w)
+                term, rows = tape.mismatch(f_prior, f_post, g, batch_weights, tau[i], 0.5)
                 mismatch = term if mismatch is None else mismatch + term
+                row_loss += (0.5 * tau[i] * spec.kl_weight) * rows
+        row_losses.append(row_loss)
         const += float(batch_weights.sum()) * float(np.dot(tau, log_norm + spread * inv_two_var))
-    return misfit, mismatch, const
+    return misfit, mismatch, const, row_losses
 
 
 @dataclass(frozen=True)
@@ -182,6 +190,7 @@ class GradientReport:
     reconstruction: float  # R, the weighted reconstruction log-density
     mismatch: float  # K, the weighted drift-mismatch penalty (0 without KL)
     grad_norm: float
+    stderr: float | None  # of the per-path losses, Monte Carlo only, None for one path
 
 
 def _gradient_report(
@@ -191,12 +200,13 @@ def _gradient_report(
     spec: VariationalLossSpec,
     evaluated: dict,
     n_paths: int,
+    with_stderr: bool = False,
 ) -> GradientReport:
-    """Loss graph over the solved pieces, reverse pass and finite check;
-    no pieces (an empty table) give zero loss and gradient."""
-    misfit, mismatch, const = _loss_graph(nets, leaves, pieces, spec, evaluated)
+    """Loss graph over the pieces, reverse pass and finite check; no pieces
+    give zero loss and gradient, ``with_stderr`` the one piece's stderr."""
+    misfit, mismatch, const, row_losses = _loss_graph(nets, leaves, pieces, spec, evaluated)
     if misfit is None:
-        return GradientReport(0.0, np.zeros(nets.n_params), n_paths, 0, 0.0, 0.0, 0.0)
+        return GradientReport(0.0, np.zeros(nets.n_params), n_paths, 0, 0.0, 0.0, 0.0, None)
     root = misfit if mismatch is None else misfit + spec.kl_weight * mismatch
     order = tape.backward(root)
     grad = nets.collect_grad(leaves)
@@ -210,6 +220,7 @@ def _gradient_report(
         reconstruction=-(float(misfit.value) + const),
         mismatch=0.0 if mismatch is None else float(mismatch.value),
         grad_norm=float(np.linalg.norm(grad)),
+        stderr=float(np.std(row_losses[0], ddof=1) / math.sqrt(n_paths)) if with_stderr else None,
     )
 
 
@@ -283,12 +294,10 @@ def loss_and_gradient_mc(
         f_post, diffusion = _posterior_fields(nets, leaves, evaluated, z, t)
         return f_post, diffusion * dw
 
-    z = nets.initial_state(leaves, batch=n_paths)
-    states = [z]
-    for _, z in em_steps(coefficients, times, h, z, noise):
-        states.append(z)
-    weights = np.full(n_paths, 1.0 / n_paths)
-    return _gradient_report(nets, leaves, [(times, states, weights)], spec, evaluated, n_paths)
+    states = [nets.initial_state(leaves, batch=n_paths)]
+    states += [z for _, z in em_steps(coefficients, times, h, states[0], noise)]
+    piece = (times, states, np.full(n_paths, 1.0 / n_paths))
+    return _gradient_report(nets, leaves, [piece], spec, evaluated, n_paths, n_paths > 1)
 
 
 @dataclass

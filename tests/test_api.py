@@ -1,5 +1,6 @@
 """The public API serves the pipeline: no name is exported for the tests
-alone, and every error type is raised by the package."""
+alone, every definition of the tape module is read by the program, and
+every error type is raised by the package."""
 
 import ast
 from functools import cache
@@ -43,6 +44,50 @@ def used_names() -> frozenset[str]:
 @pytest.mark.parametrize("name", exported_names())
 def test_exported_name_is_used_by_the_program(name):
     assert name in used_names(), f"sdecub.{name} is used only outside src/sdecub and perfbench"
+
+
+def tape_definitions() -> list[str]:
+    """Every function, class and variable that ``tape.py`` defines at top level."""
+    names = []
+    for node in ast.parse((PACKAGE / "tape.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+@cache
+def tape_reads() -> frozenset[str]:
+    """Names of ``tape.py`` that the program reads.
+
+    A read is ``tape.<name>`` (also as ``sc.tape.<name>``), a name imported
+    from the module, or a name loaded inside ``tape.py`` itself, as the
+    operators of ``Var`` load ``add`` and ``mul``.  Bare names elsewhere do
+    not count: ``cli.py`` binds a ``sub`` of its own.
+    """
+    reads = set()
+    for path in PROGRAM:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                owner = node.value
+                if (isinstance(owner, ast.Name) and owner.id == "tape") or (
+                    isinstance(owner, ast.Attribute) and owner.attr == "tape"
+                ):
+                    reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "tape":
+                reads.update(alias.name for alias in node.names)
+            elif path.name == "tape.py" and isinstance(node, ast.Name) and isinstance(
+                node.ctx, ast.Load
+            ):
+                reads.add(node.id)
+    return frozenset(reads)
+
+
+@pytest.mark.parametrize("name", tape_definitions())
+def test_tape_definition_is_read_by_the_program(name):
+    assert name in tape_reads(), f"sdecub.tape.{name} is read only outside src/sdecub and perfbench"
 
 
 def leaf_error_types() -> list[str]:

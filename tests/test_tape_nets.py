@@ -8,6 +8,7 @@ import pytest
 
 from sdecub import NetworkFields
 from sdecub import tape as tp
+from sdecub.nets import DIFFUSION_FLOOR
 from sdecub.tape import Var
 
 # Two nodes the tests build graphs with; the package itself needs neither.
@@ -56,6 +57,56 @@ def unfused_mlp(x, w1, b1, w2, b2, t, softplus_floor=None):
     h = tanh(add_row(matmul(with_time(x, t), w1), b1))
     head = add_row(matmul(h, w2), b2)
     return head if softplus_floor is None else tp.cadd(softplus(head), softplus_floor)
+
+
+# The unfused loss terms, one node per operation, kept as the reference that
+# the fused ``tape.misfit`` and ``tape.mismatch`` nodes are checked against.
+
+
+def sub(a, b):
+    return Var(a.value - b.value, (a, b), lambda g: (g, -g))
+
+
+def reciprocal(a):
+    y = 1.0 / a.value
+    return Var(y, (a,), lambda g: (-g * y * y,))
+
+
+def row_sumsq(a):
+    """Sum of squares along axis 1: (B, d) -> (B,)."""
+    return Var(np.sum(a.value * a.value, axis=1), (a,), lambda g: (2.0 * g[:, None] * a.value,))
+
+
+def wsum(a, w):
+    """Weighted sum of a batch vector with constant weights -> scalar."""
+    w = np.asarray(w, dtype=float)
+    return Var(np.float64(a.value @ w), (a,), lambda g: (g * w,), (w,))
+
+
+def unfused_misfit(z, y, w):
+    """``tape.misfit`` composed from one node per operation, with the row sums
+    and the row weights formed by the caller."""
+    rows = row_sumsq(tp.cadd(z, -y))
+    return wsum(rows, w), rows
+
+
+def unfused_mismatch(a, b, c, w):
+    """``tape.mismatch`` composed from one node per operation, with the row sums
+    and the row weights formed by the caller."""
+    rows = row_sumsq(tp.mul(sub(a, b), reciprocal(c)))
+    return wsum(rows, w), rows
+
+
+LOSS_SCALE, LOSS_FACTOR = 0.37, 3.125  # the row weights' scalars
+
+
+def loss_term_arrays(seed, batch=4, d=3):
+    """(z, y, a, b, c, w) for one state's two loss terms; the diffusion ``c``
+    sits within 0.01 above ``DIFFUSION_FLOOR``."""
+    rng = np.random.default_rng(seed)
+    z, a, b = (rng.normal(size=(batch, d)) for _ in range(3))
+    c = DIFFUSION_FLOOR + 0.01 * rng.uniform(size=(batch, d))
+    return z, rng.normal(size=d), a, b, c, rng.uniform(0.1, 1.0, size=batch)
 
 
 def mlp_arrays(seed, batch=5, d=2, width=4, d_out=2):
@@ -124,12 +175,33 @@ class TestTapeOps:
         tp.backward(root)
         assert leaf.grad == pytest.approx(numeric_grad(f, x), abs=1e-8)
 
-    def test_reciprocal(self):
-        x = np.array([[0.5, 2.0]])
-        leaf = tp.const(x)
-        root = ssum(tp.reciprocal(leaf))
-        tp.backward(root)
-        assert leaf.grad == pytest.approx(-1.0 / x**2)
+    def test_misfit_against_numeric(self):
+        z, y, _, _, _, w = loss_term_arrays(1)
+        node, rows = tp.misfit(leaf := tp.const(z), y, w, LOSS_SCALE, LOSS_FACTOR)
+        assert np.array_equal(rows, np.sum((z - y) ** 2, axis=1))
+        tp.backward(node)
+
+        def f(arr):
+            return float(tp.misfit(tp.const(arr), y, w, LOSS_SCALE, LOSS_FACTOR)[0].value)
+
+        assert leaf.grad == pytest.approx(numeric_grad(f, z), rel=1e-7, abs=1e-9)
+
+    def test_mismatch_against_numeric_near_the_diffusion_floor(self):
+        # 1/c is about 20 here, where the mismatch is steepest in c
+        _, _, *arrays, w = loss_term_arrays(2)
+        leaves = [tp.const(x) for x in arrays]
+        node, rows = tp.mismatch(*leaves, w, LOSS_SCALE, LOSS_FACTOR)
+        a, b, c = arrays
+        assert np.array_equal(rows, np.sum(((a - b) * (1.0 / c)) ** 2, axis=1))
+        tp.backward(node)
+        for i, leaf in enumerate(leaves):
+
+            def f(arr, i=i):
+                args = [tp.const(x) for x in arrays]
+                args[i] = tp.const(arr)
+                return float(tp.mismatch(*args, w, LOSS_SCALE, LOSS_FACTOR)[0].value)
+
+            assert leaf.grad == pytest.approx(numeric_grad(f, arrays[i]), rel=1e-7, abs=1e-9)
 
     def test_matmul_and_bias(self):
         # the fused node's gradient into its input and all four weight
@@ -163,13 +235,39 @@ class TestTapeOps:
         assert all(node.grad is None for node in interior)
         assert all(leaf.grad is not None for leaf in leaves)
 
-    def test_wsum_weights(self):
-        v = tp.const(np.array([1.0, 2.0, 3.0]))
-        w = np.array([0.2, 0.3, 0.5])
-        root = tp.wsum(v, w)
-        assert float(root.value) == pytest.approx(2.3)
-        tp.backward(root)
-        assert v.grad == pytest.approx(w)
+    @pytest.mark.parametrize("term", ["misfit", "mismatch"])
+    def test_loss_term_matches_unfused_reference(self, term):
+        # the same operations in the same order: the value, the row sums and
+        # the gradient into every parent are bitwise the chain's
+        z, y, a, b, c, w = loss_term_arrays(3, batch=6)
+        weights = (LOSS_SCALE * w) * LOSS_FACTOR
+        if term == "misfit":
+            fused_leaves, unfused_leaves = [tp.const(z)], [tp.const(z)]
+            fused = tp.misfit(*fused_leaves, y, w, LOSS_SCALE, LOSS_FACTOR)
+            unfused = unfused_misfit(*unfused_leaves, y, weights)
+        else:
+            fused_leaves = [tp.const(x) for x in (a, b, c)]
+            unfused_leaves = [tp.const(x) for x in (a, b, c)]
+            fused = tp.mismatch(*fused_leaves, w, LOSS_SCALE, LOSS_FACTOR)
+            unfused = unfused_mismatch(*unfused_leaves, weights)
+        assert fused[0].value == unfused[0].value
+        assert np.array_equal(fused[1], unfused[1].value)
+        tp.backward(tp.cmul(fused[0], 1.7))
+        tp.backward(tp.cmul(unfused[0], 1.7))
+        for leaf, ref in zip(fused_leaves, unfused_leaves):
+            assert np.array_equal(leaf.grad, ref.grad)
+
+    @pytest.mark.parametrize("term", ["misfit", "mismatch"])
+    def test_loss_term_keeps_only_its_constants(self, term):
+        batch, d = 5, 3
+        z, y, a, b, c, w = loss_term_arrays(4, batch, d)
+        if term == "misfit":
+            node, _ = tp.misfit(tp.const(z), y, w, LOSS_SCALE, LOSS_FACTOR)
+            kept = d + batch
+        else:
+            node, _ = tp.mismatch(*map(tp.const, (a, b, c)), w, LOSS_SCALE, LOSS_FACTOR)
+            kept = batch
+        assert tp.tape_bytes([node]) == 8 * (1 + kept)
 
     def test_with_time_column(self):
         # only the first-layer row of the time column is nonzero: every
@@ -211,11 +309,13 @@ class TestTapeOps:
 
     @pytest.mark.parametrize("floor", [None, 0.05], ids=["linear", "softplus"])
     def test_mlp_tape_bytes_count_saved_arrays(self, floor):
+        # the node keeps its hidden activations and the softplus sigmoid, not
+        # its time-augmented input
         batch, d, width = 5, 2, 4
         node = tp.mlp(*map(tp.const, mlp_arrays(3, batch, d, width)), 0.2, floor)
-        inp, hidden, out = batch * (1 + d), batch * width, batch * 2
+        hidden, out = batch * width, batch * 2
         sig = 0 if floor is None else batch * 2
-        assert tp.tape_bytes([node]) >= 8 * (inp + hidden + out + sig)
+        assert tp.tape_bytes([node]) == 8 * (out + hidden + sig)
 
     def test_tape_bytes_count_shared_array_once(self):
         c = np.ones((4, 3))

@@ -30,7 +30,7 @@ from sdecub.recombination import Level, WeightTable
 from sdecub.training import build_tree
 
 from conftest import ZeroDiffusionFields, leaf_derivatives
-from test_tape_nets import unfused_mlp
+from test_tape_nets import unfused_mismatch, unfused_misfit, unfused_mlp
 
 
 def small_setup(d_x=1, k=3, width=4, seed=0, **cfg_kwargs):
@@ -48,7 +48,7 @@ def variational_loss_terms(nets, theta, times, states, spec):
     ``states`` holds the path's latent state at ``times``, shape (n, d_x).
     """
     nodes = [tape.const(z[None]) for z in states]
-    misfit, mismatch, const = training._loss_graph(
+    misfit, mismatch, const, _ = training._loss_graph(
         nets, nets.wrap(theta), [(times, nodes, np.ones(1))], spec, {}
     )
     kl = 0.0 if mismatch is None else float(mismatch.value)
@@ -136,6 +136,47 @@ def reference_mc(nets, theta, n_paths, grid, seed, spec):
         states.append(z)
     weights = np.full(n_paths, 1.0 / n_paths)
     return training._gradient_report(nets, leaves, [(times, states, weights)], spec, {}, n_paths)
+
+
+def unfused_loss_graph(nets, leaves, pieces, spec, evaluated):
+    """``training._loss_graph`` with each loss term one node per operation:
+    the reference the fused loss nodes are checked against."""
+    inv_two_var = 1.0 / (2.0 * spec.obs_noise**2)
+    log_norm = 0.5 * nets.d_x * math.log(2.0 * math.pi * spec.obs_noise**2)
+    misfit = mismatch = None
+    const = 0.0
+    row_losses = []
+    for times, states, batch_weights in pieces:
+        ybar, spread = training._resampled_stats(spec, times)
+        tau = training._trapezoid_weights(times)
+        row_loss = np.zeros(batch_weights.shape[0])
+        for i, (t, z) in enumerate(zip(times, states)):
+            w = tau[i] * batch_weights
+            term, rows = unfused_misfit(z, ybar[i], w * inv_two_var)
+            misfit = term if misfit is None else misfit + term
+            row_loss += (tau[i] * inv_two_var) * rows.value
+            if spec.kl_weight != 0.0:
+                f_prior = nets.drift_prior(leaves, z, t)
+                f_post, g = training._posterior_fields(nets, leaves, evaluated, z, t)
+                term, rows = unfused_mismatch(f_prior, f_post, g, 0.5 * w)
+                mismatch = term if mismatch is None else mismatch + term
+                row_loss += (0.5 * tau[i] * spec.kl_weight) * rows.value
+        row_losses.append(row_loss)
+        const += float(batch_weights.sum()) * float(np.dot(tau, log_norm + spread * inv_two_var))
+    return misfit, mismatch, const, row_losses
+
+
+def recorded_tape(monkeypatch) -> list:
+    """Collect the node order of every ``tape.backward`` call from here on."""
+    orders = []
+    backward = tape.backward
+
+    def recording(root):
+        orders.append(backward(root))
+        return orders[-1]
+
+    monkeypatch.setattr(tape, "backward", recording)
+    return orders
 
 
 def count_network_calls(monkeypatch) -> Counter:
@@ -416,6 +457,90 @@ class TestFusedSharedTape:
                 -rep.reconstruction + spec.kl_weight * rep.mismatch, rel=1e-13
             )
             assert rep.grad_norm == np.linalg.norm(rep.gradient)
+
+
+class TestFusedLoss:
+    """One fused tape node per state and loss term, against the unfused
+    chains it replaced."""
+
+    @staticmethod
+    def both_arms(config):
+        spec = make_training_data(config)
+        formula, partition, table = build_tree(config)
+        nets = NetworkFields(config.d_x, width=config.width)
+        theta = nets.init_params(config.seed)
+        return (
+            loss_and_gradient_cubature(nets, theta, table, formula, partition, spec,
+                                       steps_per_segment=4),
+            loss_and_gradient_mc(nets, theta, 6, 24, 11, spec),
+        )
+
+    @pytest.mark.parametrize("kl_weight", [1.0, 0.0], ids=["kl", "kl_off"])
+    def test_arms_bitwise_unfused_loss_graph(self, kl_weight, monkeypatch):
+        config = TrainConfig(d_x=2, k=2, width=4, kl_weight=kl_weight)
+        fused = self.both_arms(config)
+        monkeypatch.setattr(training, "_loss_graph", unfused_loss_graph)
+        unfused = self.both_arms(config)
+        for rep, ref in zip(fused, unfused):
+            assert (rep.loss, rep.reconstruction, rep.mismatch, rep.grad_norm) == (
+                ref.loss, ref.reconstruction, ref.mismatch, ref.grad_norm
+            )
+            assert np.array_equal(rep.gradient, ref.gradient)
+        assert fused[1].stderr == unfused[1].stderr
+
+    def test_mc_tape_size_from_shapes(self, monkeypatch):
+        # per Euler step: posterior and diffusion calls, two scalings and two
+        # additions; per state: the prior call, the two loss nodes and two
+        # additions into their sums.  The loss keeps no (B, d) array and no
+        # per-state weights: the batch weights are kept once.
+        config, spec, _, _, _, nets, theta = small_setup(d_x=2, width=3)
+        B, d, W = 5, nets.d_x, nets.width
+        orders = recorded_tape(monkeypatch)
+        for grid in (8, 9):
+            rep = loss_and_gradient_mc(nets, theta, B, grid, 11, spec)
+            assert len(orders[-1]) == 11 * grid + 21
+            step = 8 * B * d + 2 * B * W  # 6 values, the noise, the diffusion sigmoid, 2 hidden
+            state = B * d + B * W + (1 + d) + 1  # prior call; misfit and its data mean; mismatch
+            # leaves, z0, the last state's posterior and diffusion calls, the
+            # batch weights, the root
+            rest = nets.n_params + B * d + 2 * (B * d + B * W) + B * d + B + 2
+            floats = grid * step + (grid + 1) * state + 2 * grid + rest
+            assert rep.tape_bytes == tape.tape_bytes(orders[-1]) == 8 * floats
+
+
+class TestLossStandardError:
+    def test_mc_stderr_is_that_of_the_per_path_losses(self):
+        config, spec, _, _, _, nets, theta = small_setup(d_x=2)
+        n_paths, grid, seed = 7, 16, 5
+        rep = loss_and_gradient_mc(nets, theta, n_paths, grid, seed, spec)
+        # numpy reference: the same Euler-Maruyama paths, then each path's
+        # trapezoid misfit and mismatch
+        leaves = nets.wrap(theta)
+        times, h = np.linspace(0.0, 1.0, grid + 1), 1.0 / grid
+        noise = np.random.default_rng(seed).standard_normal((grid, n_paths, 2)) * math.sqrt(h)
+        ybar, _ = training._resampled_stats(spec, times)
+        tau = training._trapezoid_weights(times)
+        z = np.tile(theta[nets.layout["z0"][0]], (n_paths, 1))
+        per_path = np.zeros(n_paths)
+        for i, t in enumerate(times):
+            f_prior, f_post, g = (
+                f(leaves, tape.const(z), t).value
+                for f in (nets.drift_prior, nets.drift_posterior, nets.diffusion_diag)
+            )
+            misfit = np.sum((z - ybar[i]) ** 2, axis=1) / (2.0 * spec.obs_noise**2)
+            mismatch = 0.5 * np.sum(((f_prior - f_post) / g) ** 2, axis=1)
+            per_path += tau[i] * (misfit + spec.kl_weight * mismatch)
+            if i < grid:
+                z = z + f_post * h + g * noise[i]
+        want = np.std(per_path, ddof=1) / math.sqrt(n_paths)
+        assert rep.stderr == pytest.approx(want, rel=1e-12)
+
+    def test_no_stderr_for_one_path_or_cubature(self):
+        config, spec, formula, partition, table, nets, theta = small_setup()
+        assert loss_and_gradient_mc(nets, theta, 1, 16, 5, spec).stderr is None
+        assert loss_and_gradient_mc(nets, theta, 2, 16, 5, spec).stderr > 0.0
+        rep = loss_and_gradient_cubature(nets, theta, table, formula, partition, spec)
+        assert rep.stderr is None
 
 
 class TestLevelWalk:
