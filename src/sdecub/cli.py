@@ -233,7 +233,7 @@ _ESTIMATE_DEFAULTS = {
     "mc_paths": 100000,
     "mc_grid": 512,
     "seed": 2024,
-    "workers": 0,
+    "workers": 1,
 }
 _ESTIMATE_FLAGS = dict.fromkeys(k for k in _ESTIMATE_DEFAULTS if k != "T") | {
     "field": tuple(PRESETS), "degree": (3, 5)}
@@ -292,13 +292,12 @@ def cmd_estimate(args) -> int:
 
 
 # the field and its sigma, then every BenchConfig field but the spec and the
-# functional, which the command builds, in declaration order; workers 0 means
-# all cores
+# functional, which the command builds, in declaration order
 _BENCH_DEFAULTS = {"field": "scaled_diffusion", "sigma": 0.6} | {
     f.name: f.default
     for f in dataclasses.fields(BenchConfig)
     if f.name not in ("spec", "functional")
-} | {"workers": 0}
+}
 _BENCH_FLAGS = dict.fromkeys(
     k for k in _BENCH_DEFAULTS if k not in ("T", "oracle", "mc_ns", "cub_ks")
 ) | {"field": ("brownian", "scaled_diffusion"), "degree": (3, 5)}

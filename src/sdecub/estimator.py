@@ -11,9 +11,10 @@ ever weighted.  :func:`tree_levels` is the one definition of the levels
 whose end state starts it), for a table and for the raw tree alike; the
 training arm's :func:`sdecub.training.loss_and_gradient_cubature` walks the
 same ones on the tape.  The Monte Carlo estimator averages whole-path
-values over seeded Euler-Maruyama paths, each summed step by step as the
-solver streams its states, so no trajectory is stored.  The convergence
-experiment sweeps both against an oracle and fits log-log error slopes.
+values over seeded Euler-Maruyama paths.  Both arms sum the running cost
+with :meth:`PathFunctional.running_sum` as their solvers stream the states,
+so neither stores a trajectory.  The convergence experiment sweeps both
+against an oracle and fits log-log error slopes.
 """
 
 from __future__ import annotations
@@ -41,20 +42,25 @@ ORACLE_MC_PATHS = 100000  # paths and grid of the bench's Monte Carlo oracle
 ORACLE_MC_GRID = 4000
 
 
+def _point(t, x):
+    """The path points (B, d_x+1) at time t of the states x (B, d_x)."""
+    return np.concatenate((np.full((x.shape[0], 1), t), x), axis=1)
+
+
 @dataclass(frozen=True)
 class PathFunctional:
     """A running cost c(t, x) integrated over [0, T] plus a terminal cost h(x_T).
 
-    A functional sees each path as ``(t, x)``: column 0 holds the time and
-    columns 1: the state.  ``running(times, states)`` maps paths
-    (B, n, d_x+1) on the grid ``times`` (n,) to cost rates (B, n);
-    ``terminal(states)`` maps end points (B, d_x+1) to (B,).  Either may be
-    omitted, not both.  ``evaluate_batch(times, states)`` is the whole-path
-    value (B,) that Monte Carlo uses, of paths whose (B, d_x) states arrive
-    one grid time at a time from the iterable ``states``: the trapezoid
-    rule of c, one step's share ``(t1 - t0) * (c0 + c1) / 2`` at a time with
-    c from ``running`` on a (B, 1, d_x+1) slice, plus h at the last state,
-    unless a callable is passed in its place.
+    A functional sees a path point as ``(t, x)``: column 0 holds the time
+    and columns 1: the state.  ``running(times, states)`` maps points
+    (B, n, d_x+1) at the times (n,) to cost rates (B, n); both arms call it
+    on one time's (B, 1, d_x+1) slice.  ``terminal(states)`` maps end
+    points (B, d_x+1) to (B,).  Either may be omitted, not both.
+    ``evaluate_batch(times, states)`` is the whole-path value (B,) that
+    Monte Carlo uses, of (B, d_x) states arriving one grid time at a time
+    from the iterable ``states``: :meth:`running_sum` along
+    ``zip(times, states)`` plus h at the last state, unless a callable is
+    passed in its place.
     """
 
     name: str
@@ -68,32 +74,28 @@ class PathFunctional:
         if self.evaluate_batch is None:
             object.__setattr__(self, "evaluate_batch", self._whole_path)
 
-    def running_integral(self, times: np.ndarray, states: np.ndarray) -> np.ndarray:
-        """Trapezoid rule of the running cost over ``times``, shape (B,)."""
-        if self.running is None:
-            return np.zeros(states.shape[0])
-        return np.trapezoid(self.running(times, states), times, axis=1)
+    def running_sum(self, path) -> tuple[np.ndarray, np.ndarray]:
+        """The trapezoid rule of c along a streamed path, and its end point.
+
+        ``path`` yields ``(t, x)`` with x (B, d_x), the start first.  Each
+        step adds ``(t1 - t0) * (c0 + c1) / 2`` to the (B,) sums as it
+        arrives, so only the current point is held.  Returns the sums (zeros
+        without a running cost) and the end point (B, d_x+1).
+        """
+        value = c0 = None
+        for t, x in path:
+            if value is None:
+                value = np.zeros(x.shape[0])
+            if self.running is not None:
+                c1 = self.running(np.full(1, t), _point(t, x)[:, None])[:, 0]
+                if c0 is not None:
+                    value += (c0 + c1) * (t - t0) / 2.0
+                t0, c0 = t, c1
+        return value, _point(t, x)
 
     def _whole_path(self, times, states):
-        def at(i, x):
-            point = np.empty((x.shape[0], 1, x.shape[1] + 1))
-            point[:, 0, 0] = times[i]
-            point[:, 0, 1:] = x
-            return point
-
-        for i, x in enumerate(states):
-            if not i:
-                value = np.zeros(x.shape[0])
-            if self.running is None:
-                continue
-            c1 = self.running(times[i : i + 1], at(i, x))[:, 0]
-            if i:
-                share = c0 + c1
-                share *= times[i] - times[i - 1]
-                share /= 2.0
-                value += share
-            c0 = c1
-        return value if self.terminal is None else value + self.terminal(at(i, x)[:, 0])
+        value, end = self.running_sum(zip(times, states))
+        return value if self.terminal is None else value + self.terminal(end)
 
 
 def sine_tracking_functional() -> PathFunctional:
@@ -186,8 +188,10 @@ def cubature_estimate(
     With a weight table, level i solves the children of the table's
     interval i-1; without one, the full q**i level.  Each level is one
     batched solve per worker chunk of its rows, started from the parents'
-    end states.  The value is one compensated sum over every weighted row
-    cost, so it does not depend on the worker count (at least 1).
+    end states and streamed into ``functional.running_sum``, which keeps
+    only the row costs and end states.  The value is one compensated sum
+    over every weighted row cost, so it does not depend on the worker
+    count (at least 1).
     ``DimensionMismatch`` is raised before any solve if the formula's
     driving dimension or ``x0``'s length does not match the fields.
     """
@@ -204,8 +208,8 @@ def cubature_estimate(
 
     def solve_rows(i, times, x_start, derivs):
         try:
-            out_times, states = solve_controlled_ode_batch(
-                fields, times, derivs, x_start, steps_per_segment
+            return solve_controlled_ode_batch(
+                fields, times, derivs, x_start, steps_per_segment, functional.running_sum
             )
         except NonFiniteState as err:
             seg = i * (times.size - 1) + err.segment
@@ -213,7 +217,6 @@ def cubature_estimate(
                 f"state left the finite range in interval {i + 1} of {partition.k}, segment {seg}",
                 segment=seg,
             ) from err
-        return functional.running_integral(out_times, states), states[:, -1]
 
     terms, interval_costs, weight_range, solves = [], [], [], 0
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

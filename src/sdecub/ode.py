@@ -8,8 +8,10 @@ derivatives.  Each RK4 stage evaluates sigma once and hands it to the
 corrected drift, so mu, sigma and the sigma-Jacobian are each evaluated once
 per stage.  :func:`rk4_steps` is the package's one fourth-order integrator:
 it steps numpy arrays for the batched estimator here and tape nodes for the
-training arm in :mod:`sdecub.training`.  A path functional sees the solved
-path as ``(t, x)``: the step grid in column 0, the states after it.
+training arm in :mod:`sdecub.training`.  :func:`solve_controlled_ode_batch`
+streams each step's ``(t, x)`` into a consumer, the estimator's running-cost
+sum, which hands a path functional one (B, 1, d_x+1) point at a time; no
+trajectory is stored, so memory does not grow with the step count.
 :func:`em_steps` is the package's one Euler-Maruyama step, on the grid that
 :func:`em_grid` builds and checks: it steps numpy arrays for the Monte Carlo
 baseline here and tape nodes for the training arm's pathwise gradient.
@@ -26,7 +28,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -90,8 +92,8 @@ def rk4_steps(rhs, seg_times, derivs, x0, steps_per_segment: int):
     state may be an ndarray or a ``tape.Var``: the step uses only ``+`` and
     ``*``, so the same loop serves estimation and tape training.
     """
-    # checked on the call, not on the first step, so a caller may size its
-    # output from steps_per_segment before iterating
+    # checked on the call, not on the first step, so a bad count raises
+    # before any consumer is handed the stream
     if steps_per_segment < 1:
         raise InvalidParameter("steps_per_segment must be >= 1")
 
@@ -119,16 +121,19 @@ def solve_controlled_ode_batch(
     seg_times: np.ndarray,
     derivs: np.ndarray,
     x0: np.ndarray,
-    steps_per_segment: int = 32,
-) -> tuple[np.ndarray, np.ndarray]:
+    steps_per_segment: int,
+    consume: Callable[[Iterator[tuple[float, np.ndarray]]], Any],
+) -> Any:
     """Integrate ``dphi = sum_i V_i(t, phi) domega^i`` along a batch of paths.
 
     The paths share one segment grid and are linear on each segment, so every
     segment is a classical ODE solved with :func:`rk4_steps` on the spatial
     state, started from ``x0`` ((d_x,) or one row per path); the fields see
-    each stage's time as a (B,) array.  Returns the step grid (n_steps+1,)
-    and the paths ``(t, x)``, shape (B, n_steps+1, d_x+1): the step grid in
-    column 0, the states in columns 1:.
+    each stage's time as a (B,) array.  ``consume`` is handed the stream of
+    ``(t, x)``, the start and then the (B, d_x) state after every step, and
+    its result is returned once the solve is done.  Each step's state is
+    checked before it is handed on: ``NonFiniteState`` names the segment in
+    which some path's state first leaves the finite range.
     """
 
     def rhs(t, x, g):
@@ -139,22 +144,18 @@ def solve_controlled_ode_batch(
         return v
 
     x0 = np.asarray(x0, float)
-    batch, d_x = derivs.shape[0], x0.shape[-1]
-    state = np.broadcast_to(x0, (batch, d_x)).copy()
+    state = np.broadcast_to(x0, (derivs.shape[0], x0.shape[-1])).copy()
     steps = rk4_steps(rhs, seg_times, derivs, state, steps_per_segment)
-    n_total = (seg_times.shape[0] - 1) * steps_per_segment
-    out_times = np.empty(n_total + 1)
-    out = np.empty((batch, n_total + 1, d_x + 1))
-    out_times[0] = seg_times[0]
-    out[:, 0, 1:] = state
-    for pos, (t, state) in enumerate(steps, 1):
-        out_times[pos] = t
-        out[:, pos, 1:] = state
-        if pos % steps_per_segment == 0 and not np.all(np.isfinite(state)):
-            seg = pos // steps_per_segment - 1
-            raise NonFiniteState(f"state left the finite range in segment {seg}", segment=seg)
-    out[:, :, 0] = out_times
-    return out_times, out
+
+    def checked():
+        yield seg_times[0], state
+        for pos, (t, x) in enumerate(steps):
+            if not np.all(np.isfinite(x)):
+                seg = pos // steps_per_segment
+                raise NonFiniteState(f"state left the finite range in segment {seg}", segment=seg)
+            yield t, x
+
+    return consume(checked())
 
 
 def gaussian_increments(rng: np.random.Generator, steps: int, shape, scale: float):

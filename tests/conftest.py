@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import settings
 
 from sdecub import NetworkFields, PathFunctional, PiecewisePath, tape
-from sdecub.ode import rk4_steps
+from sdecub.ode import rk4_steps, solve_controlled_ode_batch
 from sdecub.partition import interval_slopes
 
 settings.register_profile("deterministic", derandomize=True)
@@ -125,3 +125,24 @@ def reference_stage_solve(spec, seg_times, derivs, x0, steps_per_segment):
     state = np.broadcast_to(x0, (derivs.shape[0], x0.shape[-1])).copy()
     steps = rk4_steps(rhs, seg_times, derivs, state, steps_per_segment)
     return np.stack([state] + [x for _, x in steps], axis=1)
+
+
+def solve_trajectory(fields, seg_times, derivs, x0, steps_per_segment=32):
+    """A batched controlled solve stored whole: (times (n,), paths (B, n, d_x+1)).
+
+    The streamed ``(t, x)`` pairs of ``solve_controlled_ode_batch`` stacked,
+    the step grid in column 0 and the states in columns 1:.
+    """
+    pairs = solve_controlled_ode_batch(fields, seg_times, derivs, x0, steps_per_segment, list)
+    times = np.array([t for t, _ in pairs])
+    paths = np.empty((derivs.shape[0], times.size, pairs[0][1].shape[1] + 1))
+    paths[:, :, 0] = times
+    paths[:, :, 1:] = np.stack([x for _, x in pairs], axis=1)
+    return times, paths
+
+
+def trapezoid_running(functional, times, paths):
+    """``np.trapezoid`` of the running cost over stored paths (B, n, d_x+1): (B,)."""
+    if functional.running is None:
+        return np.zeros(paths.shape[0])
+    return np.trapezoid(functional.running(times, paths), times, axis=1)

@@ -1,6 +1,7 @@
 """The public API serves the pipeline: no name is exported for the tests
-alone, every definition of the tape module is read by the program, and
-every error type is raised by the package."""
+alone, every module's definitions and public methods are read by the
+program (those of the tape module by their module's name), and every error
+type is raised by the package."""
 
 import ast
 from functools import cache
@@ -44,6 +45,52 @@ def used_names() -> frozenset[str]:
 @pytest.mark.parametrize("name", exported_names())
 def test_exported_name_is_used_by_the_program(name):
     assert name in used_names(), f"sdecub.{name} is used only outside src/sdecub and perfbench"
+
+
+def module_definitions() -> list[str]:
+    """``module.name`` for every function, class and variable that a module of
+    ``src/sdecub`` defines at top level, and ``module.Class.method`` for each
+    public method of those classes.  ``tape.py`` has its stricter check below.
+    """
+    names = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("__init__.py", "tape.py"):
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [f"{path.stem}.{t.id}" for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                names += [
+                    f"{path.stem}.{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                ]
+    return names
+
+
+@cache
+def loose_reads() -> frozenset[str]:
+    """Names the program loads, as a name or an attribute, or imports by name."""
+    reads = set()
+    for path in PROGRAM:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reads.update(alias.name for alias in node.names)
+    return frozenset(reads)
+
+
+@pytest.mark.parametrize("name", module_definitions())
+def test_definition_is_read_by_the_program(name):
+    assert name.split(".")[-1] in loose_reads(), (
+        f"sdecub.{name} is read only outside src/sdecub and perfbench"
+    )
 
 
 def tape_definitions() -> list[str]:

@@ -120,8 +120,12 @@ def subcommand_parsers() -> dict:
 
 
 class TestWorkerCount:
-    """0 workers means all cores; a negative count is a config error, raised
-    before the first output is written."""
+    """One worker by default, and 0 means all cores; a negative count is a
+    config error, raised before the first output is written."""
+
+    def test_estimate_and_bench_default_to_one_worker(self):
+        # a second thread made the 1-d table walks slower, not faster
+        assert _ESTIMATE_DEFAULTS["workers"] == _BENCH_DEFAULTS["workers"] == 1
 
     def test_negative_estimate_workers_flag(self, tmp_path, capsys):
         out = tmp_path / "out"

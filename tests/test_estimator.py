@@ -31,7 +31,6 @@ from sdecub import (
 )
 from sdecub import estimator, ode
 from sdecub.estimator import fit_slope, interp_loglog, plateau_cut
-from sdecub.ode import solve_controlled_ode_batch
 from sdecub.partition import interval_slopes
 from sdecub.recombination import Level
 from sdecub.fields import (
@@ -41,7 +40,13 @@ from sdecub.fields import (
     ou_field,
     scaled_diffusion_field,
 )
-from conftest import leaf_derivatives, reference_em, terminal_functional
+from conftest import (
+    leaf_derivatives,
+    reference_em,
+    solve_trajectory,
+    terminal_functional,
+    trapezoid_running,
+)
 
 
 def columns(paths):
@@ -83,8 +88,8 @@ class TestCubatureEstimate:
         rep = cubature_estimate(functional, fields, formula, part, None, x0=spec.x0)
         leaves = list(enumerate_leaves(formula, part))
         seg_times, derivs = leaf_derivatives(formula, part, [iv for iv, _ in leaves])
-        times, states = solve_controlled_ode_batch(fields, seg_times, derivs, spec.x0)
-        values = functional.running_integral(times, states)
+        times, states = solve_trajectory(fields, seg_times, derivs, spec.x0)
+        values = trapezoid_running(functional, times, states)
         contributions = [w * v for (_, w), v in zip(leaves, values)]
         assert rep.n_paths == 27
         assert rep.value == pytest.approx(math.fsum(contributions), abs=1e-14)
@@ -222,8 +227,8 @@ def whole_leaf_estimate(functional, fields, formula, partition, table, x0, steps
             zip(map(tuple, table.prefixes(table.k).tolist()), table.levels[-1].weight.tolist())
         )
     seg_times, derivs = leaf_derivatives(formula, partition, [iv for iv, _ in leaves])
-    times, states = solve_controlled_ode_batch(fields, seg_times, derivs, x0, steps_per_segment)
-    values = functional.running_integral(times, states)
+    times, states = solve_trajectory(fields, seg_times, derivs, x0, steps_per_segment)
+    values = trapezoid_running(functional, times, states)
     return math.fsum(np.array([w for _, w in leaves]) * values)
 
 
@@ -249,7 +254,7 @@ def interval_by_interval_estimate(
             formula, partition, [c + (1,) * (k - i) for c, _ in children]
         )
         n_seg = (seg_times.shape[0] - 1) // k
-        times, states = solve_controlled_ode_batch(
+        times, states = solve_trajectory(
             fields, seg_times[: i * n_seg + 1], derivs[:, : i * n_seg], x0, steps_per_segment
         )
         lo = (i - 1) * n_seg * steps_per_segment
@@ -355,7 +360,15 @@ class TestTrieSolve:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_state_names_interval_and_global_segment(self):
-        # dx/dt = x^2 from x=1.5 blows up at t=2/3, inside the second interval
+        # dx/dt = x^2 from x=1.5 blows up at t=2/3, inside the second
+        # interval.  The walk's running cost refuses inf and nan: each step's
+        # state is checked before the streamed sum sees it.
+        sine = sine_tracking_functional()
+
+        def strict(times, states):
+            assert np.all(np.isfinite(states)), "the running cost saw a non-finite state"
+            return sine.running(times, states)
+
         def mu(t, x):
             return x * x
 
@@ -376,11 +389,32 @@ class TestTrieSolve:
         assert n_seg <= seg < 2 * n_seg
         with pytest.raises(NonFiniteState, match=f"in interval 2 of 2, segment {seg}$") as trie:
             cubature_estimate(
-                sine_tracking_functional(), fields, formula, part, None, x0=x0,
-                steps_per_segment=8,
+                PathFunctional("strict", running=strict), fields, formula, part, None,
+                x0=x0, steps_per_segment=8,
             )
         assert trie.value.segment == seg
         assert isinstance(trie.value.__cause__, NonFiniteState)
+
+    def test_peak_memory_does_not_grow_with_the_step_count(self):
+        # each level's states stream through the running cost: no
+        # (rows, steps) trajectory is held, only the level's start and end
+        # states and a few step states
+        spec = scaled_diffusion_field(0.6)
+        formula, part = degree5_formula(1), make_partition(1.0, 7, 0.6)
+
+        def peak(steps_per_segment):
+            tracemalloc.start()
+            try:
+                cubature_estimate(
+                    sine_tracking_functional(), spec.stratonovich(), formula, part, None,
+                    x0=spec.x0, steps_per_segment=steps_per_segment,
+                )
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        coarse, fine = peak(4), peak(64)
+        assert fine <= 1.5 * coarse
 
 
 class TestMcEstimate:
@@ -528,7 +562,7 @@ def reference_mc(functional, spec, n_paths, grid, seed, T=1.0, chunk=20000):
         states = np.empty((m, grid + 1, spec.d_x + 1))
         states[:, :, 0] = times
         states[:, :, 1:] = paths
-        running = functional.running_integral(times, states)
+        running = trapezoid_running(functional, times, states)
         terminal = 0.0 if functional.terminal is None else functional.terminal(states[:, -1])
         values[done : done + m] = running + terminal
         magnitudes[done : done + m] = np.abs(running) + np.abs(terminal)

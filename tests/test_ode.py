@@ -31,7 +31,13 @@ from sdecub.ode import (
     solve_controlled_ode_batch,
     solve_sde_mc_batch,
 )
-from conftest import leaf_path, reference_em, reference_stage_solve, terminal_functional
+from conftest import (
+    leaf_path,
+    reference_em,
+    reference_stage_solve,
+    solve_trajectory,
+    terminal_functional,
+)
 
 
 def line_path(slope=1.0):
@@ -49,7 +55,7 @@ def zero_jacobian(t, x):
 def solve_path(fields, path, x0, steps_per_segment=32):
     """One path through the batched solver: (times, path (n, d_x+1)) as (t, x)."""
     derivs = path.increments()[:, 1:] / np.diff(path.breakpoints)[:, None]
-    times, states = solve_controlled_ode_batch(
+    times, states = solve_trajectory(
         fields, path.breakpoints, derivs[None], x0, steps_per_segment
     )
     return times, states[0]
@@ -220,7 +226,7 @@ class TestSolveControlledOde:
         seg_times = np.array([0.0, T])
         errors = []
         for steps in (4, 8, 16, 32):
-            times, states = solve_controlled_ode_batch(
+            times, states = solve_trajectory(
                 fields, seg_times, slopes[:, None, None], np.array([x0]), steps
             )
             assert times[-1] == T
@@ -252,9 +258,7 @@ class TestOneCallStage:
         rng = np.random.default_rng(9)
         seg_times = np.array([0.0, 0.3, 0.55, 1.0])
         derivs = rng.normal(size=(7, 3, spec.d_b))
-        times, states = solve_controlled_ode_batch(
-            spec.stratonovich(), seg_times, derivs, spec.x0, 3
-        )
+        times, states = solve_trajectory(spec.stratonovich(), seg_times, derivs, spec.x0, 3)
         ref = reference_stage_solve(spec, seg_times, derivs, spec.x0, 3)
         assert states.shape == (7, 10, spec.d_x + 1)
         assert np.array_equal(states[:, :, 1:], ref)
@@ -277,7 +281,7 @@ def test_each_coefficient_evaluated_once_per_stage():
     )
     calls.update(dict.fromkeys(calls, 0))  # drop the shape probes
     seg_times = np.array([0.0, 1.0])
-    solve_controlled_ode_batch(fields, seg_times, np.ones((3, 1, 1)), np.ones(1), 2)
+    solve_controlled_ode_batch(fields, seg_times, np.ones((3, 1, 1)), np.ones(1), 2, list)
     assert calls == dict.fromkeys(calls, 2 * 4)  # two RK4 steps of four stages
 
 
