@@ -73,11 +73,11 @@ _TYPE_NAMES = {int: "an integral number", float: "a finite number",
                tuple: "a list of integral numbers"}
 
 
-def _typed(key: str, value, default):
-    """A config-file value as its setting's type, which its default gives.
+def _typed(source: str, value, default):
+    """A config-file or flag value as its setting's type, which its default gives.
 
-    A str setting passes as given: the code that reads it checks it, and the
-    bench oracle may also be a number.
+    ``source`` names the value in the error.  A str setting passes as given:
+    the code that reads it checks it, and the bench oracle may also be a number.
     """
     if isinstance(default, str):
         return value
@@ -89,9 +89,7 @@ def _typed(key: str, value, default):
     elif isinstance(default, float) and type(value) in (int, float):
         if abs(value) <= sys.float_info.max:  # finite, and an int that fits a float
             return float(value)
-    raise InvalidParameter(
-        f"config key {key!r} takes {_TYPE_NAMES[type(default)]}, got {json.dumps(value)}"
-    )
+    raise InvalidParameter(f"{source} takes {_TYPE_NAMES[type(default)]}, got {json.dumps(value)}")
 
 
 def _merge(defaults: dict, config: dict, args: argparse.Namespace) -> dict:
@@ -100,11 +98,11 @@ def _merge(defaults: dict, config: dict, args: argparse.Namespace) -> dict:
     for key, value in config.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r}")
-        merged[key] = _typed(key, value, defaults[key])
+        merged[key] = _typed(f"config key {key!r}", value, defaults[key])
     for key in defaults:
         flag = getattr(args, key, None)
         if flag is not None:
-            merged[key] = flag
+            merged[key] = _typed(f"flag --{key.replace('_', '-')}", flag, defaults[key])
     return merged
 
 
@@ -127,9 +125,10 @@ def _write_manifest(out: Path, stage: str, settings: dict, results: dict):
 
 
 def cmd_formula(args) -> int:
+    tol = _typed("flag --tol", args.tol, 0.0)  # the 0.0 types the flag as a float
     out = _out_dir(args)
     formula = cubature_formula(args.degree, args.dim)
-    report = verify_cubature(formula, m=args.degree, tol=args.tol)
+    report = verify_cubature(formula, m=args.degree, tol=tol)
     (out / "formula.json").write_text(formula.to_json())
     (out / "verification.json").write_text(
         dumps_17g(
@@ -148,7 +147,7 @@ def cmd_formula(args) -> int:
     _write_manifest(
         out,
         "formula",
-        {"degree": args.degree, "dim": args.dim, "tol": args.tol},
+        {"degree": args.degree, "dim": args.dim, "tol": tol},
         {"passed": report.passed, "max_defect": report.max_defect,
          "path_count": formula.q, "formula_hash": formula.formula_hash()},
     )

@@ -12,9 +12,10 @@ whose end state starts it), for a table and for the raw tree alike; the
 training arm's :func:`sdecub.training.loss_and_gradient_cubature` walks the
 same ones on the tape.  The Monte Carlo estimator averages whole-path
 values over seeded Euler-Maruyama paths.  Both arms sum the running cost
-with :meth:`PathFunctional.running_sum` as their solvers stream the states,
-so neither stores a trajectory.  The convergence experiment sweeps both
-against an oracle and fits log-log error slopes.
+with :meth:`PathFunctional.running_sum` as their solvers stream ``(t, x)``,
+a scalar time and the (B, d_x) states, so neither stores a trajectory.
+The convergence experiment sweeps both against an oracle and fits log-log
+error slopes.
 """
 
 from __future__ import annotations
@@ -42,20 +43,14 @@ ORACLE_MC_PATHS = 100000  # paths and grid of the bench's Monte Carlo oracle
 ORACLE_MC_GRID = 4000
 
 
-def _point(t, x):
-    """The path points (B, d_x+1) at time t of the states x (B, d_x)."""
-    return np.concatenate((np.full((x.shape[0], 1), t), x), axis=1)
-
-
 @dataclass(frozen=True)
 class PathFunctional:
     """A running cost c(t, x) integrated over [0, T] plus a terminal cost h(x_T).
 
-    A functional sees a path point as ``(t, x)``: column 0 holds the time
-    and columns 1: the state.  ``running(times, states)`` maps points
-    (B, n, d_x+1) at the times (n,) to cost rates (B, n); both arms call it
-    on one time's (B, 1, d_x+1) slice.  ``terminal(states)`` maps end
-    points (B, d_x+1) to (B,).  Either may be omitted, not both.
+    A functional reads the solvers' stream as it is: ``running(t, x)`` maps
+    a scalar time t and the (B, d_x) states at t to cost rates (B,), and
+    ``terminal(x)`` maps the (B, d_x) end states to (B,).  Either may be
+    omitted, not both.
     ``evaluate_batch(times, states)`` is the whole-path value (B,) that
     Monte Carlo uses, of (B, d_x) states arriving one grid time at a time
     from the iterable ``states``: :meth:`running_sum` along
@@ -75,23 +70,23 @@ class PathFunctional:
             object.__setattr__(self, "evaluate_batch", self._whole_path)
 
     def running_sum(self, path) -> tuple[np.ndarray, np.ndarray]:
-        """The trapezoid rule of c along a streamed path, and its end point.
+        """The trapezoid rule of c along a streamed path, and its end state.
 
         ``path`` yields ``(t, x)`` with x (B, d_x), the start first.  Each
         step adds ``(t1 - t0) * (c0 + c1) / 2`` to the (B,) sums as it
-        arrives, so only the current point is held.  Returns the sums (zeros
-        without a running cost) and the end point (B, d_x+1).
+        arrives, so only the current state is held.  Returns the sums (zeros
+        without a running cost) and the end state (B, d_x).
         """
         value = c0 = None
         for t, x in path:
             if value is None:
                 value = np.zeros(x.shape[0])
             if self.running is not None:
-                c1 = self.running(np.full(1, t), _point(t, x)[:, None])[:, 0]
+                c1 = self.running(t, x)
                 if c0 is not None:
                     value += (c0 + c1) * (t - t0) / 2.0
                 t0, c0 = t, c1
-        return value, _point(t, x)
+        return value, x
 
     def _whole_path(self, times, states):
         value, end = self.running_sum(zip(times, states))
@@ -104,8 +99,8 @@ def sine_tracking_functional() -> PathFunctional:
     Acts on the first spatial component.
     """
 
-    def running(times, values):
-        residual = values[:, :, 1] - np.sin(2.0 * math.pi * times)[None, :]
+    def running(t, x):
+        residual = x[:, 0] - np.sin(2.0 * math.pi * t)
         return residual * residual
 
     return PathFunctional(name="sine_tracking", running=running)
@@ -233,10 +228,9 @@ def cubature_estimate(
                 )
             )
             level = weights * np.concatenate([c for c, _ in parts])
-            ends = np.concatenate([e for _, e in parts])
-            starts = ends[:, 1:]
+            starts = np.concatenate([x for _, x in parts])
             if i == partition.k - 1 and functional.terminal is not None:
-                level = np.concatenate([level, weights * functional.terminal(ends)])
+                level = np.concatenate([level, weights * functional.terminal(starts)])
             terms.append(level.tolist())
             interval_costs.append(math.fsum(terms[-1]))
             weight_range.append((float(weights.min()), float(weights.max())))
@@ -315,8 +309,8 @@ class BenchConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise InvalidParameter(f"horizon T must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise InvalidParameter(f"horizon T must be positive and finite, got {self.T}")
         if self.mc_replicates < 1:
             raise InvalidParameter(f"mc_replicates must be >= 1, got {self.mc_replicates}")
         if self.workers < 1:

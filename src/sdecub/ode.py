@@ -10,8 +10,8 @@ per stage.  :func:`rk4_steps` is the package's one fourth-order integrator:
 it steps numpy arrays for the batched estimator here and tape nodes for the
 training arm in :mod:`sdecub.training`.  :func:`solve_controlled_ode_batch`
 streams each step's ``(t, x)`` into a consumer, the estimator's running-cost
-sum, which hands a path functional one (B, 1, d_x+1) point at a time; no
-trajectory is stored, so memory does not grow with the step count.
+sum, which hands each pair to a path functional as it comes; no trajectory
+is stored, so memory does not grow with the step count.
 :func:`em_steps` is the package's one Euler-Maruyama step, on the grid that
 :func:`em_grid` builds and checks: it steps numpy arrays for the Monte Carlo
 baseline here and tape nodes for the training arm's pathwise gradient.
@@ -197,8 +197,8 @@ def em_grid(T: float, grid: int) -> tuple[np.ndarray, float]:
     """The Monte Carlo grid of ``grid`` equal steps on [0, T] and its step."""
     if grid < 1:
         raise InvalidParameter(f"grid size must be >= 1, got {grid}")
-    if T <= 0:
-        raise InvalidParameter(f"horizon T must be positive, got {T}")
+    if not 0 < T < math.inf:
+        raise InvalidParameter(f"horizon T must be positive and finite, got {T}")
     return np.linspace(0.0, T, grid + 1), T / grid
 
 

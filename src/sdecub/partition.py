@@ -41,12 +41,12 @@ class TimePartition:
 
 
 def make_partition(T: float, k: int, gamma: float) -> TimePartition:
-    if T <= 0:
-        raise InvalidParameter(f"horizon must be positive, got {T}")
+    if not 0 < T < np.inf:
+        raise InvalidParameter(f"horizon must be positive and finite, got {T}")
     if k < 1:
         raise InvalidParameter(f"k must be >= 1, got {k}")
-    if gamma <= 0:
-        raise InvalidParameter(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise InvalidParameter(f"gamma must be positive and finite, got {gamma}")
     i = np.arange(k + 1, dtype=float)
     knots = T * (1.0 - (1.0 - i / k) ** gamma)
     knots[0] = 0.0

@@ -61,8 +61,8 @@ class ZeroDiffusionFields(NetworkFields):
 def terminal_functional(component=0):
     """Value of one spatial component at the final time (linear functional)."""
 
-    def terminal(values):
-        return values[:, 1 + component]
+    def terminal(x):
+        return x[:, component]
 
     return PathFunctional(name=f"terminal_x{component}", terminal=terminal)
 
@@ -128,21 +128,21 @@ def reference_stage_solve(spec, seg_times, derivs, x0, steps_per_segment):
 
 
 def solve_trajectory(fields, seg_times, derivs, x0, steps_per_segment=32):
-    """A batched controlled solve stored whole: (times (n,), paths (B, n, d_x+1)).
+    """A batched controlled solve stored whole: (times (n,), states (B, n, d_x)).
 
-    The streamed ``(t, x)`` pairs of ``solve_controlled_ode_batch`` stacked,
-    the step grid in column 0 and the states in columns 1:.
+    The streamed ``(t, x)`` pairs of ``solve_controlled_ode_batch`` stacked.
     """
     pairs = solve_controlled_ode_batch(fields, seg_times, derivs, x0, steps_per_segment, list)
-    times = np.array([t for t, _ in pairs])
-    paths = np.empty((derivs.shape[0], times.size, pairs[0][1].shape[1] + 1))
-    paths[:, :, 0] = times
-    paths[:, :, 1:] = np.stack([x for _, x in pairs], axis=1)
-    return times, paths
+    return np.array([t for t, _ in pairs]), np.stack([x for _, x in pairs], axis=1)
 
 
-def trapezoid_running(functional, times, paths):
-    """``np.trapezoid`` of the running cost over stored paths (B, n, d_x+1): (B,)."""
+def trapezoid_running(functional, times, states):
+    """``np.trapezoid`` of the running cost over stored states (B, n, d_x): (B,).
+
+    The cost ``running(t, x)`` is taken at every stored time and stacked
+    into (B, n) before the whole rule is applied.
+    """
     if functional.running is None:
-        return np.zeros(paths.shape[0])
-    return np.trapezoid(functional.running(times, paths), times, axis=1)
+        return np.zeros(states.shape[0])
+    costs = np.stack([functional.running(t, states[:, i]) for i, t in enumerate(times)], axis=1)
+    return np.trapezoid(costs, times, axis=1)

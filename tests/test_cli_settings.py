@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sdecub import degree3_formula
 from sdecub.cli import (
     _BENCH_DEFAULTS,
     _ESTIMATE_DEFAULTS,
@@ -83,6 +84,32 @@ class TestConfigTyping:
         assert code == EXIT_CONFIG
         assert "OracleUnavailable: unknown oracle mode True" in capsys.readouterr().err
         assert not (out / "bench.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, shown",
+        [
+            (["preprocess", "--formula", "FORMULA", "--T", "nan"], "NaN"),
+            (["preprocess", "--formula", "FORMULA", "--T", "inf"], "Infinity"),
+            (["estimate", "--gamma", "nan"], "NaN"),
+            (["bench", "--gamma", "nan"], "NaN"),
+            (["estimate", "--sigma", "nan"], "NaN"),
+            (["formula", "--degree", "3", "--dim", "1", "--tol", "nan"], "NaN"),
+            (["train", "--lr", "inf"], "Infinity"),
+        ],
+        ids=["preprocess-T-nan", "preprocess-T-inf", "estimate-gamma-nan", "bench-gamma-nan",
+             "estimate-sigma-nan", "formula-tol-nan", "train-lr-inf"],
+    )
+    def test_non_finite_float_flag_is_config_error(self, tmp_path, capsys, argv, shown):
+        # flags are typed as config values are, so NaN and inf never reach a run
+        formula = tmp_path / "formula.json"
+        formula.write_text(degree3_formula(1).to_json())
+        out = tmp_path / "out"
+        code = main([str(formula) if a == "FORMULA" else a for a in argv] + ["--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidParameter: ")
+        assert f"flag {argv[-2]} takes a finite number, got {shown}" in err
+        assert not any(out.glob("*"))  # no output file is written
 
     def test_malformed_config_file_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -49,18 +49,11 @@ from conftest import (
 )
 
 
-def columns(paths):
-    """The states of ``(t, x)`` paths (B, n, d_x+1), one (B, d_x) grid time at a time."""
-    return iter(paths[:, :, 1:].transpose(1, 0, 2))
-
-
 class TestSineTracking:
     def uniform_traj(self, values_fn, n=513):
+        """One path's (1, 1) states, one grid time at a time."""
         times = np.linspace(0.0, 1.0, n)
-        vals = np.zeros((1, n, 2))
-        vals[0, :, 0] = times
-        vals[0, :, 1] = values_fn(times)
-        return times, columns(vals)
+        return times, iter(values_fn(times).reshape(n, 1, 1))
 
     def test_zero_path(self):
         f = sine_tracking_functional()
@@ -125,7 +118,7 @@ class TestCubatureEstimate:
         part = make_partition(1.0, 7, 0.6)
         table = preprocess(formula, part, TestBasis(1, 4), p_star=2) if recombined else None
         sine = sine_tracking_functional()
-        both = PathFunctional("sine_plus_x", running=sine.running, terminal=lambda x: x[:, 1])
+        both = PathFunctional("sine_plus_x", running=sine.running, terminal=lambda x: x[:, 0])
         reports = [
             cubature_estimate(
                 f, spec.stratonovich(), formula, part, table, x0=spec.x0, steps_per_segment=4
@@ -258,7 +251,7 @@ def interval_by_interval_estimate(
             fields, seg_times[: i * n_seg + 1], derivs[:, : i * n_seg], x0, steps_per_segment
         )
         lo = (i - 1) * n_seg * steps_per_segment
-        costs = np.trapezoid(functional.running(times[lo:], states[:, lo:]), times[lo:], axis=1)
+        costs = trapezoid_running(functional, times[lo:], states[:, lo:])
         terms += [w * c for (_, w), c in zip(children, costs)]
         parents = dict(zip(map(tuple, table.prefixes(i).tolist()), table.levels[i - 1].weight))
     return math.fsum(terms)
@@ -365,9 +358,9 @@ class TestTrieSolve:
         # state is checked before the streamed sum sees it.
         sine = sine_tracking_functional()
 
-        def strict(times, states):
-            assert np.all(np.isfinite(states)), "the running cost saw a non-finite state"
-            return sine.running(times, states)
+        def strict(t, x):
+            assert np.all(np.isfinite(x)), "the running cost saw a non-finite state"
+            return sine.running(t, x)
 
         def mu(t, x):
             return x * x
@@ -455,7 +448,8 @@ class TestMcEstimate:
 
     @pytest.mark.parametrize("T", [0.0, -1.0])
     def test_non_positive_horizon_raises(self, T):
-        with pytest.raises(InvalidParameter, match=f"horizon T must be positive, got {T}"):
+        message = f"horizon T must be positive and finite, got {T}"
+        with pytest.raises(InvalidParameter, match=message):
             mc_estimate(sine_tracking_functional(), brownian_field(1.0), 10, 8, seed=1, T=T)
 
     def test_each_chunk_released_before_the_next_solve(self, monkeypatch):
@@ -543,6 +537,38 @@ class TestMcEstimate:
         assert info.value.segment == cause.segment is not None
 
 
+class TestFunctionalContract:
+    """Both arms hand a path functional the solvers' stream as it is: a
+    scalar time t and the (B, d_x) states at t."""
+
+    def test_both_arms_pass_a_scalar_time_and_spatial_states(self):
+        spec = ou_field(1.0, 0.5, 0.5, d=2, x0=(0.3, -0.2))
+        calls = {"running": 0, "terminal": 0}
+
+        def running(t, x):
+            assert np.shape(t) == () and x.ndim == 2 and x.shape[1] == 2
+            calls["running"] += 1
+            return x[:, 0] * x[:, 1]
+
+        def terminal(x):
+            assert x.ndim == 2 and x.shape[1] == 2
+            calls["terminal"] += 1
+            return x[:, 1]
+
+        functional = PathFunctional("contract", running=running, terminal=terminal)
+        formula, part = degree3_formula(2), make_partition(1.0, 3, 0.6)
+        table = preprocess(formula, part, TestBasis(2, 2), p_star=2)
+        for tab in (None, table):
+            rep = cubature_estimate(
+                functional, spec.stratonovich(), formula, part, tab, x0=spec.x0,
+                steps_per_segment=2,
+            )
+            assert math.isfinite(rep.value)
+        assert math.isfinite(mc_estimate(functional, spec, 50, 8, seed=3).value)
+        # one terminal call per walk and per Monte Carlo chunk
+        assert calls["terminal"] == 3 and calls["running"] > 0
+
+
 def reference_mc(functional, spec, n_paths, grid, seed, T=1.0, chunk=20000):
     """Path-major Euler-Maruyama with each whole chunk evaluated at once.
 
@@ -558,10 +584,7 @@ def reference_mc(functional, spec, n_paths, grid, seed, T=1.0, chunk=20000):
     done = 0
     while done < n_paths:
         m = min(chunk, n_paths - done)
-        times, paths = reference_em(spec.mu, spec.sigma, spec.x0, T, grid, rng, m)
-        states = np.empty((m, grid + 1, spec.d_x + 1))
-        states[:, :, 0] = times
-        states[:, :, 1:] = paths
+        times, states = reference_em(spec.mu, spec.sigma, spec.x0, T, grid, rng, m)
         running = trapezoid_running(functional, times, states)
         terminal = 0.0 if functional.terminal is None else functional.terminal(states[:, -1])
         values[done : done + m] = running + terminal
@@ -663,6 +686,12 @@ class TestConvergenceExperiment:
             BenchConfig(
                 spec=brownian_field(1.0), functional=sine_tracking_functional(), workers=workers
             )
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    def test_non_finite_horizon_rejected(self, T):
+        message = f"horizon T must be positive and finite, got {T}"
+        with pytest.raises(InvalidParameter, match=message):
+            BenchConfig(spec=brownian_field(1.0), functional=sine_tracking_functional(), T=T)
 
     def test_oracle_unavailable(self):
         spec = drift_only_field()

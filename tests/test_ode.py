@@ -53,7 +53,7 @@ def zero_jacobian(t, x):
 
 
 def solve_path(fields, path, x0, steps_per_segment=32):
-    """One path through the batched solver: (times, path (n, d_x+1)) as (t, x)."""
+    """One path through the batched solver: (times (n,), states (n, d_x))."""
     derivs = path.increments()[:, 1:] / np.diff(path.breakpoints)[:, None]
     times, states = solve_trajectory(
         fields, path.breakpoints, derivs[None], x0, steps_per_segment
@@ -138,10 +138,10 @@ class TestSolveControlledOde:
     def test_constant_fields(self):
         spec = brownian_field(1.0)
         fields = spec.stratonovich()
-        _, states = solve_path(fields, line_path(0.8), np.zeros(1))
-        # phi(t) = (t, 0.8 t) for constant unit diffusion
-        assert states[-1, 0] == pytest.approx(1.0, abs=1e-12)
-        assert states[-1, 1] == pytest.approx(0.8, abs=1e-12)
+        times, states = solve_path(fields, line_path(0.8), np.zeros(1))
+        # phi(t) = 0.8 t at t = 1 for constant unit diffusion
+        assert times[-1] == pytest.approx(1.0, abs=1e-12)
+        assert states[-1, 0] == pytest.approx(0.8, abs=1e-12)
 
     def test_scalar_exponential(self):
         # dx = x domega with omega = t: x(1) = e
@@ -154,7 +154,7 @@ class TestSolveControlledOde:
         fields = ito_to_stratonovich(mu, sig, 1, 1, zero_jacobian)
         x0 = np.array([1.0])
         _, states = solve_path(fields, zero_path(), x0, steps_per_segment=100)
-        assert states[-1, 1] == pytest.approx(math.e, rel=1e-8)
+        assert states[-1, 0] == pytest.approx(math.e, rel=1e-8)
 
     def test_fourth_order_convergence(self):
         def mu(t, x):
@@ -169,7 +169,7 @@ class TestSolveControlledOde:
         steps = [8, 16, 32, 64]
         for n in steps:
             _, states = solve_path(fields, zero_path(), x0, steps_per_segment=n)
-            errors.append(abs(states[-1, 1] - math.e))
+            errors.append(abs(states[-1, 0] - math.e))
         order = np.polyfit(np.log(steps), np.log(errors), 1)[0]
         assert -order >= 3.8
 
@@ -181,14 +181,17 @@ class TestSolveControlledOde:
             spec.stratonovich(), zero_path(), np.array([1.0]),
             steps_per_segment=64,
         )
-        assert states[-1, 1] == pytest.approx(math.exp(-0.5), rel=1e-8)
+        assert states[-1, 0] == pytest.approx(math.exp(-0.5), rel=1e-8)
 
     def test_time_component_exact(self):
         spec = scaled_diffusion_field(0.5)
         part = make_partition(1.0, 3, 0.6)
         cp = leaf_path(degree3_formula(1), part, (1, 2, 1))
         times, states = solve_path(spec.stratonovich(), cp, np.array([1.0]))
-        assert np.array_equal(states[:, 0], times)
+        # the clock steps evenly within each segment and lands on every knot
+        assert times.shape == (states.shape[0],)
+        assert np.array_equal(times[::32], cp.breakpoints)
+        assert np.all(np.diff(times) > 0)
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_non_finite_state(self):
@@ -230,7 +233,7 @@ class TestSolveControlledOde:
                 fields, seg_times, slopes[:, None, None], np.array([x0]), steps
             )
             assert times[-1] == T
-            errors.append(np.max(np.abs(states[:, -1, 1] - exact)))
+            errors.append(np.max(np.abs(states[:, -1, 0] - exact)))
         assert errors[-1] < 1e-6
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(orders > 3.8)
@@ -260,9 +263,9 @@ class TestOneCallStage:
         derivs = rng.normal(size=(7, 3, spec.d_b))
         times, states = solve_trajectory(spec.stratonovich(), seg_times, derivs, spec.x0, 3)
         ref = reference_stage_solve(spec, seg_times, derivs, spec.x0, 3)
-        assert states.shape == (7, 10, spec.d_x + 1)
-        assert np.array_equal(states[:, :, 1:], ref)
-        assert np.array_equal(states[:, :, 0], np.broadcast_to(times, (7, 10)))
+        assert states.shape == (7, 10, spec.d_x)
+        assert np.array_equal(states, ref)
+        assert times.shape == (10,) and np.array_equal(times[::3], seg_times)
 
 
 def test_each_coefficient_evaluated_once_per_stage():
@@ -357,7 +360,7 @@ class TestDegree3Exactness:
     def test_second_moment_of_brownian(self):
         # two leaves +-1 at T=1: sum lambda f(phi(1)) = 1 = E[B_1^2]
         spec = brownian_field(1.0)
-        sq = PathFunctional("terminal_sq", terminal=lambda x: x[:, 1] ** 2)
+        sq = PathFunctional("terminal_sq", terminal=lambda x: x[:, 0] ** 2)
         rep = cubature_estimate(
             sq, spec.stratonovich(), degree3_formula(1), make_partition(1.0, 1, 1.0),
             None, x0=spec.x0,
@@ -367,7 +370,7 @@ class TestDegree3Exactness:
     def test_second_moment_k2_tree(self):
         # four-leaf tree: the weighted terminal second moment is still exact
         spec = brownian_field(1.0)
-        sq = PathFunctional("terminal_sq", terminal=lambda x: x[:, 1] ** 2)
+        sq = PathFunctional("terminal_sq", terminal=lambda x: x[:, 0] ** 2)
         rep = cubature_estimate(
             sq, spec.stratonovich(), degree3_formula(1), make_partition(1.0, 2, 1.0),
             None, x0=spec.x0,
@@ -375,15 +378,18 @@ class TestDegree3Exactness:
         assert rep.n_paths == 4
         assert rep.value == pytest.approx(1.0, abs=1e-12)
 
-    def test_linear_functional_exact_for_linear_fields(self):
+    @pytest.mark.parametrize(
+        "d, x0, component", [(1, 1.0, 0), (2, (1.0, -0.5), 1)], ids=["1d", "2d"]
+    )
+    def test_linear_functional_exact_for_linear_fields(self, d, x0, component):
         # dX = -0.5 X dt + 0.3 dB: E X_T = e^{-0.5 T} x0, met to solver error
-        spec = make_field("ou", rate=0.5, mean=0.0, sigma=0.3, x0=1.0)
-        term = terminal_functional()
+        spec = make_field("ou", rate=0.5, mean=0.0, sigma=0.3, d=d, x0=x0)
+        term = terminal_functional(component)
         rep = cubature_estimate(
-            term, spec.stratonovich(), degree3_formula(1), make_partition(1.0, 2, 1.0),
+            term, spec.stratonovich(), degree3_formula(d), make_partition(1.0, 2, 1.0),
             None, x0=spec.x0, steps_per_segment=64,
         )
-        assert rep.value == pytest.approx(math.exp(-0.5), abs=1e-10)
+        assert rep.value == pytest.approx(spec.x0[component] * math.exp(-0.5), abs=1e-10)
 
 
 class TestSolveSdeMc:
@@ -409,6 +415,12 @@ class TestSolveSdeMc:
         terminal = end[:, 0]
         assert abs(terminal.mean()) <= 4.0 / math.sqrt(100000)
         assert (terminal**2).mean() == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_grid_rejects_a_non_finite_horizon(self, T):
+        message = f"^horizon T must be positive and finite, got {T}$"
+        with pytest.raises(InvalidParameter, match=message):
+            em_grid(T, 8)
 
     def test_trajectory_starts_at_x0(self):
         spec = brownian_field(1.0, x0=0.4)
@@ -568,11 +580,11 @@ class TestNoiseWorker:
         monkeypatch.setattr(ode, "NOISE_BLOCK_BYTES", 8 * 64 * 2)  # blocks of two steps
         calls = []
 
-        def running(times, states):
-            calls.append(times)
+        def running(t, x):
+            calls.append(t)
             if len(calls) == 6:
                 raise RuntimeError("running failed")
-            return states[:, :, 1] ** 2
+            return x[:, 0] ** 2
 
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="running failed") as info:

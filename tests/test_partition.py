@@ -67,7 +67,11 @@ class TestMakePartition:
     def test_lengths_positive(self):
         assert np.all(make_partition(1.0, 40, 0.3).lengths > 0)
 
-    @pytest.mark.parametrize("bad", [(0.0, 2, 1.0), (1.0, 0, 1.0), (1.0, 2, -0.5)])
+    @pytest.mark.parametrize(
+        "bad",
+        [(0.0, 2, 1.0), (1.0, 0, 1.0), (1.0, 2, -0.5),
+         (math.nan, 2, 1.0), (math.inf, 2, 1.0), (1.0, 2, math.nan), (1.0, 2, math.inf)],
+    )
     def test_invalid_parameters(self, bad):
         with pytest.raises(InvalidParameter):
             make_partition(*bad)

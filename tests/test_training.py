@@ -352,7 +352,8 @@ class TestGradients:
     @pytest.mark.parametrize("T", [0.0, -1.0])
     def test_non_positive_mc_horizon_rejected(self, T):
         config, spec, _, _, _, nets, theta = small_setup()
-        with pytest.raises(InvalidParameter, match=f"horizon T must be positive, got {T}"):
+        message = f"horizon T must be positive and finite, got {T}"
+        with pytest.raises(InvalidParameter, match=message):
             loss_and_gradient_mc(nets, theta, 4, 8, 11, spec, T=T)
 
     def test_zero_steps_per_segment_rejected(self):
